@@ -154,9 +154,16 @@ def cmd_dim(args) -> int:
 
 def cmd_search(args) -> int:
     cap = args.cap
-    if cap is None:
-        env = os.environ.get("ELLCHAIN_SEARCH_CAP")
-        cap = int(env) if env else None
+    env = os.environ.get("ELLCHAIN_SEARCH_CAP")
+    if cap is None and env:
+        try:
+            cap = int(env)
+        except ValueError:
+            print(
+                f"error: ELLCHAIN_SEARCH_CAP must be an integer, got {env!r}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     try:
         space = SearchSpace(args.g, args.r, args.k, prefix_length=args.prefix)
         report = enumerate_series(

@@ -1,12 +1,11 @@
 """Exhaustive oracle for limit-series vanishing configurations.
 
 The enumeration is an independent check on the explicit generators: it
-performs a depth-first sweep over all vanishing tables, bundle splits and
-node matchings of the balanced ansatz (every rank-two bundle a sum of two
-degree-``(g-1)`` line bundles with canonical determinant, twist
-``a = g - 1``; rank one with degree ``2g - 2`` bundles and twist
-``2g - 2``) and reports every configuration satisfying all limit-series
-conditions.
+covers all vanishing tables, bundle splits and node matchings of the
+balanced ansatz (every rank-two bundle a sum of two degree-``(g-1)`` line
+bundles with canonical determinant, twist ``a = g - 1``; rank one with
+degree ``2g - 2`` bundles and twist ``2g - 2``) and reports every
+configuration satisfying all limit-series conditions.
 
 Within the ansatz, a table row on a summand of degree ``ds`` has
 ``u + v = ds - 1`` (the generic branch), or ``u + v = ds`` for the
@@ -24,9 +23,20 @@ Pruning is twofold and sound: a row whose ``u`` cannot reach
 whose remaining components cannot absorb the vanishing still required
 (each component turns a ``v``-sum ``f`` into at most
 ``f + k*(ds - 1) + rank - k*a`` while the final component still needs a
-valid nonnegative ``v``-multiset).  Counts are reproducible bit for bit
-across traversal order and worker counts; reports claim combinatorial
-solutions only.
+valid nonnegative ``v``-multiset).
+
+Every check is local between neighbouring components, so what can follow
+a partial configuration depends only on the next component's index and
+the previous component's configuration.  The search is a memoized
+transfer step over these states: each state's table options and
+forced-direction checks are computed once, and a state reached along
+another path adds its cached totals.  The reported counters (tables
+expanded, prunes) are still the sums over the full depth-first search
+tree, as if every path were expanded anew.  Solutions are read off by a
+walk over the memoized states; the forced pairs found on the way down are
+reused, and every full-chain solution is rebuilt, validated and keyed.
+Counts are reproducible bit for bit across worker counts; reports claim
+combinatorial solutions only.
 """
 
 from __future__ import annotations
@@ -195,9 +205,6 @@ def prefix_key(s: LimitSeries, length: int) -> str:
 # ---------------------------------------------------------------------------
 # enumeration
 
-_CfgT = tuple  # (bundle, rows, moduli_freedom)
-
-
 def _min_vsum_needed(space: SearchSpace, i: int) -> int:
     """Least sum(v) component ``i`` may carry and still finish the chain.
 
@@ -210,7 +217,7 @@ def _min_vsum_needed(space: SearchSpace, i: int) -> int:
 def _table_options(
     space: SearchSpace, i: int, lbs: tuple[int, ...], min_vsum: int = 0, stats=None
 ):
-    """All admissible (bundle, rows, moduli) for component ``i``, row-sorted.
+    """All admissible components at position ``i``, rows sorted.
 
     ``min_vsum`` prunes row prefixes that cannot reach the required total
     vanishing at Q (subsequent rows never exceed the current ``v``).
@@ -218,7 +225,7 @@ def _table_options(
     k, rank = space.k, space.rank
     ds = space.summand_degree
     canon = canonical_restriction(i, space.g)
-    out: list[_CfgT] = []
+    out: list[Component] = []
     rows: list[tuple[int, int]] = []
     if k * (ds - 1) + rank - sum(lbs) < min_vsum:
         if stats is not None:
@@ -253,7 +260,7 @@ def _table_options(
                 rep = SplitLineBundle(i - 1, space.g - i)
                 bundle = Split(rep, rep)
             moduli = 1
-        out.append((bundle, tuple(rows), moduli))
+        out.append(Component(bundle, VanishingTable(rows), moduli))
 
     def rec(j: int, slots_used: int, vsum: int):
         if j == k:
@@ -295,26 +302,21 @@ def _table_options(
     return out
 
 
-def _solution_series(space: SearchSpace, configs: list[_CfgT]) -> LimitSeries:
-    comps = tuple(Component(b, VanishingTable(r), m) for b, r, m in configs)
+def _solution_key(
+    space: SearchSpace,
+    comps: tuple[Component, ...],
+    forced: tuple[tuple[tuple[str, str], ...], ...],
+) -> str:
     identity = tuple(range(1, space.k + 1))
-    nodes = tuple(
-        NodeGluing(identity, derive_forced_pairs(comps[n], comps[n + 1], identity, space.a))
-        for n in range(len(comps) - 1)
-    )
-    return LimitSeries(
+    series = LimitSeries(
         chain=ChainCurve(space.g, space.length),
         rank=space.rank,
         sections=space.k,
         degree=space.d,
         twist=space.a,
         components=comps,
-        nodes=nodes,
+        nodes=tuple(NodeGluing(identity, pairs) for pairs in forced),
     )
-
-
-def _solution_key(space: SearchSpace, configs: list[_CfgT]) -> str:
-    series = _solution_series(space, configs)
     if space.prefix_length is None:
         report = validate_all(series)
         if not report.all_passed:
@@ -326,72 +328,106 @@ def _solution_key(space: SearchSpace, configs: list[_CfgT]) -> str:
     return f"prefix {space.prefix_length}\n" + serialize_series(canonical_form(series))
 
 
-def _search_from(
-    space: SearchSpace,
-    configs: list[_CfgT],
-    prev_vs: tuple[int, ...] | None,
-    slow: bool,
-    stats: dict,
-    solutions: list[str],
-):
-    idx = len(configs) + 1
-    if idx > space.length:
-        stats["count"] += 1
-        solutions.append(_solution_key(space, configs))
-        return
-    zeros = (0,) * space.k
-    lbs = (
-        zeros
-        if slow or prev_vs is None
-        else tuple(max(0, space.a - v) for v in prev_vs)
-    )
-    min_vsum = 0 if slow else _min_vsum_needed(space, idx)
-    identity = tuple(range(1, space.k + 1))
-    prev_component = (
-        Component(configs[-1][0], VanishingTable(configs[-1][1]), configs[-1][2])
-        if configs
-        else None
-    )
-    for cfg in _table_options(space, idx, lbs, min_vsum, stats):
-        rows = cfg[1]
-        if slow and prev_vs is not None and any(
-            prev_vs[j] + rows[j][0] < space.a for j in range(space.k)
-        ):
-            continue
-        if prev_component is not None:
+@dataclass(frozen=True)
+class _State:
+    """Totals of the search subtree below one transfer state.
+
+    The counters are the sums a depth-first walk of that subtree would
+    make.  ``edges`` keeps only the children that lead to a solution, each
+    as (component, forced pairs at the node into it, child state).
+    """
+
+    count: int
+    expanded: int
+    pruned_capacity: int
+    direction_conflict: int
+    edges: tuple[tuple[Component, tuple, "_State"], ...] = ()
+
+
+_LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
+
+
+class _Transfer:
+    """Memoized transfer step over one search space.
+
+    ``memo`` maps (component index, previous component) to the totals of
+    the subtree below it, so each state is expanded once.
+    """
+
+    def __init__(self, space: SearchSpace, slow: bool):
+        self.space = space
+        self.slow = slow
+        self.identity = tuple(range(1, space.k + 1))
+        self.memo: dict[tuple[int, Component], _State] = {}
+
+    def state(self, idx: int, prev: Component) -> _State:
+        if idx > self.space.length:
+            return _LEAF
+        key = (idx, prev)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self._expand(idx, prev)
+        return found
+
+    def _expand(self, idx: int, prev: Component) -> _State:
+        space, slow = self.space, self.slow
+        prev_vs = prev.table.vs
+        lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v in prev_vs)
+        min_vsum = 0 if slow else _min_vsum_needed(space, idx)
+        stats = {"pruned_capacity": 0}
+        options = _table_options(space, idx, lbs, min_vsum, stats)
+        count = expanded = conflicts = 0
+        pruned = stats["pruned_capacity"]
+        edges = []
+        for comp in options:
+            rows = comp.table.rows
+            if slow and any(prev_vs[j] + rows[j][0] < space.a for j in range(space.k)):
+                continue
             # a configuration whose pinned directions cannot be matched by
             # any single fiber isomorphism is not realizable; reject it
             try:
-                derive_forced_pairs(
-                    prev_component,
-                    Component(cfg[0], VanishingTable(rows), cfg[2]),
-                    identity,
-                    space.a,
-                )
+                forced = derive_forced_pairs(prev, comp, self.identity, space.a)
             except ValueError:
-                stats["direction_conflict"] += 1
+                conflicts += 1
                 continue
-        stats["expanded"] += 1
-        _search_from(
-            space, configs + [cfg], tuple(v for _, v in rows), slow, stats, solutions
+            child = self.state(idx + 1, comp)
+            count += child.count
+            expanded += 1 + child.expanded
+            pruned += child.pruned_capacity
+            conflicts += child.direction_conflict
+            if child.count:
+                edges.append((comp, forced, child))
+        return _State(count, expanded, pruned, conflicts, tuple(edges))
+
+    def run(self, first: Component) -> tuple[int, list[str], int, int, int]:
+        """Count and key every solution whose first component is ``first``."""
+        # no other path reaches this state, so it stays out of the memo and
+        # its edges are freed once its solutions are keyed
+        root = self._expand(2, first) if self.space.length > 1 else _LEAF
+        solutions: list[str] = []
+        self._collect(root, (first,), (), solutions)
+        return (
+            root.count,
+            solutions,
+            1 + root.expanded,
+            root.pruned_capacity,
+            root.direction_conflict,
         )
+
+    def _collect(self, state: _State, comps, forced, out: list[str]):
+        if state is _LEAF:
+            out.append(_solution_key(self.space, comps, forced))
+            return
+        for comp, pairs, child in state.edges:
+            self._collect(child, comps + (comp,), forced + (pairs,), out)
 
 
 def _enumerate_task(args) -> tuple[int, list[str], int, int, int]:
     space, first, slow = args
-    stats = {"count": 0, "expanded": 1, "pruned_capacity": 0, "direction_conflict": 0}
-    solutions: list[str] = []
-    _search_from(space, [first], tuple(v for _, v in first[1]), slow, stats, solutions)
-    return (
-        stats["count"],
-        solutions,
-        stats["expanded"],
-        stats["pruned_capacity"],
-        stats["direction_conflict"],
-    )
+    return _Transfer(space, slow).run(first)
 
 
-def _first_options(space: SearchSpace, disable_pruning: bool) -> list[_CfgT]:
+def _first_options(space: SearchSpace, disable_pruning: bool) -> list[Component]:
     min_vsum = 0 if disable_pruning else _min_vsum_needed(space, 1)
     return _table_options(space, 1, (0,) * space.k, min_vsum)
 
@@ -403,14 +439,18 @@ def enumerate_series(
     disable_pruning: bool = False,
     cap: int | None = None,
 ) -> SearchReport:
-    """Exhaustive depth-first enumeration of the ansatz.
+    """Exhaustive enumeration of the ansatz by the memoized transfer step.
+
+    The serial run shares one memo across all first-component
+    configurations.  ``nodes_expanded`` and ``pruned`` count what a
+    depth-first search of the whole tree would, memo hits included.
 
     ``limit`` truncates the stored solution list only; the count is always
     exact.  ``workers`` splits the first component's configurations over a
-    process pool; results are merged in a fixed order, so reports are
-    identical for any worker count.  ``disable_pruning`` replaces the
-    lower-bound and capacity prunes by post-hoc rejection (slow mode, for
-    prune-soundness checks).
+    process pool, each task with its own memo; results are merged in a
+    fixed order, so reports are identical for any worker count.
+    ``disable_pruning`` replaces the lower-bound and capacity prunes by
+    post-hoc rejection (slow mode, for prune-soundness checks).
     """
     effective_cap = cap if cap is not None else (
         DEFAULT_CAP_RANK2 if space.rank == 2 else DEFAULT_CAP_RANK1
@@ -420,16 +460,17 @@ def enumerate_series(
             f"g={space.g} exceeds the search cap {effective_cap}; pass cap= "
             f"(or set ELLCHAIN_SEARCH_CAP) to raise it explicitly"
         )
+    if limit is not None and limit < 0:
+        raise ValueError(f"solution limit must be nonnegative, got {limit}")
     start = time.perf_counter()
     first_options = _first_options(space, disable_pruning)
     if workers > 1:
-        tasks = [(space, cfg, disable_pruning) for cfg in first_options]
+        tasks = [(space, first, disable_pruning) for first in first_options]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_enumerate_task, tasks))
     else:
-        results = [
-            _enumerate_task((space, cfg, disable_pruning)) for cfg in first_options
-        ]
+        transfer = _Transfer(space, disable_pruning)
+        results = [transfer.run(first) for first in first_options]
     count = sum(r[0] for r in results)
     solutions = sorted(key for r in results for key in r[1])
     expanded = sum(r[2] for r in results)

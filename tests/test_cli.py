@@ -116,6 +116,19 @@ class TestSearch:
         code, stdout, _ = run_cli(capsys, "search", "--g", "4", "--k", "2")
         assert code == 0
 
+    def test_search_cap_env_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("ELLCHAIN_SEARCH_CAP", "abc")
+        code, stdout, stderr = run_cli(capsys, "search", "--g", "4", "--k", "2")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "ELLCHAIN_SEARCH_CAP" in stderr
+
+    def test_search_negative_max_is_usage_error(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "search", "--g", "4", "--k", "2", "--max", "-1")
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "-1" in stderr
+
     def test_search_prefix(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "search", "--g", "7", "--k", "3", "--prefix", "2"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ellchain import (
@@ -81,21 +83,40 @@ class TestRankTwoMembership:
 
 class TestSearchMechanics:
     def test_prune_soundness_small_instances(self):
-        for g, r, k in [(3, 2, 2), (4, 2, 2), (4, 2, 4), (3, 1, 3), (4, 1, 4)]:
+        # slow-mode (tables expanded, pruned (capacity)) of the depth-first
+        # search the memoized transfer step replaced
+        slow_counters = {
+            (3, 2, 2): (96, 0),
+            (4, 2, 2): (1034, 0),
+            (4, 2, 4): (44, 0),
+            (3, 1, 3): (32, 0),
+            (4, 1, 4): (504, 503),
+        }
+        for (g, r, k), (expanded, capacity) in slow_counters.items():
             fast = enumerate_series(SearchSpace(g, r, k))
             slow = enumerate_series(SearchSpace(g, r, k), disable_pruning=True)
             assert fast.count == slow.count, (g, r, k)
             assert fast.solutions == slow.solutions
+            assert slow.nodes_expanded == expanded, (g, r, k)
+            assert slow.pruned == (("capacity", capacity), ("direction-conflict", 0))
 
     def test_worker_determinism(self):
-        space = SearchSpace(5, 2, 4)
-        one = enumerate_series(space, workers=1)
-        two = enumerate_series(space, workers=2)
-        three = enumerate_series(space, workers=3)
-        assert one.count == two.count == three.count
-        assert one.solutions == two.solutions == three.solutions
-        assert one.nodes_expanded == two.nodes_expanded == three.nodes_expanded
-        assert one.pruned == two.pruned == three.pruned
+        # pool tasks each keep their own memo, the serial run shares one
+        # across first components; both must give the same report
+        cases = [
+            (SearchSpace(5, 2, 4), False),
+            (SearchSpace(6, 2, 4, prefix_length=3), False),
+            (SearchSpace(8, 1, 8), False),
+            (SearchSpace(4, 2, 2), True),
+        ]
+        for space, slow in cases:
+            one = enumerate_series(space, workers=1, disable_pruning=slow)
+            two = enumerate_series(space, workers=2, disable_pruning=slow)
+            three = enumerate_series(space, workers=3, disable_pruning=slow)
+            assert one.count == two.count == three.count, space
+            assert one.solutions == two.solutions == three.solutions, space
+            assert one.nodes_expanded == two.nodes_expanded == three.nodes_expanded, space
+            assert one.pruned == two.pruned == three.pruned, space
 
     def test_repeat_run_determinism(self):
         space = SearchSpace(6, 2, 4)
@@ -133,3 +154,47 @@ class TestSearchMechanics:
         report = enumerate_series(SearchSpace(4, 2, 4))
         assert report.count == 1
         assert report.solutions[0] == canonical_key(construct_even(4, 4, force=True))
+
+
+# Counters and solution hashes of the depth-first search the memoized
+# transfer step replaced: (g, rank, k, prefix, cap) -> (count, tables
+# expanded, pruned (capacity), pruned (direction-conflict), the first 16
+# hex digits of sha256 over the concatenated solution keys).
+GOLDEN = {
+    (4, 2, 2, None, None): (675, 1034, 0, 0, "f29f66658ad39d2d"),
+    (5, 2, 4, None, None): (65, 222, 676, 0, "701b49d18a6eeaa1"),
+    (6, 2, 4, None, None): (3344, 9804, 27372, 0, "e40d5a5d6b72d346"),
+    (7, 2, 5, None, None): (26, 162, 2061, 0, "6458bfdbe857dc81"),
+    (8, 2, 3, 2, None): (3366, 3475, 1, 0, "6550647febbf2302"),
+    (6, 2, 4, 3, None): (6534, 7860, 2290, 0, "2ca4a5885225ef4c"),
+    (9, 2, 6, None, 9): (8, 44, 794, 0, "9689d138e3153206"),
+    (11, 1, 11, None, 11): (1, 13232, 833972, 0, "3c5c1aa52ad6dd1b"),
+}
+
+
+def _digest(report) -> str:
+    return hashlib.sha256("".join(report.solutions).encode()).hexdigest()[:16]
+
+
+class TestGoldenCounters:
+    @pytest.mark.parametrize("case", sorted(GOLDEN, key=str), ids=str)
+    def test_counters_match_depth_first_search(self, case):
+        g, r, k, prefix, cap = case
+        report = enumerate_series(SearchSpace(g, r, k, prefix_length=prefix), cap=cap)
+        pruned = dict(report.pruned)
+        got = (
+            report.count,
+            report.nodes_expanded,
+            pruned["capacity"],
+            pruned["direction-conflict"],
+            _digest(report),
+        )
+        assert got == GOLDEN[case]
+        assert len(report.solutions) == report.count
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError)
+def test_known_defect_rank_one_below_k_equals_g():
+    # the enumerated leaf at rank 1, (g, k) = (4, 3) fails the
+    # canonical-determinant check, so the oracle-defect guard fires
+    enumerate_series(SearchSpace(4, 1, 3))
