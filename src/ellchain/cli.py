@@ -1,8 +1,8 @@
 """Command-line interface: construct, verify, dim, search, sweep.
 
 Exit codes are part of the contract so sweeps can run under CI:
-0 success, 1 usage error, 2 validation failure (or ledger mismatch),
-3 below the nonemptiness threshold, 4 malformed series file.
+0 success, 1 usage or file error, 2 validation failure (or ledger
+mismatch), 3 below the nonemptiness threshold, 4 malformed series file.
 
 The sweep emits one CSV row per (g, k) cell with a nonnegative expected
 dimension, in grid order (g ascending, then k), with the fixed column
@@ -117,16 +117,18 @@ def cmd_construct(args) -> int:
 
 
 def _load(path: str) -> LimitSeries:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_series(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_no = data.count(b"\n", 0, e.start) + 1
+        raise ParseError(line_no, f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+    return parse_series(text)
 
 
 def cmd_verify(args) -> int:
-    try:
-        s = _load(args.file)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    s = _load(args.file)
     report = validate_all(s)
     for line in report.summary_lines():
         print(line)
@@ -134,11 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    try:
-        s = _load(args.file)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    s = _load(args.file)
     try:
         ledger = count_dimension(s)
     except ValueError as e:
@@ -197,10 +195,12 @@ def _sweep_cell(cell: tuple[int, int]) -> str:
     stability = ""
     if threshold_ok:
         s = construct(g, k)
-        report = validate_all(s)
-        validated = report.all_passed
-        if validated:
+        try:
             ledger = count_dimension(s)
+        except ValueError:
+            pass  # count_dimension runs validate_all and refuses a failing series
+        else:
+            validated = True
             ledger_total = str(ledger.total)
             ledger_matches = "true" if ledger.total == rho_k else "false"
             stability = (
@@ -304,7 +304,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # file errors end in their documented exit code, not a traceback
+    try:
+        return args.func(args)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

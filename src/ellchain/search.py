@@ -33,8 +33,10 @@ forced-direction checks are computed once, and a state reached along
 another path adds its cached totals.  The reported counters (tables
 expanded, prunes) are still the sums over the full depth-first search
 tree, as if every path were expanded anew.  Solutions are read off by a
-walk over the memoized states; the forced pairs found on the way down are
-reused, and every full-chain solution is rebuilt, validated and keyed.
+walk over the memoized states.  A leaf is built from the components and
+forced pairs found on the way down, which are already in canonical form,
+and is serialized as it stands; a full-chain leaf that fails
+``validate_all`` is an oracle defect and raises.
 Counts are reproducible bit for bit across worker counts; reports claim
 combinatorial solutions only.
 """
@@ -141,6 +143,7 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     Summands are sorted lexicographically by (p, q); rows by (u, -v);
     matchings and forced-pair tokens are rewritten accordingly; free
     components get the standard representative coefficients.  Idempotent.
+    Constructed series and search leaves are canonical already.
     """
     k = s.sections
     comps: list[Component] = []
@@ -182,24 +185,23 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     return replace(s, components=tuple(comps), nodes=tuple(nodes))
 
 
+def _key(s: LimitSeries, prefix_length: int | None) -> str:
+    """The one key format: the serialized series, under a ``prefix N`` header."""
+    text = serialize_series(s)
+    return text if prefix_length is None else f"prefix {prefix_length}\n{text}"
+
+
 def canonical_key(s: LimitSeries) -> str:
     """Byte-stable membership key: the serialized canonical form."""
-    return serialize_series(canonical_form(s))
+    return _key(canonical_form(s), None)
 
 
 def prefix_key(s: LimitSeries, length: int) -> str:
     """Membership key for the first ``length`` components of a series."""
     c = canonical_form(s)
-    pseudo = LimitSeries(
-        chain=ChainCurve(c.genus, length),
-        rank=c.rank,
-        sections=c.sections,
-        degree=c.degree,
-        twist=c.twist,
-        components=c.components[:length],
-        nodes=c.nodes[: length - 1],
-    )
-    return f"prefix {length}\n" + serialize_series(pseudo)
+    chain = ChainCurve(c.genus, length)
+    head = replace(c, chain=chain, components=c.components[:length], nodes=c.nodes[: length - 1])
+    return _key(head, length)
 
 
 # ---------------------------------------------------------------------------
@@ -302,46 +304,20 @@ def _table_options(
     return out
 
 
-def _solution_key(
-    space: SearchSpace,
-    comps: tuple[Component, ...],
-    forced: tuple[tuple[tuple[str, str], ...], ...],
-) -> str:
-    identity = tuple(range(1, space.k + 1))
-    series = LimitSeries(
-        chain=ChainCurve(space.g, space.length),
-        rank=space.rank,
-        sections=space.k,
-        degree=space.d,
-        twist=space.a,
-        components=comps,
-        nodes=tuple(NodeGluing(identity, pairs) for pairs in forced),
-    )
-    if space.prefix_length is None:
-        report = validate_all(series)
-        if not report.all_passed:
-            raise RuntimeError(
-                "oracle defect: enumerated configuration fails validation: "
-                + "; ".join(c.name for c in report.failures())
-            )
-        return canonical_key(series)
-    return f"prefix {space.prefix_length}\n" + serialize_series(canonical_form(series))
-
-
 @dataclass(frozen=True)
 class _State:
     """Totals of the search subtree below one transfer state.
 
     The counters are the sums a depth-first walk of that subtree would
     make.  ``edges`` keeps only the children that lead to a solution, each
-    as (component, forced pairs at the node into it, child state).
+    as (component, gluing at the node into it, child state).
     """
 
     count: int
     expanded: int
     pruned_capacity: int
     direction_conflict: int
-    edges: tuple[tuple[Component, tuple, "_State"], ...] = ()
+    edges: tuple[tuple[Component, NodeGluing, "_State"], ...] = ()
 
 
 _LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
@@ -358,6 +334,9 @@ class _Transfer:
         self.space = space
         self.slow = slow
         self.identity = tuple(range(1, space.k + 1))
+        self.blank = LimitSeries(
+            ChainCurve(space.g, space.length), space.rank, space.k, space.d, space.a, (), ()
+        )
         self.memo: dict[tuple[int, Component], _State] = {}
 
     def state(self, idx: int, prev: Component) -> _State:
@@ -396,7 +375,7 @@ class _Transfer:
             pruned += child.pruned_capacity
             conflicts += child.direction_conflict
             if child.count:
-                edges.append((comp, forced, child))
+                edges.append((comp, NodeGluing(self.identity, forced), child))
         return _State(count, expanded, pruned, conflicts, tuple(edges))
 
     def run(self, first: Component) -> tuple[int, list[str], int, int, int]:
@@ -414,12 +393,20 @@ class _Transfer:
             root.direction_conflict,
         )
 
-    def _collect(self, state: _State, comps, forced, out: list[str]):
+    def _collect(self, state: _State, comps, nodes, out: list[str]):
         if state is _LEAF:
-            out.append(_solution_key(self.space, comps, forced))
+            leaf = replace(self.blank, components=comps, nodes=nodes)
+            if self.space.prefix_length is None:
+                report = validate_all(leaf)
+                if not report.all_passed:
+                    raise RuntimeError(
+                        "oracle defect: enumerated configuration fails validation: "
+                        + "; ".join(c.name for c in report.failures())
+                    )
+            out.append(_key(leaf, self.space.prefix_length))
             return
-        for comp, pairs, child in state.edges:
-            self._collect(child, comps + (comp,), forced + (pairs,), out)
+        for comp, node, child in state.edges:
+            self._collect(child, comps + (comp,), nodes + (node,), out)
 
 
 def _enumerate_task(args) -> tuple[int, list[str], int, int, int]:

@@ -279,7 +279,8 @@ def derive_forced_pairs(
     when its section has a pinned direction on both sides.  Several rows
     may force the same identification; the result is deduplicated and
     checked for consistency (a direction cannot be forced onto two
-    different images).
+    different images).  The pairs come out sorted, which is their order
+    in canonical form.
     """
     pairs: list[tuple[str, str]] = []
     for t, t2 in enumerate(matching, start=1):
@@ -299,7 +300,7 @@ def derive_forced_pairs(
         pairs.append((dl, dr))
     if len(pairs) > 2:
         raise ValueError(f"more than two forced direction pairs: {pairs}")
-    return tuple(pairs)
+    return tuple(sorted(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +564,14 @@ def serialize_series(s: LimitSeries) -> str:
     return "\n".join(out) + "\n"
 
 
+# (record kind, coefficient count) -> bundle constructor
+_BUNDLE_RECORDS = {
+    ("split", 4): lambda p1, q1, p2, q2: Split(SplitLineBundle(p1, q1), SplitLineBundle(p2, q2)),
+    ("line", 2): SplitLineBundle,
+    ("indec", 3): Indecomposable,
+}
+
+
 def _parse_int(token: str, line_no: int, what: str) -> int:
     try:
         return int(token)
@@ -626,18 +635,13 @@ def parse_series(text: str) -> LimitSeries:
                 raise ParseError(line_no, "component record must end with 'moduli <n>'")
             moduli = _parse_int(rest[-1], line_no, "moduli freedom")
             coeffs = [_parse_int(t, line_no, "bundle coefficient") for t in rest[:-2]]
-            if bkind == "split" and len(coeffs) == 4:
-                bundle: BundleLike = Split(
-                    SplitLineBundle(coeffs[0], coeffs[1]),
-                    SplitLineBundle(coeffs[2], coeffs[3]),
-                )
-            elif bkind == "line" and len(coeffs) == 2:
-                bundle = SplitLineBundle(coeffs[0], coeffs[1])
-            elif bkind == "indec" and len(coeffs) == 3:
-                bundle = Indecomposable(coeffs[0], coeffs[1], coeffs[2])
-            else:
+            make = _BUNDLE_RECORDS.get((bkind, len(coeffs)))
+            if make is None:
                 raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
-            pending_bundle = bundle
+            try:
+                pending_bundle = make(*coeffs)
+            except ValueError as e:
+                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
             pending_moduli = moduli
             pending_line = line_no
         elif kind == "row":

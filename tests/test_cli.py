@@ -5,6 +5,7 @@ import pytest
 
 from ellchain import construct, parse_series, serialize_series, theorem_threshold
 from ellchain.cli import main
+from helpers import mutate_entry
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +80,18 @@ class TestVerifyAndDim:
         assert code == 4
         assert "line 3" in stderr
 
+    @pytest.mark.parametrize("command", ["verify", "dim"])
+    @pytest.mark.parametrize(
+        "record", ["component 1 split -1 5 0 4 moduli 0", "component 1 indec 2 5 5 moduli 0"]
+    )
+    def test_bad_bundle_record_exit_4_with_line(self, capsys, series_file, command, record):
+        text = series_file.read_text().replace("component 1 split 0 4 0 4 moduli 0", record, 1)
+        series_file.write_text(text)
+        code, stdout, stderr = run_cli(capsys, command, str(series_file))
+        assert code == 4
+        assert stdout == ""
+        assert stderr.startswith("parse error: line 3: bad bundle record")
+
     def test_dim_matches_rho(self, capsys, series_file):
         code, stdout, _ = run_cli(capsys, "dim", str(series_file))
         assert code == 0
@@ -95,6 +108,34 @@ class TestVerifyAndDim:
             assert code == 0
             code, _, _ = run_cli(capsys, "verify", str(path))
             assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["verify", "{missing}"], 1, "error: "),
+        (["dim", "{missing}"], 1, "error: "),
+        (["verify", "{latin1}"], 4, "parse error: line 1: not UTF-8"),
+        (["dim", "{latin1}"], 4, "parse error: line 1: not UTF-8"),
+        (["construct", "--g", "9", "--k", "4", "--out", "{missing}/s.txt"], 1, "error: "),
+        (
+            ["sweep", "--g-min", "3", "--g-max", "4", "--k-min", "2", "--k-max", "3",
+             "--out", "{missing}/s.csv"],
+            1,
+            "error: ",
+        ),
+    ],
+    ids=["verify-missing", "dim-missing", "verify-latin1", "dim-latin1",
+         "construct-out-missing-dir", "sweep-out-missing-dir"],
+)
+def test_file_errors_end_in_exit_code(capsys, tmp_path, argv, code, message):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes("ellchain-series v1 \u00e9\n".encode("latin-1"))
+    paths = {"missing": tmp_path / "missing", "latin1": latin1}
+    got, stdout, stderr = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert got == code
+    assert stdout == ""
+    assert stderr.startswith(message)
 
 
 class TestSearch:
@@ -167,6 +208,18 @@ class TestSweep:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_unvalidated_cell_has_no_ledger(self, capsys, monkeypatch):
+        # count_dimension is the sweep's only validate_all; a series it
+        # refuses must read validated=false with empty ledger columns
+        monkeypatch.setattr(
+            "ellchain.cli.construct", lambda g, k: mutate_entry(construct(g, k), 4, 0, "v", -1)
+        )
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--g-min", "9", "--g-max", "9", "--k-min", "4", "--k-max", "4"
+        )
+        assert code == 0
+        assert stdout.splitlines()[1].split(",")[6:] == ["false", "", "", ""]
 
     def test_usage_error_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(

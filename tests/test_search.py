@@ -11,6 +11,7 @@ from ellchain import (
     construct_even,
     construct_odd,
     enumerate_series,
+    parse_series,
     prefix_key,
 )
 
@@ -142,7 +143,7 @@ class TestSearchMechanics:
 
     def test_solutions_validate(self):
         # spot-check that emitted keys parse back into validating series
-        from ellchain import parse_series, validate_all
+        from ellchain import validate_all
 
         report = enumerate_series(SearchSpace(4, 2, 4))
         assert report.count >= 1
@@ -191,6 +192,11 @@ class TestGoldenCounters:
         )
         assert got == GOLDEN[case]
         assert len(report.solutions) == report.count
+        if prefix is None:
+            # leaves are keyed without a canonical_form pass, so each key
+            # must already be the canonical key of the series it encodes
+            for key in report.solutions:
+                assert canonical_key(parse_series(key)) == key
 
 
 @pytest.mark.xfail(strict=True, raises=RuntimeError)

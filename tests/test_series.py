@@ -190,6 +190,14 @@ class TestForcedPairs:
         # both matched pairs have v + u > twist: no forced identifications
         assert derive_forced_pairs(left, right, (1, 2), 3) == ()
 
+    def test_two_pairs_come_out_sorted(self):
+        # with the left summands swapped, the rows force 2->2 before 1->1
+        s = construct_even(9, 4)
+        left, right = s.components[1], s.components[2]
+        swapped = Component(left.bundle.swapped(), left.table, left.moduli_freedom)
+        pairs = derive_forced_pairs(swapped, right, (1, 2, 3, 4), s.twist)
+        assert pairs == (("1", "1"), ("2", "2"))
+
     def test_rank1_nodes_never_forced(self):
         s = canonical_limit_series(7)
         assert all(n.forced_pairs == () for n in s.nodes)
