@@ -14,7 +14,6 @@ inputs regardless of worker count.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -151,21 +150,10 @@ def cmd_dim(args) -> int:
 
 
 def cmd_search(args) -> int:
-    cap = args.cap
-    env = os.environ.get("ELLCHAIN_SEARCH_CAP")
-    if cap is None and env:
-        try:
-            cap = int(env)
-        except ValueError:
-            print(
-                f"error: ELLCHAIN_SEARCH_CAP must be an integer, got {env!r}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
     try:
         space = SearchSpace(args.g, args.r, args.k, prefix_length=args.prefix)
         report = enumerate_series(
-            space, limit=args.max, workers=args.workers, cap=cap
+            space, limit=args.max, workers=args.workers, cap=args.cap
         )
     except SearchCapError as e:
         print(f"refused: {e}", file=sys.stderr)
@@ -284,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=None,
-        help=f"genus cap (defaults: {DEFAULT_CAP_RANK2} rank 2, {DEFAULT_CAP_RANK1} rank 1; "
-        "env ELLCHAIN_SEARCH_CAP)",
+        help=f"genus cap (defaults: {DEFAULT_CAP_RANK2} rank 2, {DEFAULT_CAP_RANK1} rank 1)",
     )
     p.add_argument("--show-solutions", action="store_true")
     p.set_defaults(func=cmd_search)

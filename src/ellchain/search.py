@@ -5,7 +5,11 @@ covers all vanishing tables, bundle splits and node matchings of the
 balanced ansatz (every rank-two bundle a sum of two degree-``(g-1)`` line
 bundles with canonical determinant, twist ``a = g - 1``; rank one with
 degree ``2g - 2`` bundles and twist ``2g - 2``) and reports every
-configuration satisfying all limit-series conditions.
+configuration satisfying all limit-series conditions.  Rank one serves to
+certify that the limit canonical series (``k = g``) is unique; below
+``k = g`` its tables admit non-canonical line bundles, so ``k < g`` is
+refused.  ``enumerate_series`` checks every input (genus cap, solution
+limit, rank-one ``k``) before any table is built.
 
 Within the ansatz, a table row on a summand of degree ``ds`` has
 ``u + v = ds - 1`` (the generic branch), or ``u + v = ds`` for the
@@ -217,9 +221,10 @@ def _min_vsum_needed(space: SearchSpace, i: int) -> int:
 
 
 def _table_options(
-    space: SearchSpace, i: int, lbs: tuple[int, ...], min_vsum: int = 0, stats=None
-):
-    """All admissible components at position ``i``, rows sorted.
+    space: SearchSpace, i: int, lbs: tuple[int, ...], min_vsum: int
+) -> tuple[list[Component], int]:
+    """All admissible components at position ``i``, rows sorted, and the
+    number of capacity prunes made on the way.
 
     ``min_vsum`` prunes row prefixes that cannot reach the required total
     vanishing at Q (subsequent rows never exceed the current ``v``).
@@ -230,9 +235,8 @@ def _table_options(
     out: list[Component] = []
     rows: list[tuple[int, int]] = []
     if k * (ds - 1) + rank - sum(lbs) < min_vsum:
-        if stats is not None:
-            stats["pruned_capacity"] += 1
-        return out
+        return out, 1
+    pruned = 0
     # rows after the current one carry at most v - t//rank at position t
     decay = [sum(t // rank for t in range(1, rem)) for rem in range(k + 1)]
 
@@ -265,6 +269,7 @@ def _table_options(
         out.append(Component(bundle, VanishingTable(rows), moduli))
 
     def rec(j: int, slots_used: int, vsum: int):
+        nonlocal pruned
         if j == k:
             emit()
             return
@@ -284,8 +289,8 @@ def _table_options(
                 lo = s - prev_v  # keeps v nonincreasing
             hi = s - vmin  # capacity: later rows can never exceed this v
             if hi < lo:
-                if vmin > 0 and stats is not None:
-                    stats["pruned_capacity"] += 1
+                if vmin > 0:
+                    pruned += 1
                 continue
             for u in range(lo, hi + 1):
                 v = s - u
@@ -301,7 +306,7 @@ def _table_options(
                 rows.pop()
 
     rec(0, 0, 0)
-    return out
+    return out, pruned
 
 
 @dataclass(frozen=True)
@@ -353,10 +358,8 @@ class _Transfer:
         prev_vs = prev.table.vs
         lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v in prev_vs)
         min_vsum = 0 if slow else _min_vsum_needed(space, idx)
-        stats = {"pruned_capacity": 0}
-        options = _table_options(space, idx, lbs, min_vsum, stats)
+        options, pruned = _table_options(space, idx, lbs, min_vsum)
         count = expanded = conflicts = 0
-        pruned = stats["pruned_capacity"]
         edges = []
         for comp in options:
             rows = comp.table.rows
@@ -414,11 +417,6 @@ def _enumerate_task(args) -> tuple[int, list[str], int, int, int]:
     return _Transfer(space, slow).run(first)
 
 
-def _first_options(space: SearchSpace, disable_pruning: bool) -> list[Component]:
-    min_vsum = 0 if disable_pruning else _min_vsum_needed(space, 1)
-    return _table_options(space, 1, (0,) * space.k, min_vsum)
-
-
 def enumerate_series(
     space: SearchSpace,
     limit: int | None = None,
@@ -438,6 +436,8 @@ def enumerate_series(
     fixed order, so reports are identical for any worker count.
     ``disable_pruning`` replaces the lower-bound and capacity prunes by
     post-hoc rejection (slow mode, for prune-soundness checks).
+    Raises ``SearchCapError`` above the genus cap, and ``ValueError`` for a
+    negative ``limit`` or a rank-1 space with ``k < g``.
     """
     effective_cap = cap if cap is not None else (
         DEFAULT_CAP_RANK2 if space.rank == 2 else DEFAULT_CAP_RANK1
@@ -445,12 +445,20 @@ def enumerate_series(
     if space.g > effective_cap:
         raise SearchCapError(
             f"g={space.g} exceeds the search cap {effective_cap}; pass cap= "
-            f"(or set ELLCHAIN_SEARCH_CAP) to raise it explicitly"
+            f"(--cap on the command line) to raise it explicitly"
         )
     if limit is not None and limit < 0:
         raise ValueError(f"solution limit must be nonnegative, got {limit}")
+    if space.rank == 1 and space.k < space.g:
+        raise ValueError(
+            f"rank-1 search needs k >= g, got g={space.g}, k={space.k} (below k = g "
+            f"the tables admit non-canonical line bundles, which the ansatz excludes)"
+        )
     start = time.perf_counter()
-    first_options = _first_options(space, disable_pruning)
+    min_vsum = 0 if disable_pruning else _min_vsum_needed(space, 1)
+    # the depth-first counters this search reproduces never counted capacity
+    # prunes among first components, so that count is dropped here
+    first_options, _ = _table_options(space, 1, (0,) * space.k, min_vsum)
     if workers > 1:
         tasks = [(space, first, disable_pruning) for first in first_options]
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -126,50 +126,32 @@ def check_stable(
         forced_of = dict(node.forced_pairs)
         images = {right for _, right in node.forced_pairs}
         for sel in _candidates(s.components[idx + 1]):
-            new_sel = selections + (sel,)
+            # out: the token emitted at Q of the next component, or None
+            # when the chain dies at this node
             if token == FREE_TOKEN:
                 status, out = FREE_TOKEN, (FREE_TOKEN if sel == FLEX else sel)
             elif token in forced_of:
-                image = forced_of[token]
                 if sel == FLEX:
                     status, out = "forced", FIXED_TOKEN
-                elif sel == image:
+                elif sel == forced_of[token]:
                     status, out = "forced", sel
                 else:
-                    killed.append(
-                        DestabilizingChain(
-                            new_sel, statuses + ("constrained-away",), idx + 1, tainted
-                        )
-                    )
-                    continue
+                    status, out = "constrained-away", None
+            # token has no forced image; a rigid target already claimed
+            # by another forced pair is unreachable regardless of flags
+            elif sel == FLEX:
+                status, out = FREE_TOKEN, FIXED_TOKEN
+            elif sel in images:
+                status, out = "constrained-away", None
+            elif generic:
+                status, out = "generic-free", None
             else:
-                # token has no forced image; a rigid target already claimed
-                # by another forced pair is unreachable regardless of flags
-                if sel == FLEX:
-                    status, out = FREE_TOKEN, FIXED_TOKEN
-                elif sel in images:
-                    killed.append(
-                        DestabilizingChain(
-                            new_sel, statuses + ("constrained-away",), idx + 1, tainted
-                        )
-                    )
-                    continue
-                elif generic:
-                    killed.append(
-                        DestabilizingChain(
-                            new_sel, statuses + ("generic-free",), idx + 1, tainted
-                        )
-                    )
-                    continue
-                else:
-                    status, out = "indeterminate", sel
-            extend(
-                idx + 1,
-                out,
-                new_sel,
-                statuses + (status,),
-                tainted or status == "indeterminate",
-            )
+                status, out = "indeterminate", sel
+            new_sel, new_statuses = selections + (sel,), statuses + (status,)
+            if out is None:
+                killed.append(DestabilizingChain(new_sel, new_statuses, idx + 1, tainted))
+            else:
+                extend(idx + 1, out, new_sel, new_statuses, tainted or status == "indeterminate")
 
     for sel in _candidates(s.components[0]):
         extend(0, FREE_TOKEN if sel == FLEX else sel, (sel,), (), False)

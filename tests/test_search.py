@@ -2,6 +2,7 @@ import hashlib
 
 import pytest
 
+from ellchain import search
 from ellchain import (
     SearchCapError,
     SearchSpace,
@@ -134,7 +135,7 @@ class TestSearchMechanics:
         assert capped.solutions == full.solutions[:5]
 
     def test_cap_refusal_and_override(self):
-        with pytest.raises(SearchCapError, match="ELLCHAIN_SEARCH_CAP"):
+        with pytest.raises(SearchCapError, match="cap="):
             enumerate_series(SearchSpace(9, 2, 2))
         with pytest.raises(SearchCapError):
             enumerate_series(SearchSpace(11, 1, 11))
@@ -199,8 +200,29 @@ class TestGoldenCounters:
                 assert canonical_key(parse_series(key)) == key
 
 
-@pytest.mark.xfail(strict=True, raises=RuntimeError)
-def test_known_defect_rank_one_below_k_equals_g():
-    # the enumerated leaf at rank 1, (g, k) = (4, 3) fails the
-    # canonical-determinant check, so the oracle-defect guard fires
-    enumerate_series(SearchSpace(4, 1, 3))
+@pytest.mark.parametrize("g,k", [(g, k) for g in range(2, 8) for k in range(1, g)])
+def test_rank_one_below_k_equals_g_refused_before_any_table(monkeypatch, g, k):
+    def no_tables(*args):
+        raise AssertionError("a table option was generated")
+
+    monkeypatch.setattr(search, "_table_options", no_tables)
+    with pytest.raises(ValueError, match="k >= g"):
+        enumerate_series(SearchSpace(g, 1, k))
+
+
+def test_rank_one_above_k_equals_g_accepted():
+    assert enumerate_series(SearchSpace(3, 1, 4)).count == 0
+
+
+def test_oracle_defect_guard_fires():
+    # enumerate_series refuses rank 1 with k < g; driven directly, the
+    # transfer step reaches (4, 1, 3) leaves that fail the
+    # canonical-determinant check, and the full-chain guard must raise
+    space = SearchSpace(4, 1, 3)
+    firsts, _ = search._table_options(
+        space, 1, (0,) * space.k, search._min_vsum_needed(space, 1)
+    )
+    transfer = search._Transfer(space, False)
+    with pytest.raises(RuntimeError, match="oracle defect"):
+        for first in firsts:
+            transfer.run(first)
