@@ -14,6 +14,7 @@ inputs regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -222,8 +223,11 @@ def cmd_sweep(args) -> int:
         for k in range(args.k_min, args.k_max + 1)
         if rho_canonical(g, k) >= 0
     ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers up front, so never ask for more than
+    # there are cells or CPUs
+    workers = min(args.workers, len(cells), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -47,6 +47,7 @@ combinatorial solutions only.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -459,6 +460,8 @@ def enumerate_series(
     # the depth-first counters this search reproduces never counted capacity
     # prunes among first components, so that count is dropped here
     first_options, _ = _table_options(space, 1, (0,) * space.k, min_vsum)
+    # the pool forks all its workers up front: at most one per task and CPU
+    workers = min(workers, len(first_options), os.cpu_count() or 1)
     if workers > 1:
         tasks = [(space, first, disable_pruning) for first in first_options]
         with ProcessPoolExecutor(max_workers=workers) as pool:

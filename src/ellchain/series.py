@@ -326,12 +326,6 @@ class ValidationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def check(self, name: str) -> CheckResult:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def summary_lines(self) -> list[str]:
         lines = []
         for c in self.checks:
@@ -583,6 +577,11 @@ def parse_series(text: str) -> LimitSeries:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input")
+    # int() also reads '_' separators, a '+' sign and non-ASCII digits, none
+    # of which the format writes; one scan of the text keeps parsing cheap
+    if not text.isascii() or "_" in text or "+" in text:
+        at = next(i for i, ch in enumerate(text) if not ch.isascii() or ch in "_+")
+        raise ParseError(len(text[: at + 1].splitlines()), f"unexpected character {text[at]!r}")
     head = lines[0].split()
     if len(head) != 2 or head[0] != FORMAT_HEADER:
         raise ParseError(1, f"expected '{FORMAT_HEADER} <version>' header")
@@ -601,7 +600,6 @@ def parse_series(text: str) -> LimitSeries:
     pending_bundle: BundleLike | None = None
     pending_moduli = 0
     pending_rows: list[tuple[int, int]] = []
-    pending_line = 0
 
     def close_component(line_no: int):
         nonlocal pending_bundle
@@ -643,7 +641,6 @@ def parse_series(text: str) -> LimitSeries:
             except ValueError as e:
                 raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
             pending_moduli = moduli
-            pending_line = line_no
         elif kind == "row":
             if pending_bundle is None:
                 raise ParseError(line_no, "row outside a component record")

@@ -18,9 +18,10 @@ A candidate chain survives a node only if the gluing identifies the
 selected directions there: forced pairs identify summand directions
 outright; a pencil absorbs any required direction at the cost of fixing
 its parameter; and a gluing whose free part is generic sends any other
-direction somewhere new, killing the chain.  Nodes not flagged generic
-leave the identification undecided, and a chain surviving only through
-such nodes yields the verdict ``unknown``.
+direction somewhere new, killing the chain.  The unforced part of every
+gluing is taken to be generic, as the paper's construction assumes, so
+the verdict is ``stable`` when every chain dies and
+``strictly-semistable`` when one survives.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ FIXED_TOKEN = "fixed"
 
 VERDICT_STABLE = "stable"
 VERDICT_SEMISTABLE = "strictly-semistable"
-VERDICT_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -46,19 +46,14 @@ class DestabilizingChain:
     ``selections`` lists one choice per component reached: a summand
     token, ``m`` for the indecomposable subbundle, or ``*`` for a pencil.
     ``node_status`` records, per crossed node, how the identification
-    fared: ``forced``, ``free`` (absorbed by a pencil), ``generic-free``,
-    ``constrained-away`` or ``indeterminate``.  ``killed_at`` is the
-    1-based node where the chain dies, or ``None`` for a survivor.
+    fared: ``forced``, ``free`` (absorbed by a pencil), ``generic-free``
+    or ``constrained-away``.  ``killed_at`` is the 1-based node where the
+    chain dies, or ``None`` for a survivor.
     """
 
     selections: tuple[str, ...]
     node_status: tuple[str, ...]
     killed_at: int | None
-    tainted: bool = False
-
-    @property
-    def survives(self) -> bool:
-        return self.killed_at is None
 
 
 @dataclass(frozen=True)
@@ -92,37 +87,29 @@ def _candidates(c: Component) -> list[str]:
     return ["1", "2"]
 
 
-def check_stable(
-    s: LimitSeries, generic_nodes: tuple[bool, ...] | None = None
-) -> StabilityReport:
+def check_stable(s: LimitSeries) -> StabilityReport:
     """Enumerate destabilizing chains and report the verdict.
 
-    ``generic_nodes`` flags, per node, whether the unforced part of the
-    gluing may be assumed generic; generator outputs are meant to be
-    checked with every node generic (the default).
+    Every node's gluing is taken to be generic away from its forced
+    pairs, so a chain that needs an unforced identification of rigid
+    directions dies there.
     """
     if s.rank != 2:
         raise ValueError("stability verdicts are defined for rank-two series")
     if not check_semistable(s):
         raise ValueError("check_stable requires a component-wise semistable series")
-    if generic_nodes is None:
-        generic_nodes = tuple(True for _ in s.nodes)
-    if len(generic_nodes) != len(s.nodes):
-        raise ValueError("one genericity flag per node required")
 
     survivors: list[DestabilizingChain] = []
     killed: list[DestabilizingChain] = []
 
     def extend(idx: int, token: str, selections: tuple[str, ...],
-               statuses: tuple[str, ...], tainted: bool) -> None:
+               statuses: tuple[str, ...]) -> None:
         # idx: 0-based node about to be crossed; token: direction emitted
         # at Q of component idx+1
         if idx == len(s.nodes):
-            chain = DestabilizingChain(selections, statuses, None, tainted)
-            survivors.append(chain)
+            survivors.append(DestabilizingChain(selections, statuses, None))
             return
         node = s.nodes[idx]
-        generic = generic_nodes[idx]
         forced_of = dict(node.forced_pairs)
         images = {right for _, right in node.forced_pairs}
         for sel in _candidates(s.components[idx + 1]):
@@ -137,31 +124,25 @@ def check_stable(
                     status, out = "forced", sel
                 else:
                     status, out = "constrained-away", None
-            # token has no forced image; a rigid target already claimed
-            # by another forced pair is unreachable regardless of flags
+            # token has no forced image: a pencil absorbs it, a rigid target
+            # claimed by another forced pair is unreachable, and the generic
+            # gluing sends it past any other rigid target
             elif sel == FLEX:
                 status, out = FREE_TOKEN, FIXED_TOKEN
             elif sel in images:
                 status, out = "constrained-away", None
-            elif generic:
-                status, out = "generic-free", None
             else:
-                status, out = "indeterminate", sel
+                status, out = "generic-free", None
             new_sel, new_statuses = selections + (sel,), statuses + (status,)
             if out is None:
-                killed.append(DestabilizingChain(new_sel, new_statuses, idx + 1, tainted))
+                killed.append(DestabilizingChain(new_sel, new_statuses, idx + 1))
             else:
-                extend(idx + 1, out, new_sel, new_statuses, tainted or status == "indeterminate")
+                extend(idx + 1, out, new_sel, new_statuses)
 
     for sel in _candidates(s.components[0]):
-        extend(0, FREE_TOKEN if sel == FLEX else sel, (sel,), (), False)
+        extend(0, FREE_TOKEN if sel == FLEX else sel, (sel,), ())
 
-    if any(not c.tainted for c in survivors):
-        verdict = VERDICT_SEMISTABLE
-    elif survivors:
-        verdict = VERDICT_UNKNOWN
-    else:
-        verdict = VERDICT_STABLE
+    verdict = VERDICT_SEMISTABLE if survivors else VERDICT_STABLE
     return StabilityReport(verdict, tuple(survivors), tuple(killed))
 
 

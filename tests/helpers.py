@@ -1,4 +1,4 @@
-"""Shared test utilities: series surgery for mutation testing."""
+"""Shared test utilities: series surgery for mutation testing, a stand-in pool."""
 
 from __future__ import annotations
 
@@ -30,3 +30,26 @@ def all_entries(s: LimitSeries):
         for ri in range(len(comp.table)):
             yield ci, ri, "u"
             yield ci, ri, "v"
+
+
+def recording_pool(sizes: list):
+    """A ``ProcessPoolExecutor`` stand-in that maps in process.
+
+    Each pool appends its ``max_workers`` to ``sizes``, so a test can check
+    how many processes a real pool would have forked without forking any.
+    """
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return Pool

@@ -6,7 +6,7 @@ import pytest
 
 from ellchain import construct, parse_series, serialize_series, theorem_threshold
 from ellchain.cli import main
-from helpers import mutate_entry
+from helpers import mutate_entry, recording_pool
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +92,19 @@ class TestVerifyAndDim:
         assert code == 4
         assert stdout == ""
         assert stderr.startswith("parse error: line 3: bad bundle record")
+
+    @pytest.mark.parametrize(
+        "row, char", [("row 0_0 4", "_"), ("row +0 4", "+"), ("row \u0660 4", "\u0660")],
+        ids=["underscore", "plus-sign", "arabic-indic-zero"],
+    )
+    def test_non_ascii_integer_exit_4_with_line(self, capsys, series_file, row, char):
+        # int() reads each of these as 0; the format writes none of them
+        text = series_file.read_text(encoding="utf-8")
+        series_file.write_text(text.replace("  row 0 4", "  " + row, 1), encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "verify", str(series_file))
+        assert code == 4
+        assert stdout == ""
+        assert stderr.startswith(f"parse error: line 4: unexpected character {char!r}")
 
     @pytest.fixture
     def unforced_file(self, capsys, tmp_path):
@@ -235,6 +248,21 @@ class TestSweep:
         )
         assert code == 0
         assert stdout.splitlines()[1].split(",")[6:] == ["false", "", "", ""]
+
+    @pytest.mark.parametrize("cpus, sizes", [(64, [4]), (2, [2]), (1, []), (None, [])])
+    def test_pool_bounded_by_cells_and_cpus(self, capsys, monkeypatch, cpus, sizes):
+        # a pool forks all its workers up front: a 4-cell sweep asks for at
+        # most 4, never for more than the CPUs, and runs serially at 1
+        argv = ("sweep", "--g-min", "5", "--g-max", "6", "--k-min", "2", "--k-max", "3")
+        _, serial, _ = run_cli(capsys, *argv)
+        recorded = []
+        monkeypatch.setattr("ellchain.cli.ProcessPoolExecutor", recording_pool(recorded))
+        monkeypatch.setattr("ellchain.cli.os.cpu_count", lambda: cpus)
+        code, pooled, _ = run_cli(capsys, *argv, "--workers", "64")
+        assert code == 0
+        assert recorded == sizes
+        assert len(serial.splitlines()) == 5
+        assert pooled == serial
 
     def test_usage_error_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(

@@ -15,6 +15,7 @@ from ellchain import (
     parse_series,
     prefix_key,
 )
+from helpers import recording_pool
 
 
 class TestCanonicalForm:
@@ -119,6 +120,21 @@ class TestSearchMechanics:
             assert one.solutions == two.solutions == three.solutions, space
             assert one.nodes_expanded == two.nodes_expanded == three.nodes_expanded, space
             assert one.pruned == two.pruned == three.pruned, space
+
+    @pytest.mark.parametrize(
+        "space, sizes", [(SearchSpace(5, 2, 4), [7]), (SearchSpace(8, 1, 8), [])]
+    )
+    def test_pool_bounded_by_tasks(self, monkeypatch, space, sizes):
+        # one task per first-component configuration: (5,2,4) has 7, and
+        # (8,1,8) has 1, so it runs serially
+        serial = enumerate_series(space)
+        recorded = []
+        monkeypatch.setattr("ellchain.search.ProcessPoolExecutor", recording_pool(recorded))
+        monkeypatch.setattr("ellchain.search.os.cpu_count", lambda: 64)
+        pooled = enumerate_series(space, workers=64)
+        assert recorded == sizes
+        assert serial.summary_lines()[:-1] == pooled.summary_lines()[:-1]
+        assert serial.solutions == pooled.solutions
 
     def test_repeat_run_determinism(self):
         space = SearchSpace(6, 2, 4)
