@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2, choices=(1, 2))
     p.add_argument("--max", type=int, default=None, help="store at most this many solutions")
     p.add_argument("--prefix", type=int, default=None, help="enumerate only the first N components")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect on the search")
     p.add_argument(
         "--cap",
         type=int,

@@ -41,15 +41,13 @@ walk over the memoized states.  A leaf is built from the components and
 forced pairs found on the way down, which are already in canonical form,
 and is serialized as it stands; a full-chain leaf that fails
 ``validate_all`` is an oracle defect and raises.
-Counts are reproducible bit for bit across worker counts; reports claim
-combinatorial solutions only.
+The search runs in one process with one memo, and its reports are
+reproducible bit for bit; they claim combinatorial solutions only.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction
@@ -148,7 +146,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     Summands are sorted lexicographically by (p, q); rows by (u, -v);
     matchings and forced-pair tokens are rewritten accordingly; free
     components get the standard representative coefficients.  Idempotent.
-    Constructed series and search leaves are canonical already.
+    Constructed series and search leaves are canonical already.  Raises
+    ``ValueError`` naming the node whose matching is not a bijection.
     """
     k = s.sections
     comps: list[Component] = []
@@ -179,6 +178,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
 
     nodes: list[NodeGluing] = []
     for n, node in enumerate(s.nodes):
+        if sorted(node.matching) != list(range(1, k + 1)):
+            raise ValueError(f"node {n + 1}: matching {node.matching} is not a bijection")
         inv_right = {old: new for new, old in enumerate(orders[n + 1])}
         matching = tuple(
             inv_right[node.matching[orders[n][j]] - 1] + 1 for j in range(k)
@@ -382,20 +383,14 @@ class _Transfer:
                 edges.append((comp, NodeGluing(self.identity, forced), child))
         return _State(count, expanded, pruned, conflicts, tuple(edges))
 
-    def run(self, first: Component) -> tuple[int, list[str], int, int, int]:
-        """Count and key every solution whose first component is ``first``."""
+    def run(self, first: Component) -> tuple[_State, list[str]]:
+        """The subtree totals and the solution keys below first component ``first``."""
         # no other path reaches this state, so it stays out of the memo and
-        # its edges are freed once its solutions are keyed
+        # its edges are freed once the caller has read its totals
         root = self._expand(2, first) if self.space.length > 1 else _LEAF
         solutions: list[str] = []
         self._collect(root, (first,), (), solutions)
-        return (
-            root.count,
-            solutions,
-            1 + root.expanded,
-            root.pruned_capacity,
-            root.direction_conflict,
-        )
+        return root, solutions
 
     def _collect(self, state: _State, comps, nodes, out: list[str]):
         if state is _LEAF:
@@ -413,11 +408,6 @@ class _Transfer:
             self._collect(child, comps + (comp,), nodes + (node,), out)
 
 
-def _enumerate_task(args) -> tuple[int, list[str], int, int, int]:
-    space, first, slow = args
-    return _Transfer(space, slow).run(first)
-
-
 def enumerate_series(
     space: SearchSpace,
     limit: int | None = None,
@@ -427,14 +417,12 @@ def enumerate_series(
 ) -> SearchReport:
     """Exhaustive enumeration of the ansatz by the memoized transfer step.
 
-    The serial run shares one memo across all first-component
-    configurations.  ``nodes_expanded`` and ``pruned`` count what a
-    depth-first search of the whole tree would, memo hits included.
+    One memo in one process serves every first-component configuration.
+    ``nodes_expanded`` and ``pruned`` count what a depth-first search of
+    the whole tree would, memo hits included.
 
     ``limit`` truncates the stored solution list only; the count is always
-    exact.  ``workers`` splits the first component's configurations over a
-    process pool, each task with its own memo; results are merged in a
-    fixed order, so reports are identical for any worker count.
+    exact.  ``workers`` is accepted and has no effect on the search.
     ``disable_pruning`` replaces the lower-bound and capacity prunes by
     post-hoc rejection (slow mode, for prune-soundness checks).
     Raises ``SearchCapError`` above the genus cap, and ``ValueError`` for a
@@ -460,20 +448,17 @@ def enumerate_series(
     # the depth-first counters this search reproduces never counted capacity
     # prunes among first components, so that count is dropped here
     first_options, _ = _table_options(space, 1, (0,) * space.k, min_vsum)
-    # the pool forks all its workers up front: at most one per task and CPU
-    workers = min(workers, len(first_options), os.cpu_count() or 1)
-    if workers > 1:
-        tasks = [(space, first, disable_pruning) for first in first_options]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_enumerate_task, tasks))
-    else:
-        transfer = _Transfer(space, disable_pruning)
-        results = [transfer.run(first) for first in first_options]
-    count = sum(r[0] for r in results)
-    solutions = sorted(key for r in results for key in r[1])
-    expanded = sum(r[2] for r in results)
-    pruned_capacity = sum(r[3] for r in results)
-    conflicts = sum(r[4] for r in results)
+    transfer = _Transfer(space, disable_pruning)
+    count = expanded = pruned_capacity = conflicts = 0
+    solutions: list[str] = []
+    for first in first_options:
+        root, keys = transfer.run(first)
+        count += root.count
+        expanded += 1 + root.expanded
+        pruned_capacity += root.pruned_capacity
+        conflicts += root.direction_conflict
+        solutions += keys
+    solutions.sort()
     truncated = limit is not None and len(solutions) > limit
     if truncated:
         solutions = solutions[:limit]

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -9,13 +10,13 @@ from ellchain import (
     canonical_form,
     canonical_key,
     canonical_limit_series,
+    construct,
     construct_even,
     construct_odd,
     enumerate_series,
     parse_series,
     prefix_key,
 )
-from helpers import recording_pool
 
 
 class TestCanonicalForm:
@@ -63,6 +64,17 @@ class TestCanonicalForm:
         assert canonical_key(shuffled) == canonical_key(s)
 
 
+    @pytest.mark.parametrize(
+        "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
+    )
+    @pytest.mark.parametrize("matching", [(1, 2, 3, 9), (1, 1, 2, 3)])
+    def test_non_permutation_matching_refused(self, key, matching):
+        s = construct(5, 4)
+        nodes = (replace(s.nodes[0], matching=matching),) + s.nodes[1:]
+        with pytest.raises(ValueError, match=r"node 1: matching .* not a bijection"):
+            key(replace(s, nodes=nodes))
+
+
 class TestRankOneUniqueness:
     @pytest.mark.parametrize("g", range(2, 11))
     def test_unique_and_equal_to_canonical_series(self, g):
@@ -104,8 +116,8 @@ class TestSearchMechanics:
             assert slow.pruned == (("capacity", capacity), ("direction-conflict", 0))
 
     def test_worker_determinism(self):
-        # pool tasks each keep their own memo, the serial run shares one
-        # across first components; both must give the same report
+        # workers= is accepted and has no effect on the search: every
+        # value must give the same report
         cases = [
             (SearchSpace(5, 2, 4), False),
             (SearchSpace(6, 2, 4, prefix_length=3), False),
@@ -120,21 +132,6 @@ class TestSearchMechanics:
             assert one.solutions == two.solutions == three.solutions, space
             assert one.nodes_expanded == two.nodes_expanded == three.nodes_expanded, space
             assert one.pruned == two.pruned == three.pruned, space
-
-    @pytest.mark.parametrize(
-        "space, sizes", [(SearchSpace(5, 2, 4), [7]), (SearchSpace(8, 1, 8), [])]
-    )
-    def test_pool_bounded_by_tasks(self, monkeypatch, space, sizes):
-        # one task per first-component configuration: (5,2,4) has 7, and
-        # (8,1,8) has 1, so it runs serially
-        serial = enumerate_series(space)
-        recorded = []
-        monkeypatch.setattr("ellchain.search.ProcessPoolExecutor", recording_pool(recorded))
-        monkeypatch.setattr("ellchain.search.os.cpu_count", lambda: 64)
-        pooled = enumerate_series(space, workers=64)
-        assert recorded == sizes
-        assert serial.summary_lines()[:-1] == pooled.summary_lines()[:-1]
-        assert serial.solutions == pooled.solutions
 
     def test_repeat_run_determinism(self):
         space = SearchSpace(6, 2, 4)
