@@ -156,6 +156,9 @@ def cmd_search(args) -> int:
         report = enumerate_series(
             space, limit=args.max, workers=args.workers, cap=args.cap
         )
+    except RecursionError:  # the transfer step recurses once per component
+        print(f"error: search at g={args.g}, k={args.k} is too deep", file=sys.stderr)
+        return EXIT_USAGE
     except SearchCapError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,9 +29,11 @@ whose remaining components cannot absorb the vanishing still required
 ``f + k*(ds - 1) + rank - k*a`` while the final component still needs a
 valid nonnegative ``v``-multiset).
 
-Every check is local between neighbouring components, so what can follow
-a partial configuration depends only on the next component's index and
-the previous component's configuration.  The search is a memoized
+Every check is local between neighbouring components, and a step reads
+only the previous component's ``v``-column (lower bounds, post-hoc check)
+and the directions its rows pin at Q (forced pairs).  So what can follow
+a partial configuration depends only on the next component's index, that
+``v``-column and those Q-side directions.  The search is a memoized
 transfer step over these states: each state's table options and
 forced-direction checks are computed once, and a state reached along
 another path adds its cached totals.  The reported counters (tables
@@ -57,6 +59,7 @@ from .series import (
     NodeGluing,
     VanishingTable,
     derive_forced_pairs,
+    pinned_direction,
     serialize_series,
     validate_all,
 )
@@ -333,8 +336,10 @@ _LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
 class _Transfer:
     """Memoized transfer step over one search space.
 
-    ``memo`` maps (component index, previous component) to the totals of
-    the subtree below it, so each state is expanded once.
+    ``memo`` maps (component index, previous ``v``-column, previous Q-side
+    pinned directions) to the totals of the subtree below it, so each state
+    is expanded once.  The key is exact: ``_expand`` reads the previous
+    component through nothing else.
     """
 
     def __init__(self, space: SearchSpace, slow: bool):
@@ -344,12 +349,12 @@ class _Transfer:
         self.blank = LimitSeries(
             ChainCurve(space.g, space.length), space.rank, space.k, space.d, space.a, (), ()
         )
-        self.memo: dict[tuple[int, Component], _State] = {}
+        self.memo: dict[tuple[int, tuple[int, ...], tuple[str | None, ...]], _State] = {}
 
     def state(self, idx: int, prev: Component) -> _State:
         if idx > self.space.length:
             return _LEAF
-        key = (idx, prev)
+        key = (idx, prev.table.vs, tuple(pinned_direction(prev, t, "Q") for t in self.identity))
         found = self.memo.get(key)
         if found is None:
             found = self.memo[key] = self._expand(idx, prev)

@@ -198,6 +198,18 @@ class TestSearch:
         assert stdout == ""
         assert stderr.startswith("error: ") and "-1" in stderr
 
+    def test_search_too_deep_is_an_error_not_a_traceback(self, capsys):
+        # g = 331 is the least rank-1 genus whose search passes the default
+        # recursion limit; it fails within a few seconds
+        code, stdout, stderr = run_cli(
+            capsys, "search", "--r", "1", "--g", "331", "--k", "331", "--cap", "331"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "too deep" in stderr
+        assert "g=331" in stderr and "k=331" in stderr
+        assert "Traceback" not in stderr
+
     def test_search_prefix(self, capsys):
         code, stdout, _ = run_cli(
             capsys, "search", "--g", "7", "--k", "3", "--prefix", "2"

@@ -184,6 +184,9 @@ GOLDEN = {
     (6, 2, 4, 3, None): (6534, 7860, 2290, 0, "2ca4a5885225ef4c"),
     (9, 2, 6, None, 9): (8, 44, 794, 0, "9689d138e3153206"),
     (11, 1, 11, None, 11): (1, 13232, 833972, 0, "3c5c1aa52ad6dd1b"),
+    (12, 1, 12, None, 12): (1, 48928, 4040099, 0, "064df7afa907387d"),
+    (5, 2, 3, None, None): (2521, 5272, 1947, 0, "0802fd14fea3c0e5"),
+    (10, 2, 6, None, 10): (2588, 17375, 476459, 0, "5af1c9b8843aec8d"),
 }
 
 
@@ -239,3 +242,56 @@ def test_oracle_defect_guard_fires():
     with pytest.raises(RuntimeError, match="oracle defect"):
         for first in firsts:
             transfer.run(first)
+
+
+class _ComponentKeyedTransfer(search._Transfer):
+    """The transfer step keyed by the whole previous component."""
+
+    def state(self, idx, prev):
+        if idx > self.space.length:
+            return search._LEAF
+        key = (idx, prev)
+        found = self.memo.get(key)
+        if found is None:
+            found = self.memo[key] = self._expand(idx, prev)
+        return found
+
+
+def _run_with(monkeypatch, transfer_cls, space, slow):
+    made = []
+
+    class Recording(transfer_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Transfer", Recording)
+    report = enumerate_series(space, disable_pruning=slow, cap=space.g)
+    (transfer,) = made
+    return report, len(transfer.memo)
+
+
+@pytest.mark.parametrize(
+    "space,slow",
+    [
+        (SearchSpace(4, 2, 2), False),
+        (SearchSpace(5, 2, 4), False),
+        (SearchSpace(6, 2, 4, prefix_length=3), False),
+        (SearchSpace(8, 1, 8), False),
+        (SearchSpace(11, 1, 11), False),
+        (SearchSpace(4, 2, 2), True),
+    ],
+    ids=str,
+)
+def test_memo_key_matches_whole_component_key(monkeypatch, space, slow):
+    # the memo is keyed by the previous v-column and Q-side directions;
+    # keying by the whole previous component must give the same report
+    ours, our_states = _run_with(monkeypatch, search._Transfer, space, slow)
+    theirs, their_states = _run_with(monkeypatch, _ComponentKeyedTransfer, space, slow)
+    assert ours.count == theirs.count
+    assert ours.nodes_expanded == theirs.nodes_expanded
+    assert ours.pruned == theirs.pruned
+    assert ours.solutions == theirs.solutions
+    assert our_states <= their_states
+    if space == SearchSpace(11, 1, 11):
+        assert our_states < their_states

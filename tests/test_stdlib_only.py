@@ -1,0 +1,36 @@
+"""The package stays dependency-free: it imports the standard library only."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellchain"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _top_level_imports(path: Path) -> list[tuple[int, str | None]]:
+    """(line, top-level module) per import statement; ``None`` if relative."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.partition(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            name = None if node.level else node.module.partition(".")[0]
+            found.append((node.lineno, name))
+    return found
+
+
+def test_package_sources_found():
+    assert PACKAGE / "search.py" in SOURCES
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_relative(path):
+    outside = [
+        f"{path.name}:{line}: {name}"
+        for line, name in _top_level_imports(path)
+        if name is not None and name not in sys.stdlib_module_names
+    ]
+    assert not outside
