@@ -54,6 +54,7 @@ from .series import (
     derive_forced_pairs,
     parse_series,
     pinned_direction,
+    q_side,
     serialize_series,
     validate_all,
     validate_canonical_determinant,
@@ -113,6 +114,7 @@ __all__ = [
     "parse_series",
     "pinned_direction",
     "prefix_key",
+    "q_side",
     "rho_canonical",
     "rho_general",
     "serialize_series",

@@ -153,9 +153,7 @@ def cmd_dim(args) -> int:
 def cmd_search(args) -> int:
     try:
         space = SearchSpace(args.g, args.r, args.k, prefix_length=args.prefix)
-        report = enumerate_series(
-            space, limit=args.max, workers=args.workers, cap=args.cap
-        )
+        report = enumerate_series(space, limit=args.max, cap=args.cap)
     except RecursionError:  # the transfer step recurses once per component
         print(f"error: search at g={args.g}, k={args.k} is too deep", file=sys.stderr)
         return EXIT_USAGE

@@ -36,6 +36,7 @@ from .series import (
     NodeGluing,
     VanishingTable,
     derive_forced_pairs,
+    q_side,
 )
 
 
@@ -259,8 +260,8 @@ def construct(g: int, k: int, force: bool = False) -> LimitSeries:
 def _assemble(g, rank, k, d, a, components) -> LimitSeries:
     identity = tuple(range(1, k + 1))
     nodes = tuple(
-        NodeGluing(identity, derive_forced_pairs(components[n], components[n + 1], identity, a))
-        for n in range(g - 1)
+        NodeGluing(identity, derive_forced_pairs(q_side(left), right, identity, a))
+        for left, right in zip(components, components[1:])
     )
     return LimitSeries(
         chain=ChainCurve(g),

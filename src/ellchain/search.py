@@ -8,8 +8,9 @@ degree ``2g - 2`` bundles and twist ``2g - 2``) and reports every
 configuration satisfying all limit-series conditions.  Rank one serves to
 certify that the limit canonical series (``k = g``) is unique; below
 ``k = g`` its tables admit non-canonical line bundles, so ``k < g`` is
-refused.  ``enumerate_series`` checks every input (genus cap, solution
-limit, rank-one ``k``) before any table is built.
+refused, and so is a rank-one prefix, whose leaves are never validated.
+``enumerate_series`` checks every input (genus cap, solution limit,
+rank-one ``k`` and prefix) before any table is built.
 
 Within the ansatz, a table row on a summand of degree ``ds`` has
 ``u + v = ds - 1`` (the generic branch), or ``u + v = ds`` for the
@@ -25,17 +26,17 @@ increasing ``u`` does.
 Pruning is twofold and sound: a row whose ``u`` cannot reach
 ``a - v_prev`` dies immediately, and a potential function cuts branches
 whose remaining components cannot absorb the vanishing still required
-(each component turns a ``v``-sum ``f`` into at most
-``f + k*(ds - 1) + rank - k*a`` while the final component still needs a
-valid nonnegative ``v``-multiset).
+(each component turns a ``v``-sum ``f`` into at most ``f + rank - k``,
+as ``ds = a``, while the final component still needs a valid
+nonnegative ``v``-multiset).
 
 Every check is local between neighbouring components, and a step reads
-only the previous component's ``v``-column (lower bounds, post-hoc check)
-and the directions its rows pin at Q (forced pairs).  So what can follow
-a partial configuration depends only on the next component's index, that
-``v``-column and those Q-side directions.  The search is a memoized
-transfer step over these states: each state's table options and
-forced-direction checks are computed once, and a state reached along
+only ``q_side`` of the previous component: each row's ``v`` (lower
+bounds, post-hoc check) and the direction it pins at Q (forced pairs).
+So what can follow a partial configuration depends only on the state
+``(index, q_side(previous))``, derived once per component reached.  The
+search is a memoized transfer step over these states: each state's
+table options and forced-direction checks are computed once, and a state reached along
 another path adds its cached totals.  The reported counters (tables
 expanded, prunes) are still the sums over the full depth-first search
 tree, as if every path were expanded anew.  Solutions are read off by a
@@ -58,8 +59,9 @@ from .series import (
     LimitSeries,
     NodeGluing,
     VanishingTable,
+    QSide,
     derive_forced_pairs,
-    pinned_direction,
+    q_side,
     serialize_series,
     validate_all,
 )
@@ -98,21 +100,8 @@ class SearchSpace:
         return self.g - 1 if self.rank == 2 else 2 * self.g - 2
 
     @property
-    def summand_degree(self) -> int:
-        return self.g - 1 if self.rank == 2 else 2 * self.g - 2
-
-    @property
     def length(self) -> int:
         return self.prefix_length if self.prefix_length is not None else self.g
-
-    @property
-    def capacity_slack(self) -> int:
-        # max growth of sum(v) from one component to the next
-        return self.k * (self.summand_degree - 1) + self.rank - self.k * self.a
-
-    @property
-    def min_terminal_v(self) -> int:
-        return sum(j // self.rank for j in range(self.k))
 
 
 @dataclass(frozen=True)
@@ -219,10 +208,11 @@ def prefix_key(s: LimitSeries, length: int) -> str:
 def _min_vsum_needed(space: SearchSpace, i: int) -> int:
     """Least sum(v) component ``i`` may carry and still finish the chain.
 
-    Each step changes sum(v) by at most ``capacity_slack`` and the last
+    Each step changes sum(v) by at most ``rank - k`` and the last
     component still needs a valid nonnegative v-multiset.
     """
-    return space.min_terminal_v - (space.length - i) * space.capacity_slack
+    terminal = sum(j // space.rank for j in range(space.k))
+    return terminal - (space.length - i) * (space.rank - space.k)
 
 
 def _table_options(
@@ -235,7 +225,7 @@ def _table_options(
     vanishing at Q (subsequent rows never exceed the current ``v``).
     """
     k, rank = space.k, space.rank
-    ds = space.summand_degree
+    ds = space.a  # every summand's degree equals the twist in the ansatz
     canon = canonical_restriction(i, space.g)
     out: list[Component] = []
     rows: list[tuple[int, int]] = []
@@ -336,10 +326,10 @@ _LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
 class _Transfer:
     """Memoized transfer step over one search space.
 
-    ``memo`` maps (component index, previous ``v``-column, previous Q-side
-    pinned directions) to the totals of the subtree below it, so each state
-    is expanded once.  The key is exact: ``_expand`` reads the previous
-    component through nothing else.
+    ``memo`` maps (component index, ``q_side`` of the previous component)
+    to the totals of the subtree below it, so each state is expanded once.
+    The key is exact by construction: ``_expand`` is handed the key and
+    nothing else.
     """
 
     def __init__(self, space: SearchSpace, slow: bool):
@@ -349,33 +339,32 @@ class _Transfer:
         self.blank = LimitSeries(
             ChainCurve(space.g, space.length), space.rank, space.k, space.d, space.a, (), ()
         )
-        self.memo: dict[tuple[int, tuple[int, ...], tuple[str | None, ...]], _State] = {}
+        self.memo: dict[tuple[int, QSide], _State] = {}
 
     def state(self, idx: int, prev: Component) -> _State:
         if idx > self.space.length:
             return _LEAF
-        key = (idx, prev.table.vs, tuple(pinned_direction(prev, t, "Q") for t in self.identity))
+        # derived only past the leaf check: last-level options never pay for it
+        key = (idx, q_side(prev))
         found = self.memo.get(key)
         if found is None:
-            found = self.memo[key] = self._expand(idx, prev)
+            found = self.memo[key] = self._expand(*key)
         return found
 
-    def _expand(self, idx: int, prev: Component) -> _State:
+    def _expand(self, idx: int, left_q: QSide) -> _State:
         space, slow = self.space, self.slow
-        prev_vs = prev.table.vs
-        lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v in prev_vs)
+        lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v, _ in left_q)
         min_vsum = 0 if slow else _min_vsum_needed(space, idx)
         options, pruned = _table_options(space, idx, lbs, min_vsum)
         count = expanded = conflicts = 0
         edges = []
         for comp in options:
-            rows = comp.table.rows
-            if slow and any(prev_vs[j] + rows[j][0] < space.a for j in range(space.k)):
+            if slow and any(v + u < space.a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
                 continue
             # a configuration whose pinned directions cannot be matched by
             # any single fiber isomorphism is not realizable; reject it
             try:
-                forced = derive_forced_pairs(prev, comp, self.identity, space.a)
+                forced = derive_forced_pairs(left_q, comp, self.identity, space.a)
             except ValueError:
                 conflicts += 1
                 continue
@@ -392,7 +381,7 @@ class _Transfer:
         """The subtree totals and the solution keys below first component ``first``."""
         # no other path reaches this state, so it stays out of the memo and
         # its edges are freed once the caller has read its totals
-        root = self._expand(2, first) if self.space.length > 1 else _LEAF
+        root = self._expand(2, q_side(first)) if self.space.length > 1 else _LEAF
         solutions: list[str] = []
         self._collect(root, (first,), (), solutions)
         return root, solutions
@@ -416,7 +405,6 @@ class _Transfer:
 def enumerate_series(
     space: SearchSpace,
     limit: int | None = None,
-    workers: int = 1,
     disable_pruning: bool = False,
     cap: int | None = None,
 ) -> SearchReport:
@@ -427,11 +415,10 @@ def enumerate_series(
     the whole tree would, memo hits included.
 
     ``limit`` truncates the stored solution list only; the count is always
-    exact.  ``workers`` is accepted and has no effect on the search.
-    ``disable_pruning`` replaces the lower-bound and capacity prunes by
-    post-hoc rejection (slow mode, for prune-soundness checks).
+    exact.  ``disable_pruning`` replaces the lower-bound and capacity
+    prunes by post-hoc rejection (slow mode, for prune-soundness checks).
     Raises ``SearchCapError`` above the genus cap, and ``ValueError`` for a
-    negative ``limit`` or a rank-1 space with ``k < g``.
+    negative ``limit``, or a rank-1 space with ``k < g`` or a prefix.
     """
     effective_cap = cap if cap is not None else (
         DEFAULT_CAP_RANK2 if space.rank == 2 else DEFAULT_CAP_RANK1
@@ -448,6 +435,8 @@ def enumerate_series(
             f"rank-1 search needs k >= g, got g={space.g}, k={space.k} (below k = g "
             f"the tables admit non-canonical line bundles, which the ansatz excludes)"
         )
+    if space.rank == 1 and space.prefix_length is not None:
+        raise ValueError("rank-1 search takes no prefix: prefix leaves are never validated")
     start = time.perf_counter()
     min_vsum = 0 if disable_pruning else _min_vsum_needed(space, 1)
     # the depth-first counters this search reproduces never counted capacity

@@ -23,7 +23,9 @@ appear twice.  This module encodes that calculus exactly:
   pinned summand provides;
 * the direction-pinning analysis (``pinned_direction``) decides when a
   row's section has a forced direction in the fiber at a node, which is
-  what turns some gluings from four free parameters into three or two.
+  what turns some gluings from four free parameters into three or two;
+* ``q_side`` is all a node reads of its left component, and
+  ``derive_forced_pairs`` takes it in place of that component.
 
 A row ``(u, v)`` on a summand of degree ``d_s`` with ``u + v = d_s - 1``
 has a one-dimensional section space in that summand, but its divisor is
@@ -268,29 +270,35 @@ def pinned_direction(component: Component, row_index: int, side: str) -> str | N
     return None
 
 
+QSide = tuple[tuple[int, str | None], ...]
+
+
+def q_side(component: Component) -> QSide:
+    """Each row's ``(v, pinned_direction at Q)``: all a node reads of its left side."""
+    rows = component.table.rows
+    return tuple((v, pinned_direction(component, t, "Q")) for t, (_, v) in enumerate(rows, 1))
+
+
 def derive_forced_pairs(
-    left: Component, right: Component, matching: tuple[int, ...], twist: int
+    left_q: QSide, right: Component, matching: tuple[int, ...], twist: int
 ) -> tuple[tuple[str, str], ...]:
     """Distinct direction identifications forced at a node.
 
-    A matched row pair constrains the gluing only when it meets the node
-    condition with equality (with slack, one side vanishes deeper than
-    required and nothing must match); it then forces the gluing exactly
-    when its section has a pinned direction on both sides.  Several rows
-    may force the same identification; the result is deduplicated and
-    checked for consistency (a direction cannot be forced onto two
-    different images).  The pairs come out sorted, which is their order
-    in canonical form.
+    ``left_q`` is ``q_side`` of the left component.  A matched row pair
+    constrains the gluing only when it meets the node condition with
+    equality (with slack, one side vanishes deeper than required and
+    nothing must match); it then forces the gluing exactly when its
+    section has a pinned direction on both sides.  Several rows may force
+    the same identification; the result is deduplicated and checked for
+    consistency (a direction cannot be forced onto two different images).
+    The pairs come out sorted, which is their order in canonical form.
     """
     pairs: list[tuple[str, str]] = []
-    for t, t2 in enumerate(matching, start=1):
-        if left.table.rows[t - 1][1] + right.table.rows[t2 - 1][0] != twist:
+    for (v, dl), t2 in zip(left_q, matching):
+        if dl is None or v + right.table.rows[t2 - 1][0] != twist:
             continue
-        dl = pinned_direction(left, t, "Q")
         dr = pinned_direction(right, t2, "P")
-        if dl is None or dr is None:
-            continue
-        if (dl, dr) in pairs:
+        if dr is None or (dl, dr) in pairs:
             continue
         for el, er in pairs:
             if el == dl or er == dr:

@@ -192,6 +192,14 @@ class TestSearch:
         assert stdout == ""
         assert stderr.startswith("error: ") and "k >= g" in stderr
 
+    def test_search_rank_one_prefix_is_usage_error(self, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "search", "--r", "1", "--g", "2", "--k", "2", "--prefix", "1"
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "prefix" in stderr
+
     def test_search_negative_max_is_usage_error(self, capsys):
         code, stdout, stderr = run_cli(capsys, "search", "--g", "4", "--k", "2", "--max", "-1")
         assert code == 1

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from ellchain import search
+from ellchain.cli import main
 from ellchain import (
     SearchCapError,
     SearchSpace,
@@ -16,6 +17,7 @@ from ellchain import (
     enumerate_series,
     parse_series,
     prefix_key,
+    q_side,
 )
 
 
@@ -33,7 +35,7 @@ class TestCanonicalForm:
         s = construct_even(9, 4)
         from dataclasses import replace
 
-        from ellchain import Component, NodeGluing, derive_forced_pairs
+        from ellchain import Component, NodeGluing, derive_forced_pairs, q_side
 
         comps = list(s.components)
         c = comps[1]
@@ -42,7 +44,7 @@ class TestCanonicalForm:
         nodes = tuple(
             NodeGluing(
                 node.matching,
-                derive_forced_pairs(comps[n], comps[n + 1], node.matching, s.twist),
+                derive_forced_pairs(q_side(comps[n]), comps[n + 1], node.matching, s.twist),
             )
             for n, node in enumerate(s.nodes)
         )
@@ -115,29 +117,37 @@ class TestSearchMechanics:
             assert slow.nodes_expanded == expanded, (g, r, k)
             assert slow.pruned == (("capacity", capacity), ("direction-conflict", 0))
 
-    def test_worker_determinism(self):
-        # workers= is accepted and has no effect on the search: every
-        # value must give the same report
+    def test_repeat_run_determinism(self):
+        # every report field but the wall time is the same on every run
         cases = [
             (SearchSpace(5, 2, 4), False),
+            (SearchSpace(6, 2, 4), False),
             (SearchSpace(6, 2, 4, prefix_length=3), False),
             (SearchSpace(8, 1, 8), False),
             (SearchSpace(4, 2, 2), True),
         ]
         for space, slow in cases:
-            one = enumerate_series(space, workers=1, disable_pruning=slow)
-            two = enumerate_series(space, workers=2, disable_pruning=slow)
-            three = enumerate_series(space, workers=3, disable_pruning=slow)
-            assert one.count == two.count == three.count, space
-            assert one.solutions == two.solutions == three.solutions, space
-            assert one.nodes_expanded == two.nodes_expanded == three.nodes_expanded, space
-            assert one.pruned == two.pruned == three.pruned, space
+            runs = [
+                replace(enumerate_series(space, disable_pruning=slow), wall_time=0.0)
+                for _ in range(3)
+            ]
+            assert runs[0] == runs[1] == runs[2], space
 
-    def test_repeat_run_determinism(self):
-        space = SearchSpace(6, 2, 4)
-        a = enumerate_series(space)
-        b = enumerate_series(space)
-        assert a.count == b.count and a.solutions == b.solutions
+    def test_worker_determinism(self, capsys):
+        # `search --workers` is accepted and changes nothing: every worker
+        # count prints the library report, wall time aside
+        cases = [
+            (SearchSpace(5, 2, 4), ["--g", "5", "--k", "4"]),
+            (SearchSpace(6, 2, 4, prefix_length=3), ["--g", "6", "--k", "4", "--prefix", "3"]),
+            (SearchSpace(8, 1, 8), ["--g", "8", "--k", "8", "--r", "1"]),
+        ]
+        for space, argv in cases:
+            expected = enumerate_series(space).summary_lines()[:-1]
+            for workers in ("1", "2", "3"):
+                assert main(["search", *argv, "--workers", workers]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert lines[-1].startswith("wall time:"), (space, workers)
+                assert lines[:-1] == expected, (space, workers)
 
     def test_limit_truncates_solutions_not_count(self):
         space = SearchSpace(4, 2, 2)
@@ -216,14 +226,27 @@ class TestGoldenCounters:
                 assert canonical_key(parse_series(key)) == key
 
 
-@pytest.mark.parametrize("g,k", [(g, k) for g in range(2, 8) for k in range(1, g)])
-def test_rank_one_below_k_equals_g_refused_before_any_table(monkeypatch, g, k):
-    def no_tables(*args):
+@pytest.fixture
+def no_tables(monkeypatch):
+    def refuse(*args):
         raise AssertionError("a table option was generated")
 
-    monkeypatch.setattr(search, "_table_options", no_tables)
+    monkeypatch.setattr(search, "_table_options", refuse)
+
+
+@pytest.mark.parametrize("g,k", [(g, k) for g in range(2, 8) for k in range(1, g)])
+def test_rank_one_below_k_equals_g_refused_before_any_table(no_tables, g, k):
     with pytest.raises(ValueError, match="k >= g"):
         enumerate_series(SearchSpace(g, 1, k))
+
+
+@pytest.mark.parametrize("g,prefix", [(2, 1), (4, 2), (6, 2)])
+def test_rank_one_prefix_refused_before_any_table(no_tables, g, prefix):
+    # prefix leaves are never validated, and rank-1 tables admit
+    # non-canonical line bundles: (2, 1, 2, p1) would report 3 prefixes
+    # where only 1 has the canonical line bundle
+    with pytest.raises(ValueError, match="rank-1 search takes no prefix"):
+        enumerate_series(SearchSpace(g, 1, g, prefix_length=prefix))
 
 
 def test_rank_one_above_k_equals_g_accepted():
@@ -253,8 +276,23 @@ class _ComponentKeyedTransfer(search._Transfer):
         key = (idx, prev)
         found = self.memo.get(key)
         if found is None:
-            found = self.memo[key] = self._expand(idx, prev)
+            found = self.memo[key] = self._expand(idx, q_side(prev))
         return found
+
+
+class _MemoFreeTransfer(search._Transfer):
+    """The transfer step with no memo: every path is expanded anew."""
+
+    expansions = 0
+
+    def state(self, idx, prev):
+        if idx > self.space.length:
+            return search._LEAF
+        return self._expand(idx, q_side(prev))
+
+    def _expand(self, idx, left_q):
+        self.expansions += 1
+        return super()._expand(idx, left_q)
 
 
 def _run_with(monkeypatch, transfer_cls, space, slow):
@@ -268,7 +306,7 @@ def _run_with(monkeypatch, transfer_cls, space, slow):
     monkeypatch.setattr(search, "_Transfer", Recording)
     report = enumerate_series(space, disable_pruning=slow, cap=space.g)
     (transfer,) = made
-    return report, len(transfer.memo)
+    return replace(report, wall_time=0.0), transfer
 
 
 @pytest.mark.parametrize(
@@ -284,14 +322,15 @@ def _run_with(monkeypatch, transfer_cls, space, slow):
     ids=str,
 )
 def test_memo_key_matches_whole_component_key(monkeypatch, space, slow):
-    # the memo is keyed by the previous v-column and Q-side directions;
-    # keying by the whole previous component must give the same report
-    ours, our_states = _run_with(monkeypatch, search._Transfer, space, slow)
-    theirs, their_states = _run_with(monkeypatch, _ComponentKeyedTransfer, space, slow)
-    assert ours.count == theirs.count
-    assert ours.nodes_expanded == theirs.nodes_expanded
-    assert ours.pruned == theirs.pruned
-    assert ours.solutions == theirs.solutions
-    assert our_states <= their_states
+    # the memo is keyed by (index, q_side(previous)); keying by the whole
+    # previous component, or expanding every path anew, must give the same
+    # count, counters and solution keys
+    ours, shipped = _run_with(monkeypatch, search._Transfer, space, slow)
+    keyed_report, keyed = _run_with(monkeypatch, _ComponentKeyedTransfer, space, slow)
+    fresh_report, fresh = _run_with(monkeypatch, _MemoFreeTransfer, space, slow)
+    assert ours == keyed_report == fresh_report
+    assert len(shipped.memo) <= len(keyed.memo)
+    assert not fresh.memo
     if space == SearchSpace(11, 1, 11):
-        assert our_states < their_states
+        assert len(shipped.memo) < len(keyed.memo)
+        assert len(shipped.memo) < fresh.expansions

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -22,7 +23,10 @@ from ellchain import (
     construct_odd,
     derive_forced_pairs,
     parse_series,
+    pinned_direction,
+    q_side,
     serialize_series,
+    theorem_threshold,
     validate_all,
     validate_canonical_determinant,
     validate_degree_condition,
@@ -192,19 +196,104 @@ class TestForcedPairs:
         left = Component(split(0, 3, 2, 1), VanishingTable([(0, 2), (2, 1)]))
         right = Component(split(1, 2, 3, 0), VanishingTable([(2, 0), (3, 0)]))
         # both matched pairs have v + u > twist: no forced identifications
-        assert derive_forced_pairs(left, right, (1, 2), 3) == ()
+        assert derive_forced_pairs(q_side(left), right, (1, 2), 3) == ()
 
     def test_two_pairs_come_out_sorted(self):
         # with the left summands swapped, the rows force 2->2 before 1->1
         s = construct_even(9, 4)
         left, right = s.components[1], s.components[2]
         swapped = Component(left.bundle.swapped(), left.table, left.moduli_freedom)
-        pairs = derive_forced_pairs(swapped, right, (1, 2, 3, 4), s.twist)
+        pairs = derive_forced_pairs(q_side(swapped), right, (1, 2, 3, 4), s.twist)
         assert pairs == (("1", "1"), ("2", "2"))
 
     def test_rank1_nodes_never_forced(self):
         s = canonical_limit_series(7)
         assert all(n.forced_pairs == () for n in s.nodes)
+
+
+def _reference_forced_pairs(left, right, matching, twist):
+    """The per-row derivation that reads the left component itself."""
+    pairs = []
+    for t, t2 in enumerate(matching, start=1):
+        if left.table.rows[t - 1][1] + right.table.rows[t2 - 1][0] != twist:
+            continue
+        dl = pinned_direction(left, t, "Q")
+        dr = pinned_direction(right, t2, "P")
+        if dl is None or dr is None:
+            continue
+        if (dl, dr) in pairs:
+            continue
+        for el, er in pairs:
+            if el == dl or er == dr:
+                raise ValueError(
+                    f"inconsistent forced directions: {dl}->{dr} conflicts with {el}->{er}"
+                )
+        pairs.append((dl, dr))
+    if len(pairs) > 2:
+        raise ValueError(f"more than two forced direction pairs: {pairs}")
+    return tuple(sorted(pairs))
+
+
+def _swap_summands(c):
+    if not isinstance(c.bundle, Split):
+        return c
+    return Component(c.bundle.swapped(), c.table, c.moduli_freedom)
+
+
+class TestForcedPairsDifferential:
+    """``derive_forced_pairs`` on ``q_side(left)`` against the per-row
+    derivation it replaced, which calls ``pinned_direction`` on the left
+    component itself."""
+
+    CELLS = [
+        (g, k) for k in range(2, 9) for g in range(theorem_threshold(k), 21)
+    ]
+
+    @staticmethod
+    def _agree(left, right, matching, twist, outcomes):
+        try:
+            want = _reference_forced_pairs(left, right, matching, twist)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                derive_forced_pairs(q_side(left), right, matching, twist)
+            outcomes.add("raises")
+            return
+        assert derive_forced_pairs(q_side(left), right, matching, twist) == want
+        outcomes.add(len(want))
+
+    def _nodes(self, swap):
+        for g, k in self.CELLS:
+            s = construct(g, k)
+            for n, node in enumerate(s.nodes):
+                left = s.components[n]
+                yield (_swap_summands(left) if swap else left), s.components[n + 1], node, s
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["as-built", "swapped"])
+    def test_every_constructed_node(self, swap):
+        outcomes = set()
+        for left, right, node, s in self._nodes(swap):
+            self._agree(left, right, node.matching, s.twist, outcomes)
+        assert {0, 1, 2} <= outcomes
+
+    def test_random_permutation_matchings(self):
+        rng = random.Random(20)
+        outcomes = set()
+        for left, right, node, s in self._nodes(swap=False):
+            for _ in range(3):
+                matching = list(node.matching)
+                rng.shuffle(matching)
+                self._agree(left, right, tuple(matching), s.twist, outcomes)
+                self._agree(_swap_summands(left), right, tuple(matching), s.twist, outcomes)
+        assert {0, 1, 2} <= outcomes
+
+    def test_conflicting_directions_raise_in_both(self):
+        # no constructed node conflicts: both left rows pin summand 1 at Q,
+        # and the right rows they meet pin different summands at P
+        left = Component(split(0, 3, 0, 1), VanishingTable([(0, 3), (1, 1)]))
+        right = Component(split(0, 2, 2, 0), VanishingTable([(0, 2), (2, 0)]))
+        outcomes = set()
+        self._agree(left, right, (1, 2), 3, outcomes)
+        assert outcomes == {"raises"}
 
 
 class TestSerialization:
