@@ -21,11 +21,13 @@ appear twice.  This module encodes that calculus exactly:
 * ``admissible_table`` charges each table row either to the generic
   ``d - 1`` budget of a summand or to the single ``sum = d`` slot that a
   pinned summand provides;
-* the direction-pinning analysis (``pinned_direction``) decides when a
-  row's section has a forced direction in the fiber at a node, which is
-  what turns some gluings from four free parameters into three or two;
+* the direction-pinning rule decides when a row's section has a forced
+  direction in the fiber at a node, which is what turns some gluings from
+  four free parameters into three or two.  It lives in one place and runs
+  once per component and side; ``pinned_direction`` reads one row of it;
 * ``q_side`` is all a node reads of its left component, and
-  ``derive_forced_pairs`` takes it in place of that component.
+  ``derive_forced_pairs`` takes it in place of that component;
+* ``validate_all`` checks a series in one walk over its components.
 
 A row ``(u, v)`` on a summand of degree ``d_s`` with ``u + v = d_s - 1``
 has a one-dimensional section space in that summand, but its divisor is
@@ -41,7 +43,9 @@ is pinned).  Generic summands (free Jacobian choices) never pin.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import add, eq, ge, le
 
 from .chain import (
     ChainCurve,
@@ -190,11 +194,12 @@ def admissibility_failures(
         return failures
 
     summands = _summand_pairs(bundle)
+    generic_sums = {p + q - 1 for p, q in summands}
     slot_needed: list[tuple[int, tuple[int, int]]] = []
     for j, (u, v) in enumerate(table.rows, start=1):
-        if any(u + v == p + q - 1 for p, q in summands):
+        if u + v in generic_sums:
             continue
-        if not generic and any((u, v) == (p, q) and u + v == p + q for p, q in summands):
+        if not generic and (u, v) in summands:
             slot_needed.append((j, (u, v)))
             continue
         failures.append(f"row {j} ({u},{v}) not chargeable to any summand")
@@ -221,62 +226,61 @@ def admissible_table(
 # direction pinning and forced pairs
 
 
+def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...]:
+    """Each row's direction token forced at ``side`` ("P" or "Q"), or ``None``.
+
+    The one home of the pinning rule: the bundle is read once, then the
+    rows are walked.  A summand is alive at a row when it is the row's
+    distinguished section, or when the row sits below its degree and is
+    not the row one step below it at ``side`` (whose divisor's residual
+    point lies at ``side``: see the module docstring).
+    """
+    bundle, rows = component.bundle, component.table.rows
+    dp, dq = (1, 0) if side == "P" else (0, 1)
+    if isinstance(bundle, Indecomposable):
+        mu, mv = marked = (bundle.marked_u, bundle.marked_v)
+        # one step below the marked twist the section space is a pencil
+        # through the marked line, and leading values at the marked side
+        # land on that line
+        below = (mu - dp, mv - dq)
+        pinned = (marked, below) if 2 * (mu + mv) == bundle.degree else (marked,)
+        return tuple(DIR_MARKED if row in pinned else None for row in rows)
+    # rank-one fibers are lines and carry no direction moduli, and
+    # generic summands never pin
+    if isinstance(bundle, SplitLineBundle) or component.is_generic:
+        return (None,) * len(rows)
+    (p1, q1), (p2, q2) = pair1, pair2 = bundle.first.pair, bundle.second.pair
+    below1, below2 = (p1 - dp, q1 - dq), (p2 - dp, q2 - dq)
+    pins: list[str | None] = []
+    for row in rows:
+        u, v = row
+        alive1 = row == pair1 or (u + v < p1 + q1 and row != below1)
+        alive2 = row == pair2 or (u + v < p2 + q2 and row != below2)
+        # identical summands live or die together and pin nothing
+        pins.append(None if alive1 == alive2 else DIR_FIRST if alive1 else DIR_SECOND)
+    return tuple(pins)
+
+
 def pinned_direction(component: Component, row_index: int, side: str) -> str | None:
     """Direction token forced on a row's section at ``side`` ("P" or "Q").
 
     Returns ``None`` when the row's section space realizes more than one
-    direction in the fiber (nothing forced).  Rank-one components never
-    pin: their fibers are lines and carry no direction moduli.
+    direction in the fiber (nothing forced).  This reads the one
+    per-component rule that ``q_side`` and ``derive_forced_pairs`` read.
     """
-    bundle = component.bundle
-    u, v = component.table.rows[row_index - 1]
-    if isinstance(bundle, SplitLineBundle):
-        return None
-    if isinstance(bundle, Indecomposable):
-        marked = (bundle.marked_u, bundle.marked_v)
-        if (u, v) == marked:
-            return DIR_MARKED
-        # one step below the marked twist the section space is a pencil
-        # through the marked line, and leading values at the marked side
-        # land on that line
-        shifted = (u + 1, v) if side == "P" else (u, v + 1)
-        if shifted == marked and 2 * (bundle.marked_u + bundle.marked_v) == bundle.degree:
-            return DIR_MARKED
-        return None
-    if component.is_generic:
-        return None
-    alive: list[str] = []
-    for token, summand in ((DIR_FIRST, bundle.first), (DIR_SECOND, bundle.second)):
-        p, q = summand.pair
-        if u + v > p + q:
-            continue
-        if u + v == p + q:
-            if (u, v) == (p, q):
-                alive.append(token)
-            continue
-        if u + v == p + q - 1:
-            # one-dimensional space in this summand; dead at the side where
-            # the residual point of its divisor sits
-            shifted = (u + 1, v) if side == "P" else (u, v + 1)
-            if shifted != (p, q):
-                alive.append(token)
-            continue
-        # amply twisted: the summand realizes the exact order at either side
-        alive.append(token)
-    # identical summands always live or die together, so alive has 0 or 2
-    # entries there and every realized direction comes in a pencil
-    if len(alive) == 1:
-        return alive[0]
-    return None
+    return _pinned_directions(component, side)[row_index - 1]
 
 
 QSide = tuple[tuple[int, str | None], ...]
 
 
 def q_side(component: Component) -> QSide:
-    """Each row's ``(v, pinned_direction at Q)``: all a node reads of its left side."""
+    """Each row's ``(v, pinned direction at Q)``: all a node reads of its left side.
+
+    The pinning rule runs once over the component, not once per row.
+    """
     rows = component.table.rows
-    return tuple((v, pinned_direction(component, t, "Q")) for t, (_, v) in enumerate(rows, 1))
+    return tuple(zip([v for _, v in rows], _pinned_directions(component, "Q")))
 
 
 def derive_forced_pairs(
@@ -292,12 +296,16 @@ def derive_forced_pairs(
     the same identification; the result is deduplicated and checked for
     consistency (a direction cannot be forced onto two different images).
     The pairs come out sorted, which is their order in canonical form.
+    The right side is pinned once, when a row first needs it.
     """
+    right_p = None
     pairs: list[tuple[str, str]] = []
     for (v, dl), t2 in zip(left_q, matching):
         if dl is None or v + right.table.rows[t2 - 1][0] != twist:
             continue
-        dr = pinned_direction(right, t2, "P")
+        if right_p is None:
+            right_p = _pinned_directions(right, "P")
+        dr = right_p[t2 - 1]
         if dr is None or (dl, dr) in pairs:
             continue
         for el, er in pairs:
@@ -352,28 +360,38 @@ def validate_degree_condition(s: LimitSeries) -> bool:
     return total - s.rank * (m - 1) * s.twist == s.degree
 
 
-def _node_condition_failures(s: LimitSeries) -> list[str]:
+def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
+    """Diagnostics for condition (b), given each component's ``(us, vs)``.
+
+    A node fails outright when its matching reaches past a short or
+    missing table; else ``min(v + u)`` decides it before any row is named.
+    """
     failures = []
-    k = s.sections
+    k, twist = s.sections, s.twist
+    identity = tuple(range(1, k + 1))
     for n, node in enumerate(s.nodes, start=1):
-        if sorted(node.matching) != list(range(1, k + 1)):
-            failures.append(f"node {n}: matching {node.matching} is not a bijection")
+        matching = node.matching
+        if matching != identity and tuple(sorted(matching)) != identity:
+            failures.append(f"node {n}: matching {matching} is not a bijection")
             continue
-        left = s.components[n - 1].table
-        right = s.components[n].table
-        for t, t2 in enumerate(node.matching, start=1):
-            v = left.rows[t - 1][1]
-            u = right.rows[t2 - 1][0]
-            if v + u < s.twist:
-                failures.append(
-                    f"node {n}: rows {t}->{t2} have v+u = {v}+{u} < twist {s.twist}"
-                )
+        sides = columns[n - 1 : n + 1]
+        if len(sides) < 2 or min(len(sides[0][0]), len(sides[1][0])) < k:
+            failures.append(f"node {n}: matching needs {k} rows on components {n} and {n + 1}")
+            continue
+        vs, us = sides[0][1], sides[1][0]
+        matched_us = us[:k] if matching == identity else [us[t2 - 1] for t2 in matching]
+        if min(map(add, vs, matched_us), default=twist) >= twist:
+            continue
+        for t, (t2, v, u) in enumerate(zip(matching, vs, matched_us), start=1):
+            if v + u < twist:
+                failures.append(f"node {n}: rows {t}->{t2} have v+u = {v}+{u} < twist {twist}")
     return failures
 
 
 def validate_node_condition(s: LimitSeries) -> bool:
     """Condition (b): matched vanishing orders satisfy ``v + u >= a``."""
-    return not _node_condition_failures(s)
+    columns = [tuple(zip(*c.table.rows)) or ((), ()) for c in s.components]
+    return not _node_condition_failures(s, columns)
 
 
 def validate_determinacy_condition(s: LimitSeries) -> bool:
@@ -415,112 +433,99 @@ def validate_canonical_determinant(s: LimitSeries) -> bool:
     return True
 
 
-def _structure_failures(s: LimitSeries) -> list[str]:
-    failures = []
-    if s.twist < 1:
-        failures.append(f"twist {s.twist} must be a positive integer")
-    if s.rank not in (1, 2):
-        failures.append(f"rank {s.rank} unsupported")
-    if len(s.components) != s.chain.length:
-        failures.append(
-            f"{len(s.components)} components on a chain of length {s.chain.length}"
-        )
-    if len(s.nodes) != s.chain.length - 1:
-        failures.append(f"{len(s.nodes)} nodes on a chain of length {s.chain.length}")
-    for i, c in enumerate(s.components, start=1):
-        if len(c.table) != s.sections:
-            failures.append(
-                f"component {i}: {len(c.table)} rows, expected {s.sections}"
-            )
-        if c.moduli_freedom not in (0, 1):
-            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom}")
-        if s.rank == 1 and not isinstance(c.bundle, SplitLineBundle):
-            failures.append(f"component {i}: rank-1 series needs line bundles")
-        if s.rank == 2 and isinstance(c.bundle, SplitLineBundle):
-            failures.append(f"component {i}: rank-2 series needs rank-two bundles")
-        if isinstance(c.bundle, Indecomposable) and c.moduli_freedom:
-            failures.append(f"component {i}: indecomposable bundles are never generic")
-        for j, (u, v) in enumerate(c.table.rows, start=1):
-            if u < 0 or v < 0:
-                failures.append(f"component {i} row {j}: negative vanishing ({u},{v})")
-    for n, node in enumerate(s.nodes, start=1):
-        if len(node.forced_pairs) > 2:
-            failures.append(f"node {n}: {len(node.forced_pairs)} forced pairs")
-    return failures
-
-
-def _monotonicity_failures(s: LimitSeries) -> list[str]:
-    failures = []
-    for i, c in enumerate(s.components, start=1):
-        us, vs = c.table.us, c.table.vs
-        if any(us[j] > us[j + 1] for j in range(len(us) - 1)):
-            failures.append(f"component {i}: u not nondecreasing {us}")
-        if any(vs[j] < vs[j + 1] for j in range(len(vs) - 1)):
-            failures.append(f"component {i}: v not nonincreasing {vs}")
-    return failures
-
-
-def _multiplicity_failures(s: LimitSeries) -> list[str]:
-    failures = []
-    for i, c in enumerate(s.components, start=1):
-        for label, values in (("u", c.table.us), ("v", c.table.vs)):
-            for value in sorted(set(values)):
-                count = values.count(value)
-                if count > s.rank:
-                    failures.append(
-                        f"component {i}: {label}-value {value} occurs {count} times "
-                        f"(rank {s.rank} allows {s.rank})"
-                    )
-    return failures
-
-
 def validate_all(s: LimitSeries) -> ValidationReport:
-    """Run every validator and collect a per-check report."""
-    checks = []
-    flags: list[str] = []
+    """Run every validator and collect a per-check report.
 
-    structure = _structure_failures(s)
-    checks.append(CheckResult("structure", not structure, tuple(structure)))
-    mono = _monotonicity_failures(s)
-    checks.append(CheckResult("monotonicity", not mono, tuple(mono)))
-    mult = _multiplicity_failures(s)
-    checks.append(CheckResult("multiplicity", not mult, tuple(mult)))
+    Structure, monotonicity, multiplicity and admissibility come from one
+    walk over the components.  Each table's rows are unpacked once into
+    columns, every check is decided by whole-column passes, and a
+    diagnostic is built only for a row, value or node that fails.
+    """
+    k, rank = s.sections, s.rank
+    structure, mono, mult, adm, flags = [], [], [], [], []
+    if s.twist < 1:
+        structure.append(f"twist {s.twist} must be a positive integer")
+    if rank not in (1, 2):
+        structure.append(f"rank {rank} unsupported")
+    if k < 1:
+        structure.append(f"sections {k} must be a positive integer")
+    if len(s.components) != s.chain.length:
+        structure.append(f"{len(s.components)} components on a chain of length {s.chain.length}")
+    if len(s.nodes) != s.chain.length - 1:
+        structure.append(f"{len(s.nodes)} nodes on a chain of length {s.chain.length}")
 
-    adm: list[str] = []
+    columns = []
     for i, c in enumerate(s.components, start=1):
-        adm.extend(
-            f"component {i}: {msg}"
-            for msg in admissibility_failures(c.bundle, c.table, c.is_generic)
-        )
-    checks.append(CheckResult("admissibility", not adm, tuple(adm)))
-
-    ok_a = validate_degree_condition(s)
-    checks.append(
-        CheckResult(
-            "degree-condition",
-            ok_a,
-            ()
-            if ok_a
-            else (
-                f"sum(d_i) - r*(M-1)*a = "
-                f"{sum(c.degree for c in s.components)} - {s.rank}*{len(s.components) - 1}*{s.twist}"
-                f" != {s.degree}",
-            ),
-        )
-    )
-    node_failures = _node_condition_failures(s)
-    checks.append(CheckResult("node-condition", not node_failures, tuple(node_failures)))
-    ok_c = validate_determinacy_condition(s)
-    checks.append(CheckResult("determinacy", ok_c))
-    ok_k = validate_canonical_determinant(s)
-    checks.append(CheckResult("canonical-determinant", ok_k))
-
-    for i, c in enumerate(s.components, start=1):
-        if isinstance(c.bundle, Indecomposable):
+        bundle, rows = c.bundle, c.table.rows
+        us, vs = tuple(zip(*rows)) or ((), ())
+        columns.append((us, vs))
+        if len(rows) != k:
+            structure.append(f"component {i}: {len(rows)} rows, expected {k}")
+        if c.moduli_freedom not in (0, 1):
+            structure.append(f"component {i}: moduli_freedom {c.moduli_freedom}")
+        line = isinstance(bundle, SplitLineBundle)
+        if rank == 1 and not line:
+            structure.append(f"component {i}: rank-1 series needs line bundles")
+        if rank == 2 and line:
+            structure.append(f"component {i}: rank-2 series needs rank-two bundles")
+        if isinstance(bundle, Indecomposable):
+            if c.moduli_freedom:
+                structure.append(f"component {i}: indecomposable bundles are never generic")
             flags.append(
                 f"component {i}: indecomposable; determinant checked on degree only, "
                 f"determinacy by the degree <= 2*twist criterion"
             )
+        if min(us, default=0) < 0 or min(vs, default=0) < 0:
+            structure.extend(
+                f"component {i} row {j}: negative vanishing ({u},{v})"
+                for j, (u, v) in enumerate(rows, start=1)
+                if u < 0 or v < 0
+            )
+
+        u_sorted, v_sorted = all(map(le, us, us[1:])), all(map(ge, vs, vs[1:]))
+        if not u_sorted:
+            mono.append(f"component {i}: u not nondecreasing {us}")
+        if not v_sorted:
+            mono.append(f"component {i}: v not nonincreasing {vs}")
+
+        for label, values, monotone in (("u", us, u_sorted), ("v", vs, v_sorted)):
+            # in a monotone run, a value occurs more than rank times exactly
+            # when it equals the value rank places on
+            run = values if monotone else sorted(values)
+            if any(map(eq, run, run[max(rank, 0) :])):
+                mult.extend(
+                    f"component {i}: {label}-value {value} occurs {count} times "
+                    f"(rank {rank} allows {rank})"
+                    for value, count in sorted(Counter(values).items())
+                    if count > rank
+                )
+
+        adm.extend(
+            f"component {i}: {msg}"
+            for msg in admissibility_failures(bundle, c.table, c.is_generic)
+        )
+    for n, node in enumerate(s.nodes, start=1):
+        if len(node.forced_pairs) > 2:
+            structure.append(f"node {n}: {len(node.forced_pairs)} forced pairs")
+
+    degree = [] if validate_degree_condition(s) else [
+        f"sum(d_i) - r*(M-1)*a = "
+        f"{sum(c.degree for c in s.components)} - {rank}*{len(s.components) - 1}*{s.twist}"
+        f" != {s.degree}"
+    ]
+    checks = [
+        CheckResult(name, not diagnostics, tuple(diagnostics))
+        for name, diagnostics in (
+            ("structure", structure),
+            ("monotonicity", mono),
+            ("multiplicity", mult),
+            ("admissibility", adm),
+            ("degree-condition", degree),
+            ("node-condition", _node_condition_failures(s, columns)),
+        )
+    ]
+    checks.append(CheckResult("determinacy", validate_determinacy_condition(s)))
+    checks.append(CheckResult("canonical-determinant", validate_canonical_determinant(s)))
     return ValidationReport(tuple(checks), tuple(flags))
 
 

@@ -126,6 +126,25 @@ class TestVerifyAndDim:
         code, _, _ = run_cli(capsys, "verify", str(unforced_file))
         assert code == 2
 
+    def test_no_sections_is_refused(self, capsys, tmp_path):
+        # with no rows and empty matchings every other check holds vacuously
+        path = tmp_path / "s0.txt"
+        path.write_text(
+            "ellchain-series v1\n"
+            "genus 2 rank 2 sections 0 degree 2 twist 1\n"
+            "component 1 split 0 1 0 1 moduli 0\n"
+            "component 2 split 1 0 1 0 moduli 0\n"
+            "node 1 matching forced -\n"
+        )
+        code, stdout, _ = run_cli(capsys, "verify", str(path))
+        assert code == 2
+        assert "FAIL  structure\n      sections 0 must be a positive integer\n" in stdout
+        assert stdout.count("FAIL") == 1
+        code, stdout, stderr = run_cli(capsys, "dim", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "refusing unvalidated series (failing: structure)" in stderr
+
     def test_dim_matches_rho(self, capsys, series_file):
         code, stdout, _ = run_cli(capsys, "dim", str(series_file))
         assert code == 0

@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +13,20 @@ from ellchain import (
     LimitSeries,
     NodeGluing,
     ParseError,
+    SearchSpace,
     Split,
     SplitLineBundle,
     VanishingTable,
+    ValidationReport,
     admissible_table,
     canonical_key,
     canonical_limit_series,
     construct,
     construct_even,
     construct_odd,
+    count_dimension,
     derive_forced_pairs,
+    enumerate_series,
     parse_series,
     pinned_direction,
     q_side,
@@ -33,6 +38,8 @@ from ellchain import (
     validate_determinacy_condition,
     validate_node_condition,
 )
+from ellchain.search import _table_options
+from ellchain.series import CheckResult
 from helpers import mutate_entry
 
 
@@ -211,14 +218,50 @@ class TestForcedPairs:
         assert all(n.forced_pairs == () for n in s.nodes)
 
 
+def _reference_pinned_direction(component, row_index, side):
+    """The pinning rule decided row by row: the reference for ``pinned_direction``."""
+    bundle = component.bundle
+    u, v = component.table.rows[row_index - 1]
+    if isinstance(bundle, SplitLineBundle):
+        return None
+    if isinstance(bundle, Indecomposable):
+        marked = (bundle.marked_u, bundle.marked_v)
+        if (u, v) == marked:
+            return "m"
+        shifted = (u + 1, v) if side == "P" else (u, v + 1)
+        if shifted == marked and 2 * (bundle.marked_u + bundle.marked_v) == bundle.degree:
+            return "m"
+        return None
+    if component.is_generic:
+        return None
+    alive = []
+    for token, summand in (("1", bundle.first), ("2", bundle.second)):
+        p, q = summand.pair
+        if u + v > p + q:
+            continue
+        if u + v == p + q:
+            if (u, v) == (p, q):
+                alive.append(token)
+            continue
+        if u + v == p + q - 1:
+            shifted = (u + 1, v) if side == "P" else (u, v + 1)
+            if shifted != (p, q):
+                alive.append(token)
+            continue
+        alive.append(token)
+    if len(alive) == 1:
+        return alive[0]
+    return None
+
+
 def _reference_forced_pairs(left, right, matching, twist):
     """The per-row derivation that reads the left component itself."""
     pairs = []
     for t, t2 in enumerate(matching, start=1):
         if left.table.rows[t - 1][1] + right.table.rows[t2 - 1][0] != twist:
             continue
-        dl = pinned_direction(left, t, "Q")
-        dr = pinned_direction(right, t2, "P")
+        dl = _reference_pinned_direction(left, t, "Q")
+        dr = _reference_pinned_direction(right, t2, "P")
         if dl is None or dr is None:
             continue
         if (dl, dr) in pairs:
@@ -242,7 +285,7 @@ def _swap_summands(c):
 
 class TestForcedPairsDifferential:
     """``derive_forced_pairs`` on ``q_side(left)`` against the per-row
-    derivation it replaced, which calls ``pinned_direction`` on the left
+    derivation, which applies the reference pinning rule to the left
     component itself."""
 
     CELLS = [
@@ -294,6 +337,326 @@ class TestForcedPairsDifferential:
         outcomes = set()
         self._agree(left, right, (1, 2), 3, outcomes)
         assert outcomes == {"raises"}
+
+
+# ---------------------------------------------------------------------------
+# reference validators, one pass over the components per check and every row
+# in Python: validate_all must give equal reports, diagnostic for diagnostic
+
+
+def _reference_summand_pairs(bundle):
+    if isinstance(bundle, Split):
+        return [bundle.first.pair, bundle.second.pair]
+    if isinstance(bundle, SplitLineBundle):
+        return [bundle.pair]
+    raise TypeError(f"no summands on {type(bundle).__name__}")
+
+
+def _reference_admissibility_failures(bundle, table, generic=False):
+    failures = []
+    if isinstance(bundle, Indecomposable):
+        marked_used = False
+        for j, (u, v) in enumerate(table.rows, start=1):
+            if 2 * (u + v) <= bundle.degree - 2:
+                continue
+            if (u, v) == (bundle.marked_u, bundle.marked_v) and not marked_used:
+                marked_used = True
+                continue
+            failures.append(
+                f"row {j} ({u},{v}) not chargeable to indecomposable bundle "
+                f"(degree {bundle.degree}, marked ({bundle.marked_u},{bundle.marked_v}))"
+            )
+        return failures
+    summands = _reference_summand_pairs(bundle)
+    slot_needed = []
+    for j, (u, v) in enumerate(table.rows, start=1):
+        if any(u + v == p + q - 1 for p, q in summands):
+            continue
+        if not generic and any((u, v) == (p, q) and u + v == p + q for p, q in summands):
+            slot_needed.append((j, (u, v)))
+            continue
+        failures.append(f"row {j} ({u},{v}) not chargeable to any summand")
+    for pair in sorted(set(pv for _, pv in slot_needed)):
+        needed = sum(1 for _, pv in slot_needed if pv == pair)
+        available = summands.count(pair)
+        if needed > available:
+            rows = [j for j, pv in slot_needed if pv == pair]
+            failures.append(
+                f"rows {rows} all require the distinguished section of summand {pair}, "
+                f"which occurs {available} time(s)"
+            )
+    return failures
+
+
+def _reference_node_condition_failures(s):
+    failures = []
+    k = s.sections
+    for n, node in enumerate(s.nodes, start=1):
+        if sorted(node.matching) != list(range(1, k + 1)):
+            failures.append(f"node {n}: matching {node.matching} is not a bijection")
+            continue
+        left = s.components[n - 1].table
+        right = s.components[n].table
+        for t, t2 in enumerate(node.matching, start=1):
+            v = left.rows[t - 1][1]
+            u = right.rows[t2 - 1][0]
+            if v + u < s.twist:
+                failures.append(
+                    f"node {n}: rows {t}->{t2} have v+u = {v}+{u} < twist {s.twist}"
+                )
+    return failures
+
+
+def _reference_structure_failures(s):
+    failures = []
+    if s.twist < 1:
+        failures.append(f"twist {s.twist} must be a positive integer")
+    if s.rank not in (1, 2):
+        failures.append(f"rank {s.rank} unsupported")
+    if len(s.components) != s.chain.length:
+        failures.append(f"{len(s.components)} components on a chain of length {s.chain.length}")
+    if len(s.nodes) != s.chain.length - 1:
+        failures.append(f"{len(s.nodes)} nodes on a chain of length {s.chain.length}")
+    for i, c in enumerate(s.components, start=1):
+        if len(c.table) != s.sections:
+            failures.append(f"component {i}: {len(c.table)} rows, expected {s.sections}")
+        if c.moduli_freedom not in (0, 1):
+            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom}")
+        if s.rank == 1 and not isinstance(c.bundle, SplitLineBundle):
+            failures.append(f"component {i}: rank-1 series needs line bundles")
+        if s.rank == 2 and isinstance(c.bundle, SplitLineBundle):
+            failures.append(f"component {i}: rank-2 series needs rank-two bundles")
+        if isinstance(c.bundle, Indecomposable) and c.moduli_freedom:
+            failures.append(f"component {i}: indecomposable bundles are never generic")
+        for j, (u, v) in enumerate(c.table.rows, start=1):
+            if u < 0 or v < 0:
+                failures.append(f"component {i} row {j}: negative vanishing ({u},{v})")
+    for n, node in enumerate(s.nodes, start=1):
+        if len(node.forced_pairs) > 2:
+            failures.append(f"node {n}: {len(node.forced_pairs)} forced pairs")
+    return failures
+
+
+def _reference_monotonicity_failures(s):
+    failures = []
+    for i, c in enumerate(s.components, start=1):
+        us, vs = c.table.us, c.table.vs
+        if any(us[j] > us[j + 1] for j in range(len(us) - 1)):
+            failures.append(f"component {i}: u not nondecreasing {us}")
+        if any(vs[j] < vs[j + 1] for j in range(len(vs) - 1)):
+            failures.append(f"component {i}: v not nonincreasing {vs}")
+    return failures
+
+
+def _reference_multiplicity_failures(s):
+    failures = []
+    for i, c in enumerate(s.components, start=1):
+        for label, values in (("u", c.table.us), ("v", c.table.vs)):
+            for value in sorted(set(values)):
+                count = values.count(value)
+                if count > s.rank:
+                    failures.append(
+                        f"component {i}: {label}-value {value} occurs {count} times "
+                        f"(rank {s.rank} allows {s.rank})"
+                    )
+    return failures
+
+
+def _reference_validate_all(s):
+    checks = []
+    structure = _reference_structure_failures(s)
+    checks.append(CheckResult("structure", not structure, tuple(structure)))
+    mono = _reference_monotonicity_failures(s)
+    checks.append(CheckResult("monotonicity", not mono, tuple(mono)))
+    mult = _reference_multiplicity_failures(s)
+    checks.append(CheckResult("multiplicity", not mult, tuple(mult)))
+    adm = []
+    for i, c in enumerate(s.components, start=1):
+        adm.extend(
+            f"component {i}: {msg}"
+            for msg in _reference_admissibility_failures(c.bundle, c.table, c.is_generic)
+        )
+    checks.append(CheckResult("admissibility", not adm, tuple(adm)))
+    ok_a = validate_degree_condition(s)
+    checks.append(
+        CheckResult(
+            "degree-condition",
+            ok_a,
+            ()
+            if ok_a
+            else (
+                f"sum(d_i) - r*(M-1)*a = "
+                f"{sum(c.degree for c in s.components)} - {s.rank}*{len(s.components) - 1}*{s.twist}"
+                f" != {s.degree}",
+            ),
+        )
+    )
+    node_failures = _reference_node_condition_failures(s)
+    checks.append(CheckResult("node-condition", not node_failures, tuple(node_failures)))
+    checks.append(CheckResult("determinacy", validate_determinacy_condition(s)))
+    checks.append(CheckResult("canonical-determinant", validate_canonical_determinant(s)))
+    flags = tuple(
+        f"component {i}: indecomposable; determinant checked on degree only, "
+        f"determinacy by the degree <= 2*twist criterion"
+        for i, c in enumerate(s.components, start=1)
+        if isinstance(c.bundle, Indecomposable)
+    )
+    return ValidationReport(tuple(checks), flags)
+
+
+def _with_component(s, i, component):
+    comps = list(s.components)
+    comps[i] = component
+    return replace(s, components=tuple(comps))
+
+
+def _mutant(s, rng):
+    """``s`` with one to three seeded edits: table entries moved by +-1 or
+    +-3 or made negative, a table's rows shuffled, a split's summands
+    swapped, or a node's matching permuted."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(s.components))
+        c = s.components[i]
+        rows = [list(row) for row in c.table.rows]
+        edit = rng.choice(("entry", "entry", "negative", "shuffle", "swap", "matching"))
+        if edit in ("entry", "negative"):
+            row = rng.choice(rows)
+            at = rng.randrange(2)
+            row[at] = -rng.randint(1, 3) if edit == "negative" else row[at] + rng.choice(
+                (-3, -1, 1, 3)
+            )
+        elif edit == "shuffle":
+            rng.shuffle(rows)
+        elif edit == "swap":
+            c = _swap_summands(c)
+        else:
+            if not s.nodes:
+                continue
+            n = rng.randrange(len(s.nodes))
+            matching = list(s.nodes[n].matching)
+            rng.shuffle(matching)
+            nodes = list(s.nodes)
+            nodes[n] = NodeGluing(tuple(matching), nodes[n].forced_pairs)
+            s = replace(s, nodes=tuple(nodes))
+            continue
+        s = _with_component(s, i, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
+    return s
+
+
+def _oracle_leaves(g, r, k):
+    return [parse_series(key) for key in enumerate_series(SearchSpace(g, r, k)).solutions]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The sweep grid for k 2..8 and g up to 30, the canonical series for
+    g up to 20, and the oracle leaves of (4,2,2) and (5,2,4)."""
+    grid = [construct(g, k) for k in range(2, 9) for g in range(theorem_threshold(k), 31)]
+    rank1 = [canonical_limit_series(g) for g in range(2, 21)]
+    return grid + rank1 + _oracle_leaves(4, 2, 2) + _oracle_leaves(5, 2, 4)
+
+
+class TestValidateAllDifferential:
+    """``validate_all`` as one walk per component, and the per-component
+    pinning rule, against the per-check and per-row code they replaced."""
+
+    @staticmethod
+    def _same_directions(c):
+        rows = c.table.rows
+        for side in ("P", "Q"):
+            want = [_reference_pinned_direction(c, t, side) for t in range(1, len(rows) + 1)]
+            assert [pinned_direction(c, t, side) for t in range(1, len(rows) + 1)] == want
+        assert q_side(c) == tuple((v, d) for (_, v), d in zip(rows, want))
+
+    def test_built_and_oracle_series(self, corpus):
+        for s in corpus:
+            assert validate_all(s) == _reference_validate_all(s)
+            assert validate_all(s).all_passed
+            for c in s.components:
+                self._same_directions(c)
+        assert len(corpus) > 900
+
+    def test_seeded_mutants(self, corpus):
+        rng = random.Random(9)
+        failing = set()
+        outcomes = set()
+        for _ in range(5000):
+            s = _mutant(rng.choice(corpus), rng)
+            report = validate_all(s)
+            assert report == _reference_validate_all(s)
+            failing.update(c.name for c in report.failures())
+            for n, node in enumerate(s.nodes):
+                left, right = s.components[n], s.components[n + 1]
+                self._same_directions(left)
+                TestForcedPairsDifferential._agree(left, right, node.matching, s.twist, outcomes)
+        assert failing >= {
+            "structure", "monotonicity", "multiplicity", "admissibility", "node-condition",
+        }
+        assert {0, 1, 2} <= outcomes
+
+    @pytest.mark.parametrize("g, r, k", [(5, 2, 4), (6, 2, 3), (6, 1, 6)])
+    def test_table_options(self, g, r, k):
+        space = SearchSpace(g, r, k)
+        options = [
+            c for i in range(1, g + 1) for c in _table_options(space, i, (0,) * k, -(10**9))[0]
+        ]
+        assert len(options) > 250
+        for c in options:
+            self._same_directions(c)
+
+
+class TestTableLength:
+    """A table with fewer or more rows than ``sections`` is reported, never raised on."""
+
+    @staticmethod
+    def _cut(rows):
+        s = construct(5, 4)
+        c = s.components[2]
+        return _with_component(s, 2, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
+
+    def test_too_short(self):
+        s = self._cut(construct(5, 4).components[2].table.rows[:3])
+        report = validate_all(s)
+        failing = {c.name: c.diagnostics for c in report.failures()}
+        assert failing["structure"] == ("component 3: 3 rows, expected 4",)
+        assert failing["node-condition"] == (
+            "node 2: matching needs 4 rows on components 2 and 3",
+            "node 3: matching needs 4 rows on components 3 and 4",
+        )
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(s)
+
+    def test_too_long(self):
+        s = self._cut(construct(5, 4).components[2].table.rows + ((5, 0),))
+        report = validate_all(s)
+        assert report == _reference_validate_all(s)
+        assert [c.name for c in report.failures()] == ["structure", "admissibility"]
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(s)
+
+    def test_missing_component(self):
+        s = construct(5, 4)
+        report = validate_all(replace(s, components=s.components[:3]))
+        failing = {c.name: c.diagnostics for c in report.failures()}
+        assert failing["structure"][0] == "3 components on a chain of length 5"
+        assert failing["node-condition"] == (
+            "node 3: matching needs 4 rows on components 3 and 4",
+            "node 4: matching needs 4 rows on components 4 and 5",
+        )
+
+    def test_no_sections(self):
+        s = construct(5, 4)
+        empty = replace(
+            s,
+            sections=0,
+            components=tuple(
+                Component(c.bundle, VanishingTable([]), c.moduli_freedom) for c in s.components
+            ),
+            nodes=tuple(NodeGluing(()) for _ in s.nodes),
+        )
+        report = validate_all(empty)
+        assert [c.name for c in report.failures()] == ["structure"]
+        assert report.failures()[0].diagnostics == ("sections 0 must be a positive integer",)
 
 
 class TestSerialization:
