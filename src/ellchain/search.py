@@ -139,7 +139,9 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     matchings and forced-pair tokens are rewritten accordingly; free
     components get the standard representative coefficients.  Idempotent.
     Constructed series and search leaves are canonical already.  Raises
-    ``ValueError`` naming the node whose matching is not a bijection.
+    ``ValueError`` naming the component whose table does not have
+    ``sections`` rows of integers, or the node whose matching is not a
+    bijection.
     """
     k = s.sections
     comps: list[Component] = []
@@ -156,6 +158,10 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
                 rep = SplitLineBundle(i - 1, s.genus - i)
                 bundle = Split(rep, rep)
         rows = c.table.rows
+        if len(rows) != k:
+            raise ValueError(f"component {i}: {len(rows)} rows, expected {k}")
+        if not all(type(u) is int and type(v) is int for u, v in rows):
+            raise ValueError(f"component {i}: vanishing orders must be integers")
         order = sorted(range(k), key=lambda j: (rows[j][0], -rows[j][1], j))
         comps.append(
             Component(bundle, VanishingTable([rows[j] for j in order]), c.moduli_freedom)

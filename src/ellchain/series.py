@@ -27,7 +27,13 @@ appear twice.  This module encodes that calculus exactly:
   once per component and side; ``pinned_direction`` reads one row of it;
 * ``q_side`` is all a node reads of its left component, and
   ``derive_forced_pairs`` takes it in place of that component;
-* ``validate_all`` checks a series in one walk over its components.
+* ``validate_all`` decides every per-component check in one walk over the
+  components: structure and entry types, monotonicity, multiplicity,
+  admissibility, the degree sum, determinacy and the canonical
+  determinant;
+* ``parse_series`` reads the ``k`` row records after a component record as
+  one block and each integer field of a record by one ``map(int, ...)``;
+  the per-token checks run only on the way to a ``ParseError``.
 
 A row ``(u, v)`` on a summand of degree ``d_s`` with ``u + v = d_s - 1``
 has a one-dimensional section space in that summand, but its divisor is
@@ -45,7 +51,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, eq, ge, le
+from operator import add, eq
 
 from .chain import (
     ChainCurve,
@@ -70,7 +76,8 @@ class VanishingTable:
     """Vanishing orders ``(u_j, v_j)`` at ``(P, Q)`` of a basis of sections.
 
     Rows are listed with ``u`` nondecreasing and ``v`` nonincreasing.  The
-    constructor is permissive; monotonicity, multiplicity and
+    constructor is permissive: it keeps each row as given, refusing only a
+    row that is not a pair.  Entry types, monotonicity, multiplicity and
     admissibility are the validators' business, so that corrupted tables
     remain representable and diagnosable.
     """
@@ -78,7 +85,11 @@ class VanishingTable:
     rows: tuple[tuple[int, int], ...]
 
     def __init__(self, rows):
-        object.__setattr__(self, "rows", tuple((int(u), int(v)) for u, v in rows))
+        rows = tuple(map(tuple, rows))
+        if not {*map(len, rows)} <= {2}:
+            j, row = next((j, r) for j, r in enumerate(rows, start=1) if len(r) != 2)
+            raise ValueError(f"row {j} {row!r} is not a (u, v) pair")
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -177,9 +188,14 @@ def admissibility_failures(
     ``2*(u + v) <= D - 2`` (the twisted-down bundle still has at least a
     two-dimensional space of sections), or once when ``(u, v)`` is the
     marked vanishing pair of the distinguished section.
+
+    The row sums settle a table without the per-row loop when every row
+    takes the first branch.
     """
     failures: list[str] = []
     if isinstance(bundle, Indecomposable):
+        if 2 * max(map(sum, table.rows), default=0) <= bundle.degree - 2:
+            return failures
         marked_used = False
         for j, (u, v) in enumerate(table.rows, start=1):
             if 2 * (u + v) <= bundle.degree - 2:
@@ -195,19 +211,21 @@ def admissibility_failures(
 
     summands = _summand_pairs(bundle)
     generic_sums = {p + q - 1 for p, q in summands}
-    slot_needed: list[tuple[int, tuple[int, int]]] = []
-    for j, (u, v) in enumerate(table.rows, start=1):
+    if generic_sums.issuperset(map(sum, table.rows)):
+        return failures
+    # the rows that need each summand's distinguished section
+    slot_rows: dict[tuple[int, int], list[int]] = {}
+    for j, row in enumerate(table.rows, start=1):
+        u, v = row
         if u + v in generic_sums:
             continue
-        if not generic and (u, v) in summands:
-            slot_needed.append((j, (u, v)))
+        if not generic and row in summands:
+            slot_rows.setdefault(row, []).append(j)
             continue
         failures.append(f"row {j} ({u},{v}) not chargeable to any summand")
-    for pair in sorted(set(pv for _, pv in slot_needed)):
-        needed = sum(1 for _, pv in slot_needed if pv == pair)
+    for pair, rows in sorted(slot_rows.items()):
         available = summands.count(pair)
-        if needed > available:
-            rows = [j for j, pv in slot_needed if pv == pair]
+        if len(rows) > available:
             failures.append(
                 f"rows {rows} all require the distinguished section of summand {pair}, "
                 f"which occurs {available} time(s)"
@@ -353,18 +371,26 @@ class ValidationReport:
         return lines
 
 
+def _degree_failures(s: LimitSeries, total: int) -> list[str]:
+    """Condition (a), given ``total = sum(d_i)``."""
+    m = len(s.components)
+    if total - s.rank * (m - 1) * s.twist == s.degree:
+        return []
+    return [f"sum(d_i) - r*(M-1)*a = {total} - {s.rank}*{m - 1}*{s.twist} != {s.degree}"]
+
+
 def validate_degree_condition(s: LimitSeries) -> bool:
     """Condition (a): ``sum(d_i) - r*(M-1)*a == d``."""
-    total = sum(c.degree for c in s.components)
-    m = len(s.components)
-    return total - s.rank * (m - 1) * s.twist == s.degree
+    return not _degree_failures(s, sum(c.degree for c in s.components))
 
 
 def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
     """Diagnostics for condition (b), given each component's ``(us, vs)``.
 
-    A node fails outright when its matching reaches past a short or
-    missing table; else ``min(v + u)`` decides it before any row is named.
+    A component whose entries are not all integers has ``None`` for its
+    columns.  A node fails outright when it touches such a component or
+    its matching reaches past a short or missing table; else
+    ``min(v + u)`` decides it before any row is named.
     """
     failures = []
     k, twist = s.sections, s.twist
@@ -375,6 +401,9 @@ def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
             failures.append(f"node {n}: matching {matching} is not a bijection")
             continue
         sides = columns[n - 1 : n + 1]
+        if None in sides:
+            failures.append(f"node {n}: components {n} and {n + 1} need integer rows")
+            continue
         if len(sides) < 2 or min(len(sides[0][0]), len(sides[1][0])) < k:
             failures.append(f"node {n}: matching needs {k} rows on components {n} and {n + 1}")
             continue
@@ -394,57 +423,69 @@ def validate_node_condition(s: LimitSeries) -> bool:
     return not _node_condition_failures(s, columns)
 
 
-def validate_determinacy_condition(s: LimitSeries) -> bool:
-    """Condition (c), by the sufficient degree criterion.
+def _determined(bundle: BundleLike, twist: int) -> bool:
+    """Condition (c) on one component, by the sufficient degree criterion.
 
     A section of a line bundle of degree at most ``a``, twisted down by
     ``a`` at a point, has nonpositive degree and is determined by its
     value there; so split summands of degree ``<= a`` suffice, and an
     indecomposable bundle of degree ``<= 2a`` likewise.
     """
-    for c in s.components:
-        if isinstance(c.bundle, Indecomposable):
-            if c.bundle.degree > 2 * s.twist:
-                return False
-        else:
-            if any(p + q > s.twist for p, q in _summand_pairs(c.bundle)):
-                return False
-    return True
+    if isinstance(bundle, Indecomposable):
+        return bundle.degree <= 2 * twist
+    return max(map(sum, _summand_pairs(bundle))) <= twist
 
 
-def validate_canonical_determinant(s: LimitSeries) -> bool:
-    """Every component determinant equals the canonical restriction.
+def _canonical_determinant(bundle: BundleLike, i: int, g: int) -> bool:
+    """Whether component ``i``'s determinant is the canonical restriction.
 
     Indecomposable components are checked on degree only (their class is
     not representable); ``validate_all`` flags that weaker check.
     """
-    g = s.genus
-    for i, c in enumerate(s.components, start=1):
-        want = canonical_restriction(i, g)
-        if isinstance(c.bundle, Indecomposable):
-            if c.bundle.degree != want[0] + want[1]:
-                return False
-        elif isinstance(c.bundle, SplitLineBundle):
-            if c.bundle.pair != want:
-                return False
-        else:
-            if determinant(c.bundle) != want:
-                return False
-    return True
+    want = canonical_restriction(i, g)
+    if isinstance(bundle, Indecomposable):
+        return bundle.degree == want[0] + want[1]
+    if isinstance(bundle, SplitLineBundle):
+        return bundle.pair == want
+    return determinant(bundle) == want
+
+
+def validate_determinacy_condition(s: LimitSeries) -> bool:
+    """Condition (c), by the sufficient degree criterion, on every component."""
+    return all(_determined(c.bundle, s.twist) for c in s.components)
+
+
+def validate_canonical_determinant(s: LimitSeries) -> bool:
+    """Every component determinant equals the canonical restriction."""
+    return all(
+        _canonical_determinant(c.bundle, i, s.genus)
+        for i, c in enumerate(s.components, start=1)
+    )
+
+
+_INT = frozenset((int,))
 
 
 def validate_all(s: LimitSeries) -> ValidationReport:
     """Run every validator and collect a per-check report.
 
-    Structure, monotonicity, multiplicity and admissibility come from one
-    walk over the components.  Each table's rows are unpacked once into
-    columns, every check is decided by whole-column passes, and a
-    diagnostic is built only for a row, value or node that fails.
+    Every check that reads a component is decided in one walk over the
+    components: structure, monotonicity, multiplicity, admissibility, the
+    degree sum, determinacy and the canonical determinant (the last two by
+    the per-component rules the standalone validators apply).  Each
+    table's rows are unpacked once into columns, and every table check is
+    a whole-column pass: entry types by one ``map(type, ...)`` over the
+    table; monotonicity, negative entries and multiplicity from one sort
+    of each column; admissibility by ``admissibility_failures``, whose row
+    sums settle most tables without its per-row loop.  A diagnostic is
+    built only for a row, value or node that fails.  A component with an
+    entry whose type is not ``int`` is a structure failure, and its
+    numbers are not read.
     """
-    k, rank = s.sections, s.rank
+    k, rank, twist = s.sections, s.rank, s.twist
     structure, mono, mult, adm, flags = [], [], [], [], []
-    if s.twist < 1:
-        structure.append(f"twist {s.twist} must be a positive integer")
+    if twist < 1:
+        structure.append(f"twist {twist} must be a positive integer")
     if rank not in (1, 2):
         structure.append(f"rank {rank} unsupported")
     if k < 1:
@@ -455,10 +496,13 @@ def validate_all(s: LimitSeries) -> ValidationReport:
         structure.append(f"{len(s.nodes)} nodes on a chain of length {s.chain.length}")
 
     columns = []
+    total, determined, canonical = 0, True, True
     for i, c in enumerate(s.components, start=1):
         bundle, rows = c.bundle, c.table.rows
-        us, vs = tuple(zip(*rows)) or ((), ())
-        columns.append((us, vs))
+        total += bundle.degree
+        # like the standalone validators, each stops at its first failure
+        determined = determined and _determined(bundle, twist)
+        canonical = canonical and _canonical_determinant(bundle, i, s.genus)
         if len(rows) != k:
             structure.append(f"component {i}: {len(rows)} rows, expected {k}")
         if c.moduli_freedom not in (0, 1):
@@ -475,23 +519,32 @@ def validate_all(s: LimitSeries) -> ValidationReport:
                 f"component {i}: indecomposable; determinant checked on degree only, "
                 f"determinacy by the degree <= 2*twist criterion"
             )
-        if min(us, default=0) < 0 or min(vs, default=0) < 0:
+
+        us, vs = tuple(zip(*rows)) or ((), ())
+        if not _INT.issuperset(map(type, us + vs)):
+            structure.extend(
+                f"component {i} row {j}: non-integer vanishing ({u!r},{v!r})"
+                for j, (u, v) in enumerate(rows, start=1)
+                if type(u) is not int or type(v) is not int
+            )
+            columns.append(None)
+            continue
+        columns.append((us, vs))
+        # each column sorted the way it should run: it is monotone when it is
+        # its own sort, its least entry is at one end of the sort, and a value
+        # occurs more than rank times when it equals the value rank places on
+        u_run, v_run = sorted(us), sorted(vs, reverse=True)
+        if (u_run and u_run[0] < 0) or (v_run and v_run[-1] < 0):
             structure.extend(
                 f"component {i} row {j}: negative vanishing ({u},{v})"
                 for j, (u, v) in enumerate(rows, start=1)
                 if u < 0 or v < 0
             )
-
-        u_sorted, v_sorted = all(map(le, us, us[1:])), all(map(ge, vs, vs[1:]))
-        if not u_sorted:
+        if u_run != list(us):
             mono.append(f"component {i}: u not nondecreasing {us}")
-        if not v_sorted:
+        if v_run != list(vs):
             mono.append(f"component {i}: v not nonincreasing {vs}")
-
-        for label, values, monotone in (("u", us, u_sorted), ("v", vs, v_sorted)):
-            # in a monotone run, a value occurs more than rank times exactly
-            # when it equals the value rank places on
-            run = values if monotone else sorted(values)
+        for label, values, run in (("u", us, u_run), ("v", vs, v_run)):
             if any(map(eq, run, run[max(rank, 0) :])):
                 mult.extend(
                     f"component {i}: {label}-value {value} occurs {count} times "
@@ -499,7 +552,6 @@ def validate_all(s: LimitSeries) -> ValidationReport:
                     for value, count in sorted(Counter(values).items())
                     if count > rank
                 )
-
         adm.extend(
             f"component {i}: {msg}"
             for msg in admissibility_failures(bundle, c.table, c.is_generic)
@@ -508,11 +560,6 @@ def validate_all(s: LimitSeries) -> ValidationReport:
         if len(node.forced_pairs) > 2:
             structure.append(f"node {n}: {len(node.forced_pairs)} forced pairs")
 
-    degree = [] if validate_degree_condition(s) else [
-        f"sum(d_i) - r*(M-1)*a = "
-        f"{sum(c.degree for c in s.components)} - {rank}*{len(s.components) - 1}*{s.twist}"
-        f" != {s.degree}"
-    ]
     checks = [
         CheckResult(name, not diagnostics, tuple(diagnostics))
         for name, diagnostics in (
@@ -520,12 +567,12 @@ def validate_all(s: LimitSeries) -> ValidationReport:
             ("monotonicity", mono),
             ("multiplicity", mult),
             ("admissibility", adm),
-            ("degree-condition", degree),
+            ("degree-condition", _degree_failures(s, total)),
             ("node-condition", _node_condition_failures(s, columns)),
         )
     ]
-    checks.append(CheckResult("determinacy", validate_determinacy_condition(s)))
-    checks.append(CheckResult("canonical-determinant", validate_canonical_determinant(s)))
+    checks.append(CheckResult("determinacy", determined))
+    checks.append(CheckResult("canonical-determinant", canonical))
     return ValidationReport(tuple(checks), tuple(flags))
 
 
@@ -586,7 +633,31 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise ParseError(line_no, f"expected integer {what}, got {token!r}") from None
 
 
+def _parse_ints(tokens: list[str], line_no: int, what: str) -> list[int]:
+    """``tokens`` as integers, read by one ``map(int, ...)``.
+
+    Only when that fails are they re-read one at a time by ``_parse_int``,
+    so that the error names the first bad token.
+    """
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_parse_int(t, line_no, what) for t in tokens]
+
+
 def parse_series(text: str) -> LimitSeries:
+    """Read the text of a series file; a malformed line raises ``ParseError``.
+
+    Records are read in one loop over the lines.  The ``k`` lines after a
+    component record are first read as one block of ``row <u> <v>``
+    records; coefficients, moduli and matchings by one ``map(int, ...)``
+    per field; and an index spelled as the expected one is taken as read.
+    A block that does not read that way (a blank line, a short block, a
+    bad token) is left to the loop, which reads its lines one record at a
+    time; a field that does not is re-read one token at a time.  So the
+    error names the line and token it always named, and the per-token
+    checks run only on the way to it.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty input")
@@ -606,7 +677,10 @@ def parse_series(text: str) -> LimitSeries:
     expected_keys = ["genus", "rank", "sections", "degree", "twist"]
     if len(params) != 10 or params[0::2] != expected_keys:
         raise ParseError(2, f"expected '{' '.join(k + ' <n>' for k in expected_keys)}'")
-    g, r, k, d, a = (_parse_int(params[i], 2, params[i - 1]) for i in (1, 3, 5, 7, 9))
+    try:
+        g, r, k, d, a = map(int, params[1::2])
+    except ValueError:
+        g, r, k, d, a = (_parse_int(params[i], 2, params[i - 1]) for i in (1, 3, 5, 7, 9))
 
     components: list[Component] = []
     nodes: list[NodeGluing] = []
@@ -628,8 +702,11 @@ def parse_series(text: str) -> LimitSeries:
         pending_bundle = None
         pending_rows.clear()
 
-    for line_no, raw in enumerate(lines[2:], start=3):
-        tokens = raw.split()
+    at = 2  # index of the next line to read; its line number is at + 1
+    while at < len(lines):
+        tokens = lines[at].split()
+        at += 1
+        line_no = at
         if not tokens:
             continue
         kind = tokens[0]
@@ -637,15 +714,17 @@ def parse_series(text: str) -> LimitSeries:
             close_component(line_no)
             if len(tokens) < 3:
                 raise ParseError(line_no, "truncated component record")
-            index = _parse_int(tokens[1], line_no, "component index")
-            if index != len(components) + 1:
-                raise ParseError(line_no, f"component index {index} out of order")
+            # the expected index, written as the format writes it, needs no parse
+            if tokens[1] != str(len(components) + 1):
+                index = _parse_int(tokens[1], line_no, "component index")
+                if index != len(components) + 1:
+                    raise ParseError(line_no, f"component index {index} out of order")
             bkind = tokens[2]
             rest = tokens[3:]
             if len(rest) < 2 or rest[-2] != "moduli":
                 raise ParseError(line_no, "component record must end with 'moduli <n>'")
-            moduli = _parse_int(rest[-1], line_no, "moduli freedom")
-            coeffs = [_parse_int(t, line_no, "bundle coefficient") for t in rest[:-2]]
+            (moduli,) = _parse_ints(rest[-1:], line_no, "moduli freedom")
+            coeffs = _parse_ints(rest[:-2], line_no, "bundle coefficient")
             make = _BUNDLE_RECORDS.get((bkind, len(coeffs)))
             if make is None:
                 raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
@@ -654,6 +733,18 @@ def parse_series(text: str) -> LimitSeries:
             except ValueError as e:
                 raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
             pending_moduli = moduli
+            # the table, when its k lines are k well-formed row records
+            try:
+                block = [
+                    (int(u), int(v))
+                    for tag, u, v in map(str.split, lines[at : at + k])
+                    if tag == "row"
+                ]
+            except ValueError:
+                block = []
+            if len(block) == k:
+                pending_rows.extend(block)
+                at += k
         elif kind == "row":
             if pending_bundle is None:
                 raise ParseError(line_no, "row outside a component record")
@@ -669,16 +760,16 @@ def parse_series(text: str) -> LimitSeries:
             close_component(line_no)
             if len(tokens) < 4 or tokens[2] != "matching":
                 raise ParseError(line_no, "expected 'node <i> matching ... forced ...'")
-            index = _parse_int(tokens[1], line_no, "node index")
-            if index != len(nodes) + 1:
-                raise ParseError(line_no, f"node index {index} out of order")
+            # the expected index, written as the format writes it, needs no parse
+            if tokens[1] != str(len(nodes) + 1):
+                index = _parse_int(tokens[1], line_no, "node index")
+                if index != len(nodes) + 1:
+                    raise ParseError(line_no, f"node index {index} out of order")
             try:
                 split_at = tokens.index("forced")
             except ValueError:
                 raise ParseError(line_no, "node record missing 'forced'") from None
-            matching = tuple(
-                _parse_int(t, line_no, "matching entry") for t in tokens[3:split_at]
-            )
+            matching = tuple(_parse_ints(tokens[3:split_at], line_no, "matching entry"))
             if len(matching) != k:
                 raise ParseError(line_no, f"matching has {len(matching)} entries, expected {k}")
             forced_tokens = tokens[split_at + 1 :]

@@ -76,6 +76,29 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match=r"node 1: matching .* not a bijection"):
             key(replace(s, nodes=nodes))
 
+    @pytest.mark.parametrize(
+        "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
+    )
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((0, 3), (1, 3), (2, 1)), "3 rows, expected 4"),
+            (((0, 3), (1, 3), (2, 1), (3, 1), (5, 0)), "5 rows, expected 4"),
+            (((0, 3), (1, 3), (2.0, 1), (3, 1)), "vanishing orders must be integers"),
+            (((0, 3), (1, 3), (2, "1"), (3, 1)), "vanishing orders must be integers"),
+        ],
+        ids=["short", "long", "float", "str"],
+    )
+    def test_bad_table_refused(self, key, rows, message):
+        from ellchain import Component, VanishingTable
+
+        s = construct(5, 4)
+        c = s.components[2]
+        comps = list(s.components)
+        comps[2] = Component(c.bundle, VanishingTable(rows), c.moduli_freedom)
+        with pytest.raises(ValueError, match=f"^component 3: {message}$"):
+            key(replace(s, components=tuple(comps)))
+
 
 class TestRankOneUniqueness:
     @pytest.mark.parametrize("g", range(2, 11))

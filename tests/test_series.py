@@ -38,8 +38,16 @@ from ellchain import (
     validate_determinacy_condition,
     validate_node_condition,
 )
+from ellchain import series as series_module
 from ellchain.search import _table_options
-from ellchain.series import CheckResult
+from ellchain.series import (
+    DIR_FIRST,
+    DIR_MARKED,
+    DIR_SECOND,
+    FORMAT_HEADER,
+    FORMAT_VERSION,
+    CheckResult,
+)
 from helpers import mutate_entry
 
 
@@ -462,6 +470,40 @@ def _reference_multiplicity_failures(s):
     return failures
 
 
+def _reference_degree_condition(s):
+    total = sum(c.degree for c in s.components)
+    m = len(s.components)
+    return total - s.rank * (m - 1) * s.twist == s.degree
+
+
+def _reference_determinacy_condition(s):
+    for c in s.components:
+        if isinstance(c.bundle, Indecomposable):
+            if c.bundle.degree > 2 * s.twist:
+                return False
+        else:
+            if any(p + q > s.twist for p, q in _reference_summand_pairs(c.bundle)):
+                return False
+    return True
+
+
+def _reference_canonical_determinant(s):
+    g = s.genus
+    for i, c in enumerate(s.components, start=1):
+        want = (2 * i - 2, 2 * g - 2 * i)
+        if isinstance(c.bundle, Indecomposable):
+            if c.bundle.degree != want[0] + want[1]:
+                return False
+        elif isinstance(c.bundle, SplitLineBundle):
+            if c.bundle.pair != want:
+                return False
+        else:
+            first, second = c.bundle.first, c.bundle.second
+            if (first.p + second.p, first.q + second.q) != want:
+                return False
+    return True
+
+
 def _reference_validate_all(s):
     checks = []
     structure = _reference_structure_failures(s)
@@ -477,7 +519,7 @@ def _reference_validate_all(s):
             for msg in _reference_admissibility_failures(c.bundle, c.table, c.is_generic)
         )
     checks.append(CheckResult("admissibility", not adm, tuple(adm)))
-    ok_a = validate_degree_condition(s)
+    ok_a = _reference_degree_condition(s)
     checks.append(
         CheckResult(
             "degree-condition",
@@ -493,8 +535,8 @@ def _reference_validate_all(s):
     )
     node_failures = _reference_node_condition_failures(s)
     checks.append(CheckResult("node-condition", not node_failures, tuple(node_failures)))
-    checks.append(CheckResult("determinacy", validate_determinacy_condition(s)))
-    checks.append(CheckResult("canonical-determinant", validate_canonical_determinant(s)))
+    checks.append(CheckResult("determinacy", _reference_determinacy_condition(s)))
+    checks.append(CheckResult("canonical-determinant", _reference_canonical_determinant(s)))
     flags = tuple(
         f"component {i}: indecomposable; determinant checked on degree only, "
         f"determinacy by the degree <= 2*twist criterion"
@@ -593,6 +635,36 @@ class TestValidateAllDifferential:
             "structure", "monotonicity", "multiplicity", "admissibility", "node-condition",
         }
         assert {0, 1, 2} <= outcomes
+
+    def test_bundle_and_twist_mutants(self, corpus):
+        # the degree sum, determinacy and the canonical determinant are
+        # decided in the walk; the standalone validators share its rule
+        rng = random.Random(10)
+        failing = set()
+        for _ in range(2000):
+            s = rng.choice(corpus)
+            edit = rng.choice(("twist", "bundle", "bundle"))
+            if edit == "twist":
+                s = replace(s, twist=s.twist + rng.choice((-1, 1)))
+            else:
+                i = rng.randrange(len(s.components))
+                c = s.components[i]
+                b, step = c.bundle, rng.choice((-1, 1, 2))
+                if isinstance(b, Split):
+                    b = Split(SplitLineBundle(b.first.p, max(b.first.q + step, 0)), b.second)
+                elif isinstance(b, SplitLineBundle):
+                    b = SplitLineBundle(b.p, max(b.q + step, 0))
+                else:
+                    b = Indecomposable(b.degree + 2 * step, b.marked_u, b.marked_v)
+                s = _with_component(s, i, Component(b, c.table, c.moduli_freedom))
+            report = validate_all(s)
+            assert report == _reference_validate_all(s)
+            by_name = {c.name: c.passed for c in report.checks}
+            assert by_name["determinacy"] == validate_determinacy_condition(s)
+            assert by_name["canonical-determinant"] == validate_canonical_determinant(s)
+            assert by_name["degree-condition"] == validate_degree_condition(s)
+            failing.update(c.name for c in report.failures())
+        assert failing >= {"determinacy", "canonical-determinant", "degree-condition"}
 
     @pytest.mark.parametrize("g, r, k", [(5, 2, 4), (6, 2, 3), (6, 1, 6)])
     def test_table_options(self, g, r, k):
@@ -740,3 +812,321 @@ def test_token_mutants_parse_or_raise_parse_error(text):
         assert canonical_key(s)
     except ValueError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the parser: block reads against the line-at-a-time parser they replaced
+
+_REFERENCE_BUNDLE_RECORDS = {
+    ("split", 4): lambda p1, q1, p2, q2: Split(SplitLineBundle(p1, q1), SplitLineBundle(p2, q2)),
+    ("line", 2): SplitLineBundle,
+    ("indec", 3): Indecomposable,
+}
+
+
+def _reference_parse_int(token, line_no, what):
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(line_no, f"expected integer {what}, got {token!r}") from None
+
+
+def _reference_parse_series(text):
+    """The line-at-a-time parser with a ``_parse_int`` call per token."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty input")
+    # int() also reads '_' separators, a '+' sign and non-ASCII digits, none
+    # of which the format writes; one scan of the text keeps parsing cheap
+    if not text.isascii() or "_" in text or "+" in text:
+        at = next(i for i, ch in enumerate(text) if not ch.isascii() or ch in "_+")
+        raise ParseError(len(text[: at + 1].splitlines()), f"unexpected character {text[at]!r}")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != FORMAT_HEADER:
+        raise ParseError(1, f"expected '{FORMAT_HEADER} <version>' header")
+    if head[1] != FORMAT_VERSION:
+        raise ParseError(1, f"unknown format version {head[1]!r}")
+    if len(lines) < 2:
+        raise ParseError(2, "missing parameter line")
+    params = lines[1].split()
+    expected_keys = ["genus", "rank", "sections", "degree", "twist"]
+    if len(params) != 10 or params[0::2] != expected_keys:
+        raise ParseError(2, f"expected '{' '.join(k + ' <n>' for k in expected_keys)}'")
+    g, r, k, d, a = (_reference_parse_int(params[i], 2, params[i - 1]) for i in (1, 3, 5, 7, 9))
+
+    components = []
+    nodes = []
+    pending_bundle = None
+    pending_moduli = 0
+    pending_rows = []
+
+    def close_component(line_no):
+        nonlocal pending_bundle
+        if pending_bundle is None:
+            return
+        if len(pending_rows) != k:
+            raise ParseError(
+                line_no, f"component {len(components) + 1} has {len(pending_rows)} rows, expected {k}"
+            )
+        components.append(
+            Component(pending_bundle, VanishingTable(pending_rows), pending_moduli)
+        )
+        pending_bundle = None
+        pending_rows.clear()
+
+    for line_no, raw in enumerate(lines[2:], start=3):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        kind = tokens[0]
+        if kind == "component":
+            close_component(line_no)
+            if len(tokens) < 3:
+                raise ParseError(line_no, "truncated component record")
+            index = _reference_parse_int(tokens[1], line_no, "component index")
+            if index != len(components) + 1:
+                raise ParseError(line_no, f"component index {index} out of order")
+            bkind = tokens[2]
+            rest = tokens[3:]
+            if len(rest) < 2 or rest[-2] != "moduli":
+                raise ParseError(line_no, "component record must end with 'moduli <n>'")
+            moduli = _reference_parse_int(rest[-1], line_no, "moduli freedom")
+            coeffs = [_reference_parse_int(t, line_no, "bundle coefficient") for t in rest[:-2]]
+            make = _REFERENCE_BUNDLE_RECORDS.get((bkind, len(coeffs)))
+            if make is None:
+                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
+            try:
+                pending_bundle = make(*coeffs)
+            except ValueError as e:
+                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
+            pending_moduli = moduli
+        elif kind == "row":
+            if pending_bundle is None:
+                raise ParseError(line_no, "row outside a component record")
+            if len(tokens) != 3:
+                raise ParseError(line_no, "expected 'row <u> <v>'")
+            pending_rows.append(
+                (
+                    _reference_parse_int(tokens[1], line_no, "u"),
+                    _reference_parse_int(tokens[2], line_no, "v"),
+                )
+            )
+        elif kind == "node":
+            close_component(line_no)
+            if len(tokens) < 4 or tokens[2] != "matching":
+                raise ParseError(line_no, "expected 'node <i> matching ... forced ...'")
+            index = _reference_parse_int(tokens[1], line_no, "node index")
+            if index != len(nodes) + 1:
+                raise ParseError(line_no, f"node index {index} out of order")
+            try:
+                split_at = tokens.index("forced")
+            except ValueError:
+                raise ParseError(line_no, "node record missing 'forced'") from None
+            matching = tuple(
+                _reference_parse_int(t, line_no, "matching entry") for t in tokens[3:split_at]
+            )
+            if len(matching) != k:
+                raise ParseError(line_no, f"matching has {len(matching)} entries, expected {k}")
+            forced_tokens = tokens[split_at + 1 :]
+            forced = []
+            if forced_tokens != ["-"]:
+                for t in forced_tokens:
+                    sides = t.split(":")
+                    if len(sides) != 2 or not all(
+                        x in (DIR_FIRST, DIR_SECOND, DIR_MARKED) for x in sides
+                    ):
+                        raise ParseError(line_no, f"bad forced pair {t!r}")
+                    forced.append((sides[0], sides[1]))
+            nodes.append(NodeGluing(matching, tuple(forced)))
+        else:
+            raise ParseError(line_no, f"unknown record {kind!r}")
+    close_component(len(lines) + 1)
+
+    if len(components) != g:
+        raise ParseError(len(lines), f"{len(components)} components, expected genus {g}")
+    if len(nodes) != g - 1:
+        raise ParseError(len(lines), f"{len(nodes)} nodes, expected {g - 1}")
+    return LimitSeries(
+        chain=ChainCurve(g),
+        rank=r,
+        sections=k,
+        degree=d,
+        twist=a,
+        components=tuple(components),
+        nodes=tuple(nodes),
+    )
+
+
+def _same_parse(text):
+    """Both parsers give equal series, or ``ParseError`` with equal message
+    and line number; returns the series, or the error."""
+    try:
+        want = _reference_parse_series(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            parse_series(text)
+        assert (str(got.value), got.value.line_no) == (str(e), e.line_no)
+        return e
+    assert parse_series(text) == want
+    return want
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(token_mutants())
+def test_token_mutants_parse_as_the_line_parser(text):
+    _same_parse(text)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(token_mutants())
+def test_token_mutants_round_trip(text):
+    try:
+        s = parse_series(text)
+    except ParseError:
+        return
+    again = serialize_series(s)
+    assert parse_series(again) == s
+    assert serialize_series(parse_series(again)) == again
+
+
+_K4 = serialize_series(construct(5, 4)).splitlines()  # k = 4, component 2 at line 8
+
+
+def _edited(edit):
+    lines = list(_K4)
+    edit(lines)
+    return "\n".join(lines) + "\n"
+
+
+def _set(at, text):
+    return lambda lines: lines.__setitem__(at - 1, text)
+
+
+def _insert(at, text):
+    return lambda lines: lines.insert(at - 1, text)
+
+
+class TestParserHandCases:
+    """Malformed row blocks and records: the error the line parser gave,
+    at the line it gave, and the block read only where it is well formed."""
+
+    @pytest.mark.parametrize(
+        "edit, line_no, message",
+        [
+            # a row block cut short by the next record
+            (_set(12, "node 1 matching 1 2 3 4 forced -"), 12, "component 2 has 3 rows, expected 4"),
+            (lambda lines: lines.__delitem__(11), 12, "component 2 has 3 rows, expected 4"),
+            (_insert(11, "component 3 split 1 3 3 1 moduli 0"), 11, "component 2 has 2 rows, expected 4"),
+            # a row of 2 or 4 tokens
+            (_set(10, "  row 0 3 7"), 10, "expected 'row <u> <v>'"),
+            (_set(10, "  row 0"), 10, "expected 'row <u> <v>'"),
+            # a bad u in the k-th row, a bad v in the first
+            (_set(12, "  row x 1"), 12, "expected integer u, got 'x'"),
+            (_set(9, "  row 0 4.0"), 9, "expected integer v, got '4.0'"),
+            # a row before any component
+            (_insert(3, "  row 0 4"), 3, "row outside a component record"),
+            # bad matching entries, bad bundle coefficients
+            (_set(29, "node 2 matching 1 2 y 4 forced 1:2 2:1"), 29, "expected integer matching entry, got 'y'"),
+            (_set(8, "component 2 split 0 4 two 2 moduli 0"), 8, "expected integer bundle coefficient, got 'two'"),
+            (_set(8, "component 2 split 0 4 2 2 moduli one"), 8, "expected integer moduli freedom, got 'one'"),
+            (_set(8, "component z split 0 4 2 2 moduli 0"), 8, "expected integer component index, got 'z'"),
+            (_set(2, "genus 5 rank 2 sections four degree 8 twist 4"), 2, "expected integer sections, got 'four'"),
+        ],
+    )
+    def test_errors(self, edit, line_no, message):
+        err = _same_parse(_edited(edit))
+        assert isinstance(err, ParseError)
+        assert (err.line_no, str(err)) == (line_no, f"line {line_no}: {message}")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [_insert(10, ""), _insert(10, "   \t "), _insert(9, ""), _insert(13, "")],
+        ids=["blank", "whitespace", "after-record", "after-block"],
+    )
+    def test_blank_line_in_or_by_a_block_is_ignored(self, edit):
+        assert _same_parse(_edited(edit)) == construct(5, 4)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set(8, "component 02 split 0 4 2 2 moduli 0"),
+            _set(29, "node 002 matching 1 2 3 4 forced 1:2 2:1"),
+            _set(8, "component 2 split 0 4 2 2 moduli -0"),
+            _set(10, "  row 00 3"),
+        ],
+        ids=["component-index", "node-index", "moduli", "row"],
+    )
+    def test_integers_not_written_as_the_format_writes_them(self, edit):
+        assert _same_parse(_edited(edit)) == construct(5, 4)
+
+    def test_extra_row_after_a_full_block(self):
+        err = _same_parse(_edited(_insert(13, "  row 2 1")))
+        assert str(err) == "line 14: component 2 has 5 rows, expected 4"
+
+
+def test_per_token_checks_run_only_on_failure(monkeypatch):
+    calls = []
+    shipped = series_module._parse_int
+
+    def counting(*args):
+        calls.append(args)
+        return shipped(*args)
+
+    monkeypatch.setattr(series_module, "_parse_int", counting)
+    counts = []
+    for g, k in ((40, 3), (1000, 30)):
+        calls.clear()
+        parse_series(serialize_series(construct(g, k)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    calls.clear()
+    with pytest.raises(ParseError, match="line 12: expected integer u"):
+        parse_series(_edited(_set(12, "  row x 1")))
+    assert calls  # the failing block is re-read token by token
+
+
+# ---------------------------------------------------------------------------
+# tables keep their rows as given; validate_all reports what is not an int
+
+
+class TestEntryTypes:
+    def test_rows_kept_as_given(self):
+        assert VanishingTable([(0.9, 7)]).rows == ((0.9, 7),)
+        assert VanishingTable([("3", True)]).rows == (("3", True),)
+        assert VanishingTable([[1, 2], (3, 4)]).rows == ((1, 2), (3, 4))
+
+    @pytest.mark.parametrize("row", [(1, 2, 3), (1,), ()])
+    def test_row_that_is_not_a_pair_refused(self, row):
+        with pytest.raises(ValueError, match=re.escape(f"row 2 {row!r} is not a (u, v) pair")):
+            VanishingTable([(0, 1), row])
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
+    @pytest.mark.parametrize("entry", [0.9, "2", 2.0, True], ids=["float", "str", "2.0", "bool"])
+    def test_non_int_entry_is_a_structure_failure(self, entry, column):
+        s = construct(5, 4)
+        c = s.components[2]  # row 3 is (2, 1)
+        rows = list(c.table.rows)
+        rows[2] = (entry, 1) if column == 0 else (2, entry)
+        bad = _with_component(s, 2, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
+        report = validate_all(bad)
+        failing = {c.name: c.diagnostics for c in report.failures()}
+        u, v = rows[2]
+        assert failing == {
+            "structure": (f"component 3 row 3: non-integer vanishing ({u!r},{v!r})",),
+            "node-condition": (
+                "node 2: components 2 and 3 need integer rows",
+                "node 3: components 3 and 4 need integer rows",
+            ),
+        }
+
+    def test_float_equal_to_an_int_is_still_refused(self):
+        # 2.0 == 2, so the series equals the constructed one, which every
+        # check passes; only the entry type tells them apart
+        s = construct(5, 4)
+        c = s.components[2]
+        rows = ((0, 3), (1, 3), (2.0, 1), (3, 1))
+        bad = _with_component(s, 2, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
+        assert bad == s and validate_all(s).all_passed
+        assert not validate_all(bad).all_passed
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(bad)
