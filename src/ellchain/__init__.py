@@ -49,18 +49,11 @@ from .series import (
     ParseError,
     ValidationReport,
     VanishingTable,
-    admissible_table,
-    admissibility_failures,
     derive_forced_pairs,
     parse_series,
-    pinned_direction,
     q_side,
     serialize_series,
     validate_all,
-    validate_canonical_determinant,
-    validate_degree_condition,
-    validate_determinacy_condition,
-    validate_node_condition,
 )
 from .stability import (
     DestabilizingChain,
@@ -93,8 +86,6 @@ __all__ = [
     "ThresholdError",
     "ValidationReport",
     "VanishingTable",
-    "admissibility_failures",
-    "admissible_table",
     "canonical_form",
     "canonical_key",
     "canonical_limit_series",
@@ -112,7 +103,6 @@ __all__ = [
     "enumerate_series",
     "external_stable_case",
     "parse_series",
-    "pinned_direction",
     "prefix_key",
     "q_side",
     "rho_canonical",
@@ -120,8 +110,4 @@ __all__ = [
     "serialize_series",
     "theorem_threshold",
     "validate_all",
-    "validate_canonical_determinant",
-    "validate_degree_condition",
-    "validate_determinacy_condition",
-    "validate_node_condition",
 ]

@@ -18,19 +18,20 @@ is the distinguished section of ``O(u*P + v*Q)`` itself, and only when the
 bundle is exactly that class.  For rank two every vanishing value may
 appear twice.  This module encodes that calculus exactly:
 
-* ``admissible_table`` charges each table row either to the generic
-  ``d - 1`` budget of a summand or to the single ``sum = d`` slot that a
-  pinned summand provides;
+* admissibility charges each table row either to the generic ``d - 1``
+  budget of a summand or to the single ``sum = d`` slot that a pinned
+  summand provides;
 * the direction-pinning rule decides when a row's section has a forced
   direction in the fiber at a node, which is what turns some gluings from
   four free parameters into three or two.  It lives in one place and runs
-  once per component and side; ``pinned_direction`` reads one row of it;
+  once per component and side;
 * ``q_side`` is all a node reads of its left component, and
   ``derive_forced_pairs`` takes it in place of that component;
-* ``validate_all`` decides every per-component check in one walk over the
-  components: structure and entry types, monotonicity, multiplicity,
-  admissibility, the degree sum, determinacy and the canonical
-  determinant;
+* ``validate_all`` is the one validator.  It decides every check in one
+  walk over the components: structure and entry types, monotonicity,
+  multiplicity, admissibility, the degree sum, the node condition,
+  determinacy and the canonical determinant, each failure named with the
+  numbers it compared;
 * ``parse_series`` reads the ``k`` row records after a component record as
   one block and each integer field of a record by one ``map(int, ...)``;
   the per-token checks run only on the way to a ``ParseError``.
@@ -233,13 +234,6 @@ def admissibility_failures(
     return failures
 
 
-def admissible_table(
-    bundle: BundleLike, table: VanishingTable, generic: bool = False
-) -> bool:
-    """Whether every row of ``table`` is realizable by sections of ``bundle``."""
-    return not admissibility_failures(bundle, table, generic)
-
-
 # ---------------------------------------------------------------------------
 # direction pinning and forced pairs
 
@@ -277,16 +271,6 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
         # identical summands live or die together and pin nothing
         pins.append(None if alive1 == alive2 else DIR_FIRST if alive1 else DIR_SECOND)
     return tuple(pins)
-
-
-def pinned_direction(component: Component, row_index: int, side: str) -> str | None:
-    """Direction token forced on a row's section at ``side`` ("P" or "Q").
-
-    Returns ``None`` when the row's section space realizes more than one
-    direction in the fiber (nothing forced).  This reads the one
-    per-component rule that ``q_side`` and ``derive_forced_pairs`` read.
-    """
-    return _pinned_directions(component, side)[row_index - 1]
 
 
 QSide = tuple[tuple[int, str | None], ...]
@@ -338,7 +322,7 @@ def derive_forced_pairs(
 
 
 # ---------------------------------------------------------------------------
-# validators
+# the validator
 
 
 @dataclass(frozen=True)
@@ -379,11 +363,6 @@ def _degree_failures(s: LimitSeries, total: int) -> list[str]:
     return [f"sum(d_i) - r*(M-1)*a = {total} - {s.rank}*{m - 1}*{s.twist} != {s.degree}"]
 
 
-def validate_degree_condition(s: LimitSeries) -> bool:
-    """Condition (a): ``sum(d_i) - r*(M-1)*a == d``."""
-    return not _degree_failures(s, sum(c.degree for c in s.components))
-
-
 def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
     """Diagnostics for condition (b), given each component's ``(us, vs)``.
 
@@ -417,62 +396,54 @@ def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
     return failures
 
 
-def validate_node_condition(s: LimitSeries) -> bool:
-    """Condition (b): matched vanishing orders satisfy ``v + u >= a``."""
-    columns = [tuple(zip(*c.table.rows)) or ((), ()) for c in s.components]
-    return not _node_condition_failures(s, columns)
-
-
-def _determined(bundle: BundleLike, twist: int) -> bool:
+def _determinacy_failure(bundle: BundleLike, twist: int) -> str | None:
     """Condition (c) on one component, by the sufficient degree criterion.
 
     A section of a line bundle of degree at most ``a``, twisted down by
     ``a`` at a point, has nonpositive degree and is determined by its
     value there; so split summands of degree ``<= a`` suffice, and an
-    indecomposable bundle of degree ``<= 2a`` likewise.
+    indecomposable bundle of degree ``<= 2a`` likewise.  Returns the
+    numbers that break it, or ``None``.
     """
     if isinstance(bundle, Indecomposable):
-        return bundle.degree <= 2 * twist
-    return max(map(sum, _summand_pairs(bundle))) <= twist
+        if bundle.degree <= 2 * twist:
+            return None
+        return f"indecomposable degree {bundle.degree} > 2*twist {2 * twist}"
+    degree = max(map(sum, _summand_pairs(bundle)))
+    return None if degree <= twist else f"summand degree {degree} > twist {twist}"
 
 
-def _canonical_determinant(bundle: BundleLike, i: int, g: int) -> bool:
-    """Whether component ``i``'s determinant is the canonical restriction.
+def _canonical_failure(bundle: BundleLike, i: int, g: int) -> str | None:
+    """Why component ``i``'s determinant is not the canonical restriction, or ``None``.
 
+    A component beyond the genus has no canonical restriction and fails.
     Indecomposable components are checked on degree only (their class is
     not representable); ``validate_all`` flags that weaker check.
     """
+    if i > g:
+        return f"beyond genus {g}, no canonical restriction"
     want = canonical_restriction(i, g)
     if isinstance(bundle, Indecomposable):
-        return bundle.degree == want[0] + want[1]
-    if isinstance(bundle, SplitLineBundle):
-        return bundle.pair == want
-    return determinant(bundle) == want
-
-
-def validate_determinacy_condition(s: LimitSeries) -> bool:
-    """Condition (c), by the sufficient degree criterion, on every component."""
-    return all(_determined(c.bundle, s.twist) for c in s.components)
-
-
-def validate_canonical_determinant(s: LimitSeries) -> bool:
-    """Every component determinant equals the canonical restriction."""
-    return all(
-        _canonical_determinant(c.bundle, i, s.genus)
-        for i, c in enumerate(s.components, start=1)
-    )
+        if bundle.degree == sum(want):
+            return None
+        return f"degree {bundle.degree} != canonical degree {sum(want)}"
+    got = bundle.pair if isinstance(bundle, SplitLineBundle) else determinant(bundle)
+    if got == want:
+        return None
+    return f"determinant ({got[0]},{got[1]}) != canonical ({want[0]},{want[1]})"
 
 
 _INT = frozenset((int,))
 
 
 def validate_all(s: LimitSeries) -> ValidationReport:
-    """Run every validator and collect a per-check report.
+    """Decide every check on ``s`` and collect a per-check report.
 
-    Every check that reads a component is decided in one walk over the
-    components: structure, monotonicity, multiplicity, admissibility, the
-    degree sum, determinacy and the canonical determinant (the last two by
-    the per-component rules the standalone validators apply).  Each
+    This is the one validator.  Every check that reads a component is
+    decided in one walk over the components: structure, monotonicity,
+    multiplicity, admissibility, the degree sum, determinacy and the
+    canonical determinant; the node condition then reads the walk's
+    columns.  Every failure is named with the numbers it compared.  Each
     table's rows are unpacked once into columns, and every table check is
     a whole-column pass: entry types by one ``map(type, ...)`` over the
     table; monotonicity, negative entries and multiplicity from one sort
@@ -482,7 +453,7 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     entry whose type is not ``int`` is a structure failure, and its
     numbers are not read.
     """
-    k, rank, twist = s.sections, s.rank, s.twist
+    k, rank, twist, genus = s.sections, s.rank, s.twist, s.genus
     structure, mono, mult, adm, flags = [], [], [], [], []
     if twist < 1:
         structure.append(f"twist {twist} must be a positive integer")
@@ -495,14 +466,15 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     if len(s.nodes) != s.chain.length - 1:
         structure.append(f"{len(s.nodes)} nodes on a chain of length {s.chain.length}")
 
-    columns = []
-    total, determined, canonical = 0, True, True
+    columns, determinacy, canonical = [], [], []
+    total = 0
     for i, c in enumerate(s.components, start=1):
         bundle, rows = c.bundle, c.table.rows
         total += bundle.degree
-        # like the standalone validators, each stops at its first failure
-        determined = determined and _determined(bundle, twist)
-        canonical = canonical and _canonical_determinant(bundle, i, s.genus)
+        if why := _determinacy_failure(bundle, twist):
+            determinacy.append(f"component {i}: {why}")
+        if why := _canonical_failure(bundle, i, genus):
+            canonical.append(f"component {i}: {why}")
         if len(rows) != k:
             structure.append(f"component {i}: {len(rows)} rows, expected {k}")
         if c.moduli_freedom not in (0, 1):
@@ -569,10 +541,10 @@ def validate_all(s: LimitSeries) -> ValidationReport:
             ("admissibility", adm),
             ("degree-condition", _degree_failures(s, total)),
             ("node-condition", _node_condition_failures(s, columns)),
+            ("determinacy", determinacy),
+            ("canonical-determinant", canonical),
         )
     ]
-    checks.append(CheckResult("determinacy", determined))
-    checks.append(CheckResult("canonical-determinant", canonical))
     return ValidationReport(tuple(checks), tuple(flags))
 
 

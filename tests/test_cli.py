@@ -1,3 +1,4 @@
+import hashlib
 import re
 import subprocess
 import sys
@@ -74,6 +75,27 @@ class TestVerifyAndDim:
         code, stdout, _ = run_cli(capsys, "verify", str(series_file))
         assert code == 2
         assert "FAIL" in stdout
+
+    def test_verify_names_the_component_of_an_edited_split(self, capsys, series_file):
+        text = series_file.read_text()
+        edited = text.replace("component 3 split 1 3 3 1", "component 3 split 1 4 3 1", 1)
+        assert edited != text
+        series_file.write_text(edited)
+        code, stdout, _ = run_cli(capsys, "verify", str(series_file))
+        assert code == 2
+        assert stdout == (
+            "PASS  structure\n"
+            "PASS  monotonicity\n"
+            "PASS  multiplicity\n"
+            "PASS  admissibility\n"
+            "FAIL  degree-condition\n"
+            "      sum(d_i) - r*(M-1)*a = 41 - 2*4*4 != 8\n"
+            "PASS  node-condition\n"
+            "FAIL  determinacy\n"
+            "      component 3: summand degree 5 > twist 4\n"
+            "FAIL  canonical-determinant\n"
+            "      component 3: determinant (4,5) != canonical (4,4)\n"
+        )
 
     def test_verify_malformed_exit_4_with_line(self, capsys, series_file):
         series_file.write_text(series_file.read_text().replace("split", "splot", 1))
@@ -275,6 +297,17 @@ class TestSweep:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_grid_csv_is_pinned(self, capsys):
+        # the g 3..60 x k 2..12 CSV has stayed byte-identical since it was
+        # first written; a change that moves it must say why
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--g-min", "3", "--g-max", "60", "--k-min", "2", "--k-max", "12"
+        )
+        assert code == 0
+        assert hashlib.sha256(stdout.encode()).hexdigest() == (
+            "ad40ad5f13d789f75ae0e66461caa83d06c0fbe285c8c0bb0c1b66b634b86264"
+        )
 
     def test_unvalidated_cell_has_no_ledger(self, capsys, monkeypatch):
         # count_dimension is the sweep's only validate_all; a series it

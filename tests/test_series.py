@@ -18,7 +18,6 @@ from ellchain import (
     SplitLineBundle,
     VanishingTable,
     ValidationReport,
-    admissible_table,
     canonical_key,
     canonical_limit_series,
     construct,
@@ -28,15 +27,10 @@ from ellchain import (
     derive_forced_pairs,
     enumerate_series,
     parse_series,
-    pinned_direction,
     q_side,
     serialize_series,
     theorem_threshold,
     validate_all,
-    validate_canonical_determinant,
-    validate_degree_condition,
-    validate_determinacy_condition,
-    validate_node_condition,
 )
 from ellchain import series as series_module
 from ellchain.search import _table_options
@@ -47,6 +41,8 @@ from ellchain.series import (
     FORMAT_HEADER,
     FORMAT_VERSION,
     CheckResult,
+    _pinned_directions,
+    admissibility_failures,
 )
 from helpers import mutate_entry
 
@@ -59,34 +55,46 @@ class TestAdmissibility:
     def test_rank1_canonical_component(self):
         # middle component of the genus-3 canonical series
         table = VanishingTable([(0, 3), (2, 2), (3, 0)])
-        assert admissible_table(SplitLineBundle(2, 2), table)
+        assert admissibility_failures(SplitLineBundle(2, 2), table) == []
 
     def test_rank2_square_component(self):
         table = VanishingTable([(0, 8), (0, 8), (1, 6), (1, 6)])
-        assert admissible_table(split(0, 8, 0, 8), table)
+        assert admissibility_failures(split(0, 8, 0, 8), table) == []
 
     def test_second_distinguished_row_unchargeable(self):
         table = VanishingTable([(0, 3), (0, 3)])
-        assert not admissible_table(split(0, 3, 1, 2), table)
+        assert admissibility_failures(split(0, 3, 1, 2), table) == [
+            "rows [1, 2] all require the distinguished section of summand (0, 3), "
+            "which occurs 1 time(s)"
+        ]
 
     def test_row_exceeding_every_summand(self):
         table = VanishingTable([(3, 3)])
-        assert not admissible_table(split(0, 3, 1, 2), table)
+        assert admissibility_failures(split(0, 3, 1, 2), table) == [
+            "row 1 (3,3) not chargeable to any summand"
+        ]
 
     def test_generic_summands_reject_distinguished_rows(self):
         table = VanishingTable([(1, 3), (2, 2)])
-        assert admissible_table(split(1, 3, 2, 2), table)
-        assert not admissible_table(split(1, 3, 2, 2), table, generic=True)
+        assert admissibility_failures(split(1, 3, 2, 2), table) == []
+        assert admissibility_failures(split(1, 3, 2, 2), table, generic=True) == [
+            "row 1 (1,3) not chargeable to any summand",
+            "row 2 (2,2) not chargeable to any summand",
+        ]
 
     def test_indecomposable_rows(self):
         bundle = Indecomposable(12, 2, 4)
-        assert admissible_table(bundle, VanishingTable([(0, 5), (1, 4), (2, 4)]))
+        assert admissibility_failures(bundle, VanishingTable([(0, 5), (1, 4), (2, 4)])) == []
         # a second marked row over-uses the one-dimensional slot
-        assert not admissible_table(bundle, VanishingTable([(2, 4), (2, 4)]))
+        assert admissibility_failures(bundle, VanishingTable([(2, 4), (2, 4)])) == [
+            "row 2 (2,4) not chargeable to indecomposable bundle (degree 12, marked (2,4))"
+        ]
         # amply twisted rows are always fine
-        assert admissible_table(bundle, VanishingTable([(0, 0)]))
+        assert admissibility_failures(bundle, VanishingTable([(0, 0)])) == []
         # non-marked rows cannot reach half the degree
-        assert not admissible_table(bundle, VanishingTable([(1, 5)]))
+        assert admissibility_failures(bundle, VanishingTable([(1, 5)])) == [
+            "row 1 (1,5) not chargeable to indecomposable bundle (degree 12, marked (2,4))"
+        ]
 
     @given(
         st.integers(0, 8),
@@ -97,20 +105,25 @@ class TestAdmissibility:
     )
     def test_swap_invariance(self, p1, q1, p2, q2, rows):
         table = VanishingTable(rows)
-        assert admissible_table(split(p1, q1, p2, q2), table) == admissible_table(
+        assert admissibility_failures(split(p1, q1, p2, q2), table) == admissibility_failures(
             split(p2, q2, p1, q1), table
         )
+
+
+def _check(s, name):
+    """The named check of ``validate_all(s)``."""
+    return next(c for c in validate_all(s).checks if c.name == name)
 
 
 class TestConditions:
     def test_degree_condition_even_shape(self):
         s = construct_even(5, 4)
-        assert validate_degree_condition(s)
+        assert _check(s, "degree-condition").passed
         assert sum(c.degree for c in s.components) - 2 * 4 * 4 == 8
 
     def test_degree_condition_rank1(self):
         for g in (2, 5, 9):
-            assert validate_degree_condition(canonical_limit_series(g))
+            assert _check(canonical_limit_series(g), "degree-condition").passed
 
     def test_degree_condition_failure(self):
         bad = LimitSeries(
@@ -125,11 +138,13 @@ class TestConditions:
             ),
             nodes=(NodeGluing((1,)),),
         )
-        assert not validate_degree_condition(bad)
+        assert _check(bad, "degree-condition") == CheckResult(
+            "degree-condition", False, ("sum(d_i) - r*(M-1)*a = 6 - 2*1*2 != 3",)
+        )
 
     def test_node_condition_constructed_equality(self):
         for s in (construct_even(9, 4), construct_odd(7, 3), canonical_limit_series(6)):
-            assert validate_node_condition(s)
+            assert _check(s, "node-condition").passed
             for n, node in enumerate(s.nodes):
                 left = s.components[n].table
                 right = s.components[n + 1].table
@@ -138,32 +153,38 @@ class TestConditions:
 
     def test_node_condition_failure(self):
         s = construct_even(5, 4)
-        assert not validate_node_condition(mutate_entry(s, 1, 0, "v", -1))
+        assert _check(mutate_entry(s, 1, 0, "v", -1), "node-condition").diagnostics == (
+            "node 2: rows 1->1 have v+u = 3+0 < twist 4",
+        )
 
     def test_determinacy(self):
-        assert validate_determinacy_condition(construct_even(9, 4))
-        assert validate_determinacy_condition(construct_odd(7, 3))
-        s = construct_even(5, 4)
-        too_big = LimitSeries(
-            chain=s.chain,
-            rank=s.rank,
-            sections=s.sections,
-            degree=s.degree,
-            twist=3,
-            components=s.components,
-            nodes=s.nodes,
+        assert _check(construct_even(9, 4), "determinacy").passed
+        assert _check(construct_odd(7, 3), "determinacy").passed
+        too_big = replace(construct_even(5, 4), twist=3)
+        assert _check(too_big, "determinacy").diagnostics == tuple(
+            f"component {i}: summand degree 4 > twist 3" for i in range(1, 6)
         )
-        assert not validate_determinacy_condition(too_big)
+        # component 3 of the odd shape is indecomposable, of degree 12
+        odd = _check(replace(construct_odd(7, 3), twist=4), "determinacy").diagnostics
+        assert odd[2] == "component 3: indecomposable degree 12 > 2*twist 8"
+        assert len(odd) == 7
 
     def test_canonical_determinant(self):
-        assert validate_canonical_determinant(construct_even(9, 4))
-        assert validate_canonical_determinant(canonical_limit_series(5))
+        assert _check(construct_even(9, 4), "canonical-determinant").passed
+        assert _check(canonical_limit_series(5), "canonical-determinant").passed
         s = construct_even(9, 4)
         comps = list(s.components)
         comps[0] = Component(split(0, 8, 1, 7), comps[0].table)
-        from dataclasses import replace
-
-        assert not validate_canonical_determinant(replace(s, components=tuple(comps)))
+        assert _check(replace(s, components=tuple(comps)), "canonical-determinant").diagnostics == (
+            "component 1: determinant (1,15) != canonical (0,16)",
+        )
+        # an indecomposable component is checked on its degree
+        odd = construct_odd(7, 3)
+        c = odd.components[2]
+        wider = Component(Indecomposable(14, c.bundle.marked_u, c.bundle.marked_v), c.table)
+        assert _check(_with_component(odd, 2, wider), "canonical-determinant").diagnostics == (
+            "component 3: degree 14 != canonical degree 12",
+        )
 
 
 class TestValidateAll:
@@ -227,7 +248,7 @@ class TestForcedPairs:
 
 
 def _reference_pinned_direction(component, row_index, side):
-    """The pinning rule decided row by row: the reference for ``pinned_direction``."""
+    """The pinning rule decided row by row: the reference for ``_pinned_directions``."""
     bundle = component.bundle
     u, v = component.table.rows[row_index - 1]
     if isinstance(bundle, SplitLineBundle):
@@ -476,32 +497,46 @@ def _reference_degree_condition(s):
     return total - s.rank * (m - 1) * s.twist == s.degree
 
 
-def _reference_determinacy_condition(s):
-    for c in s.components:
+def _reference_determinacy_failures(s):
+    failures = []
+    for i, c in enumerate(s.components, start=1):
         if isinstance(c.bundle, Indecomposable):
             if c.bundle.degree > 2 * s.twist:
-                return False
-        else:
-            if any(p + q > s.twist for p, q in _reference_summand_pairs(c.bundle)):
-                return False
-    return True
+                failures.append(
+                    f"component {i}: indecomposable degree {c.bundle.degree} "
+                    f"> 2*twist {2 * s.twist}"
+                )
+            continue
+        degrees = [p + q for p, q in _reference_summand_pairs(c.bundle)]
+        if any(d > s.twist for d in degrees):
+            failures.append(f"component {i}: summand degree {max(degrees)} > twist {s.twist}")
+    return failures
 
 
-def _reference_canonical_determinant(s):
+def _reference_canonical_determinant_failures(s):
+    failures = []
     g = s.genus
     for i, c in enumerate(s.components, start=1):
-        want = (2 * i - 2, 2 * g - 2 * i)
+        if i > g:
+            failures.append(f"component {i}: beyond genus {g}, no canonical restriction")
+            continue
+        p, q = 2 * i - 2, 2 * g - 2 * i
         if isinstance(c.bundle, Indecomposable):
-            if c.bundle.degree != want[0] + want[1]:
-                return False
-        elif isinstance(c.bundle, SplitLineBundle):
-            if c.bundle.pair != want:
-                return False
+            if c.bundle.degree != p + q:
+                failures.append(
+                    f"component {i}: degree {c.bundle.degree} != canonical degree {p + q}"
+                )
+            continue
+        if isinstance(c.bundle, SplitLineBundle):
+            got = c.bundle.pair
         else:
             first, second = c.bundle.first, c.bundle.second
-            if (first.p + second.p, first.q + second.q) != want:
-                return False
-    return True
+            got = (first.p + second.p, first.q + second.q)
+        if got != (p, q):
+            failures.append(
+                f"component {i}: determinant ({got[0]},{got[1]}) != canonical ({p},{q})"
+            )
+    return failures
 
 
 def _reference_validate_all(s):
@@ -535,8 +570,10 @@ def _reference_validate_all(s):
     )
     node_failures = _reference_node_condition_failures(s)
     checks.append(CheckResult("node-condition", not node_failures, tuple(node_failures)))
-    checks.append(CheckResult("determinacy", _reference_determinacy_condition(s)))
-    checks.append(CheckResult("canonical-determinant", _reference_canonical_determinant(s)))
+    determinacy = _reference_determinacy_failures(s)
+    checks.append(CheckResult("determinacy", not determinacy, tuple(determinacy)))
+    canonical = _reference_canonical_determinant_failures(s)
+    checks.append(CheckResult("canonical-determinant", not canonical, tuple(canonical)))
     flags = tuple(
         f"component {i}: indecomposable; determinant checked on degree only, "
         f"determinacy by the degree <= 2*twist criterion"
@@ -555,12 +592,13 @@ def _with_component(s, i, component):
 def _mutant(s, rng):
     """``s`` with one to three seeded edits: table entries moved by +-1 or
     +-3 or made negative, a table's rows shuffled, a split's summands
-    swapped, or a node's matching permuted."""
+    swapped, a node's matching permuted, or a copy of a component appended
+    with an identity node, on a chain of the old or the new length."""
     for _ in range(rng.randint(1, 3)):
         i = rng.randrange(len(s.components))
         c = s.components[i]
         rows = [list(row) for row in c.table.rows]
-        edit = rng.choice(("entry", "entry", "negative", "shuffle", "swap", "matching"))
+        edit = rng.choice(("entry", "entry", "negative", "shuffle", "swap", "matching", "append"))
         if edit in ("entry", "negative"):
             row = rng.choice(rows)
             at = rng.randrange(2)
@@ -571,7 +609,7 @@ def _mutant(s, rng):
             rng.shuffle(rows)
         elif edit == "swap":
             c = _swap_summands(c)
-        else:
+        elif edit == "matching":
             if not s.nodes:
                 continue
             n = rng.randrange(len(s.nodes))
@@ -580,6 +618,14 @@ def _mutant(s, rng):
             nodes = list(s.nodes)
             nodes[n] = NodeGluing(tuple(matching), nodes[n].forced_pairs)
             s = replace(s, nodes=tuple(nodes))
+            continue
+        else:
+            s = replace(
+                s,
+                chain=rng.choice((s.chain, ChainCurve(s.genus, len(s.components) + 1))),
+                components=s.components + (c,),
+                nodes=s.nodes + (NodeGluing(tuple(range(1, s.sections + 1))),),
+            )
             continue
         s = _with_component(s, i, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
     return s
@@ -607,7 +653,7 @@ class TestValidateAllDifferential:
         rows = c.table.rows
         for side in ("P", "Q"):
             want = [_reference_pinned_direction(c, t, side) for t in range(1, len(rows) + 1)]
-            assert [pinned_direction(c, t, side) for t in range(1, len(rows) + 1)] == want
+            assert list(_pinned_directions(c, side)) == want
         assert q_side(c) == tuple((v, d) for (_, v), d in zip(rows, want))
 
     def test_built_and_oracle_series(self, corpus):
@@ -633,12 +679,13 @@ class TestValidateAllDifferential:
                 TestForcedPairsDifferential._agree(left, right, node.matching, s.twist, outcomes)
         assert failing >= {
             "structure", "monotonicity", "multiplicity", "admissibility", "node-condition",
+            "canonical-determinant",
         }
         assert {0, 1, 2} <= outcomes
 
     def test_bundle_and_twist_mutants(self, corpus):
-        # the degree sum, determinacy and the canonical determinant are
-        # decided in the walk; the standalone validators share its rule
+        # the degree sum, determinacy and the canonical determinant, decided
+        # in the walk, against the reference's per-check passes
         rng = random.Random(10)
         failing = set()
         for _ in range(2000):
@@ -659,10 +706,6 @@ class TestValidateAllDifferential:
                 s = _with_component(s, i, Component(b, c.table, c.moduli_freedom))
             report = validate_all(s)
             assert report == _reference_validate_all(s)
-            by_name = {c.name: c.passed for c in report.checks}
-            assert by_name["determinacy"] == validate_determinacy_condition(s)
-            assert by_name["canonical-determinant"] == validate_canonical_determinant(s)
-            assert by_name["degree-condition"] == validate_degree_condition(s)
             failing.update(c.name for c in report.failures())
         assert failing >= {"determinacy", "canonical-determinant", "degree-condition"}
 
@@ -705,6 +748,24 @@ class TestTableLength:
         assert [c.name for c in report.failures()] == ["structure", "admissibility"]
         with pytest.raises(ValueError, match="refusing unvalidated series"):
             count_dimension(s)
+
+    @pytest.mark.parametrize("length", [None, 6], ids=["chain-5", "chain-5-6"])
+    def test_component_beyond_genus(self, length):
+        s = construct(5, 4)
+        longer = replace(
+            s,
+            chain=ChainCurve(5, length),
+            components=s.components + (s.components[-1],),
+            nodes=s.nodes + (NodeGluing((1, 2, 3, 4)),),
+        )
+        report = validate_all(longer)
+        assert report == _reference_validate_all(longer)
+        failing = {c.name: c.diagnostics for c in report.failures()}
+        assert failing["canonical-determinant"] == (
+            "component 6: beyond genus 5, no canonical restriction",
+        )
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(longer)
 
     def test_missing_component(self):
         s = construct(5, 4)
