@@ -36,6 +36,7 @@ from .series import (
     NodeGluing,
     VanishingTable,
     derive_forced_pairs,
+    free_split,
     q_side,
 )
 
@@ -139,12 +140,10 @@ def _even_pinned_component(i: int, g: int, k1: int) -> Component:
 
 
 def _free_tail_component(i: int, g: int, k1: int) -> Component:
-    # representative coefficients for the free summand and its conjugate
-    rep = SplitLineBundle(i - 1, g - i)
     rows: list[tuple[int, int]] = []
     for e in range(1, k1 + 1):
         rows += [(i + e - k1 - 2, g - i + k1 - e)] * 2
-    return Component(Split(rep, rep), VanishingTable(rows), moduli_freedom=1)
+    return Component(free_split(i, g), VanishingTable(rows), moduli_freedom=1)
 
 
 def construct_even(g: int, k: int, force: bool = False) -> LimitSeries:
@@ -206,13 +205,12 @@ def _indecomposable_component(g: int, k1: int) -> Component:
 def _odd_tail_component(i: int, g: int, k1: int) -> Component:
     s = k1 * k1
     t = i - (s + k1 + 1)  # offset past the indecomposable component
-    rep = SplitLineBundle(i - 1, g - i)
     rows: list[tuple[int, int]] = []
     for e in range(1, k1 + 1):
         rows.append((s + e - 2 + t, g - s - e - t))
         rows.append((s + e - 1 + t, g - 1 - s - e - t))
     rows.append((s + k1 + t - 1, g - 1 - s - k1 - t))
-    return Component(Split(rep, rep), VanishingTable(rows), moduli_freedom=1)
+    return Component(free_split(i, g), VanishingTable(rows), moduli_freedom=1)
 
 
 def construct_odd(g: int, k: int, force: bool = False) -> LimitSeries:

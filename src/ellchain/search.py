@@ -51,16 +51,20 @@ reproducible bit for bit; they claim combinatorial solutions only.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction
 from .series import (
+    DIR_FIRST,
+    DIR_SECOND,
     Component,
     LimitSeries,
     NodeGluing,
     VanishingTable,
     QSide,
     derive_forced_pairs,
+    free_split,
     q_side,
     serialize_series,
     validate_all,
@@ -135,57 +139,54 @@ class SearchReport:
 def canonical_form(s: LimitSeries) -> LimitSeries:
     """Normalize summand order, row order, matchings and representatives.
 
-    Summands are sorted lexicographically by (p, q); rows by (u, -v);
-    matchings and forced-pair tokens are rewritten accordingly; free
+    Summands are sorted lexicographically by (p, q) and rows by (u, -v);
+    forced-pair tokens follow the summand order, and each matching becomes
+    the least one that pairs the same multiset of (left row, right row)
+    values, so every representation of a series has one form.  Free
     components get the standard representative coefficients.  Idempotent.
     Constructed series and search leaves are canonical already.  Raises
     ``ValueError`` naming the component whose table does not have
     ``sections`` rows of integers, or the node whose matching is not a
-    bijection.
+    bijection of the integers ``1..sections``.
     """
     k = s.sections
+    identity = tuple(range(1, k + 1))
+    flip = {DIR_FIRST: DIR_SECOND, DIR_SECOND: DIR_FIRST}
     comps: list[Component] = []
-    orders: list[list[int]] = []
-    swaps: list[bool] = []
+    names: list[dict[str, str]] = []  # each component's token renaming
     for i, c in enumerate(s.components, start=1):
         bundle = c.bundle
-        swap = False
-        if isinstance(bundle, Split):
-            if bundle.second.pair < bundle.first.pair:
-                bundle = bundle.swapped()
-                swap = True
-            if c.is_generic:
-                rep = SplitLineBundle(i - 1, s.genus - i)
-                bundle = Split(rep, rep)
+        swap = isinstance(bundle, Split) and bundle.second.pair < bundle.first.pair
+        if swap:
+            bundle = bundle.swapped()
+        if isinstance(bundle, Split) and c.is_generic:
+            bundle = free_split(i, s.genus)
         rows = c.table.rows
         if len(rows) != k:
             raise ValueError(f"component {i}: {len(rows)} rows, expected {k}")
         if not all(type(u) is int and type(v) is int for u, v in rows):
             raise ValueError(f"component {i}: vanishing orders must be integers")
-        order = sorted(range(k), key=lambda j: (rows[j][0], -rows[j][1], j))
-        comps.append(
-            Component(bundle, VanishingTable([rows[j] for j in order]), c.moduli_freedom)
-        )
-        orders.append(order)
-        swaps.append(swap)
-
-    def rename(token: str, swapped: bool) -> str:
-        if swapped and token in ("1", "2"):
-            return "2" if token == "1" else "1"
-        return token
+        rows = sorted(rows, key=lambda row: (row[0], -row[1]))
+        comps.append(Component(bundle, VanishingTable(rows), c.moduli_freedom))
+        names.append(flip if swap else {})
 
     nodes: list[NodeGluing] = []
     for n, node in enumerate(s.nodes):
-        if sorted(node.matching) != list(range(1, k + 1)):
-            raise ValueError(f"node {n + 1}: matching {node.matching} is not a bijection")
-        inv_right = {old: new for new, old in enumerate(orders[n + 1])}
-        matching = tuple(
-            inv_right[node.matching[orders[n][j]] - 1] + 1 for j in range(k)
-        )
-        forced = tuple(
-            sorted((rename(a, swaps[n]), rename(b, swaps[n + 1])) for a, b in node.forced_pairs)
-        )
-        nodes.append(NodeGluing(matching, forced))
+        matching = node.matching
+        if tuple(sorted(matching)) != identity or not {*map(type, matching)} <= {int}:
+            raise ValueError(f"node {n + 1}: matching {matching} is not a bijection")
+        was = [c.table.rows for c in s.components[n : n + 2]]
+        left, right = comps[n].table.rows, comps[n + 1].table.rows
+        # the greedy choice is least, as any pair still counted can be placed
+        pairs = Counter((was[0][t], was[1][t2 - 1]) for t, t2 in enumerate(matching))
+        free, matching = list(range(k)), []
+        for row in left:
+            j = next(j for j in free if pairs[row, right[j]])
+            pairs[row, right[j]] -= 1
+            free.remove(j)
+            matching.append(j + 1)
+        forced = sorted((names[n].get(a, a), names[n + 1].get(b, b)) for a, b in node.forced_pairs)
+        nodes.append(NodeGluing(tuple(matching), tuple(forced)))
     return replace(s, components=tuple(comps), nodes=tuple(nodes))
 
 
@@ -264,8 +265,7 @@ def _table_options(
             if rank == 1:
                 bundle = SplitLineBundle(*canon)
             else:
-                rep = SplitLineBundle(i - 1, space.g - i)
-                bundle = Split(rep, rep)
+                bundle = free_split(i, space.g)
             moduli = 1
         out.append(Component(bundle, VanishingTable(rows), moduli))
 

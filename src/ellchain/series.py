@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, eq
+from operator import eq
 
 from .chain import (
     ChainCurve,
@@ -162,16 +162,18 @@ class LimitSeries:
         return self.chain.genus
 
 
+def free_split(i: int, g: int) -> Split:
+    """The stored bundle of a free component ``i`` on a genus-``g`` chain.
+
+    Its two summands, a free line bundle and its canonical conjugate, are
+    both written as the representative ``O((i-1)*P + (g-i)*Q)``.
+    """
+    rep = SplitLineBundle(i - 1, g - i)
+    return Split(rep, rep)
+
+
 # ---------------------------------------------------------------------------
 # admissibility
-
-
-def _summand_pairs(bundle: BundleLike) -> list[tuple[int, int]]:
-    if isinstance(bundle, Split):
-        return [bundle.first.pair, bundle.second.pair]
-    if isinstance(bundle, SplitLineBundle):
-        return [bundle.pair]
-    raise TypeError(f"no summands on {type(bundle).__name__}")
 
 
 def admissibility_failures(
@@ -190,13 +192,11 @@ def admissibility_failures(
     two-dimensional space of sections), or once when ``(u, v)`` is the
     marked vanishing pair of the distinguished section.
 
-    The row sums settle a table without the per-row loop when every row
-    takes the first branch.
+    One pass over the rows; a diagnostic is built only for a row that
+    fails.
     """
     failures: list[str] = []
     if isinstance(bundle, Indecomposable):
-        if 2 * max(map(sum, table.rows), default=0) <= bundle.degree - 2:
-            return failures
         marked_used = False
         for j, (u, v) in enumerate(table.rows, start=1):
             if 2 * (u + v) <= bundle.degree - 2:
@@ -210,10 +210,8 @@ def admissibility_failures(
             )
         return failures
 
-    summands = _summand_pairs(bundle)
+    summands = [b.pair for b in bundle.summands] if isinstance(bundle, Split) else [bundle.pair]
     generic_sums = {p + q - 1 for p, q in summands}
-    if generic_sums.issuperset(map(sum, table.rows)):
-        return failures
     # the rows that need each summand's distinguished section
     slot_rows: dict[tuple[int, int], list[int]] = {}
     for j, row in enumerate(table.rows, start=1):
@@ -368,8 +366,8 @@ def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
 
     A component whose entries are not all integers has ``None`` for its
     columns.  A node fails outright when it touches such a component or
-    its matching reaches past a short or missing table; else
-    ``min(v + u)`` decides it before any row is named.
+    its matching reaches past a short or missing table; else each matched
+    row pair below the twist is named.
     """
     failures = []
     k, twist = s.sections, s.twist
@@ -388,8 +386,6 @@ def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
             continue
         vs, us = sides[0][1], sides[1][0]
         matched_us = us[:k] if matching == identity else [us[t2 - 1] for t2 in matching]
-        if min(map(add, vs, matched_us), default=twist) >= twist:
-            continue
         for t, (t2, v, u) in enumerate(zip(matching, vs, matched_us), start=1):
             if v + u < twist:
                 failures.append(f"node {n}: rows {t}->{t2} have v+u = {v}+{u} < twist {twist}")
@@ -409,7 +405,7 @@ def _determinacy_failure(bundle: BundleLike, twist: int) -> str | None:
         if bundle.degree <= 2 * twist:
             return None
         return f"indecomposable degree {bundle.degree} > 2*twist {2 * twist}"
-    degree = max(map(sum, _summand_pairs(bundle)))
+    degree = max(b.degree for b in (bundle.summands if isinstance(bundle, Split) else (bundle,)))
     return None if degree <= twist else f"summand degree {degree} > twist {twist}"
 
 
@@ -447,11 +443,11 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     table's rows are unpacked once into columns, and every table check is
     a whole-column pass: entry types by one ``map(type, ...)`` over the
     table; monotonicity, negative entries and multiplicity from one sort
-    of each column; admissibility by ``admissibility_failures``, whose row
-    sums settle most tables without its per-row loop.  A diagnostic is
-    built only for a row, value or node that fails.  A component with an
-    entry whose type is not ``int`` is a structure failure, and its
-    numbers are not read.
+    of each column; admissibility by one pass of ``admissibility_failures``
+    over the rows, the one place a split's summand pairs are built.  A
+    diagnostic is built only for a row, value or node that fails.  A
+    component with an entry whose type is not ``int`` is a structure
+    failure, and its numbers are not read.
     """
     k, rank, twist, genus = s.sections, s.rank, s.twist, s.genus
     structure, mono, mult, adm, flags = [], [], [], [], []

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import Indecomposable, Split
-from .series import Component, LimitSeries
+from .series import DIR_FIRST, DIR_MARKED, DIR_SECOND, Component, LimitSeries
 
 FLEX = "*"
 FREE_TOKEN = "free"
@@ -77,14 +77,14 @@ def check_semistable(s: LimitSeries) -> bool:
 
 def _candidates(c: Component) -> list[str]:
     if isinstance(c.bundle, Indecomposable):
-        return ["m"]
+        return [DIR_MARKED]
     if c.is_generic:
         # two distinct generic line bundles; stored coefficients are only
         # representatives, so structural equality does not apply
-        return ["1", "2"]
+        return [DIR_FIRST, DIR_SECOND]
     if c.bundle.first == c.bundle.second:
         return [FLEX]
-    return ["1", "2"]
+    return [DIR_FIRST, DIR_SECOND]
 
 
 def check_stable(s: LimitSeries) -> StabilityReport:

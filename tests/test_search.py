@@ -65,11 +65,65 @@ class TestCanonicalForm:
         shuffled = replace(s, components=tuple(comps))
         assert canonical_key(shuffled) == canonical_key(s)
 
+    def test_identical_row_swaps_keep_the_key(self):
+        # swapping two adjacent matching entries whose left rows, or whose
+        # right rows, are identical pairs the same row values: one series;
+        # when both differ, the matched row values change: another series
+        same = other = 0
+        for g, k in ((9, 4), (12, 6), (8, 5), (7, 3), (20, 7)):
+            s = construct(g, k)
+            key = canonical_key(s)
+            for n, node in enumerate(s.nodes):
+                left, right = s.components[n].table.rows, s.components[n + 1].table.rows
+                for t in range(k - 1):
+                    m = list(node.matching)
+                    identical = left[t] == left[t + 1] or right[m[t] - 1] == right[m[t + 1] - 1]
+                    m[t], m[t + 1] = m[t + 1], m[t]
+                    nodes = s.nodes[:n] + (replace(node, matching=tuple(m)),) + s.nodes[n + 1 :]
+                    swapped = replace(s, nodes=nodes)
+                    once = canonical_form(swapped)
+                    assert canonical_form(once) == once
+                    if identical:
+                        assert canonical_key(swapped) == key
+                        same += 1
+                    else:
+                        assert canonical_key(swapped) != key
+                        other += 1
+        assert (same, other) == (102, 131)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_permutations_with_matchings_keep_the_key(self, seed):
+        # permute every component's rows, distinct ones included, and carry
+        # each matching along: the same series in other row labels
+        import random
+
+        from ellchain import Component, VanishingTable
+
+        rng = random.Random(seed)
+        for g, k in ((9, 4), (8, 5), (20, 7)):
+            s = construct(g, k)
+            perms = [rng.sample(range(k), k) for _ in s.components]  # old row j -> perm[j]
+            comps = []
+            for c, perm in zip(s.components, perms):
+                rows = [None] * k
+                for j, row in enumerate(c.table.rows):
+                    rows[perm[j]] = row
+                comps.append(Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
+            nodes = []
+            for n, node in enumerate(s.nodes):
+                m = [None] * k
+                for t, t2 in enumerate(node.matching):
+                    m[perms[n][t]] = perms[n + 1][t2 - 1] + 1
+                nodes.append(replace(node, matching=tuple(m)))
+            relabeled = replace(s, components=tuple(comps), nodes=tuple(nodes))
+            assert [c.table.rows for c in comps] != [c.table.rows for c in s.components]
+            assert canonical_key(relabeled) == canonical_key(s)
+            assert canonical_form(relabeled) == s
 
     @pytest.mark.parametrize(
         "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
     )
-    @pytest.mark.parametrize("matching", [(1, 2, 3, 9), (1, 1, 2, 3)])
+    @pytest.mark.parametrize("matching", [(1, 2, 3, 9), (1, 1, 2, 3), (1, 2, 3.0, 4), (2, 1, 3.0, 4)])
     def test_non_permutation_matching_refused(self, key, matching):
         s = construct(5, 4)
         nodes = (replace(s.nodes[0], matching=matching),) + s.nodes[1:]

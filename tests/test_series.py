@@ -1084,8 +1084,13 @@ class TestParserHandCases:
             # a bad u in the k-th row, a bad v in the first
             (_set(12, "  row x 1"), 12, "expected integer u, got 'x'"),
             (_set(9, "  row 0 4.0"), 9, "expected integer v, got '4.0'"),
-            # a row before any component
+            # an unknown record inside a block, a last block cut by the end
+            # of the file
+            (_set(10, "  rw 0 3"), 10, "unknown record 'rw'"),
+            (lambda lines: lines.__delitem__(slice(25, None)), 26, "component 5 has 2 rows, expected 4"),
+            # a row before any component, a row right after a node record
             (_insert(3, "  row 0 4"), 3, "row outside a component record"),
+            (_insert(29, "  row 0 4"), 29, "row outside a component record"),
             # bad matching entries, bad bundle coefficients
             (_set(29, "node 2 matching 1 2 y 4 forced 1:2 2:1"), 29, "expected integer matching entry, got 'y'"),
             (_set(8, "component 2 split 0 4 two 2 moduli 0"), 8, "expected integer bundle coefficient, got 'two'"),
