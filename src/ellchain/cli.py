@@ -96,13 +96,13 @@ def cmd_construct(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     report = validate_all(s)
+    payload = serialize_series(s) if args.format == "structured" else _text_dump(s)
     if args.out:
-        payload = serialize_series(s) if args.format == "structured" else _text_dump(s)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(serialize_series(s) if args.format == "structured" else _text_dump(s))
+        sys.stdout.write(payload)
     if external_stable_case(args.g, args.k):
         print(
             "note: external-construction case; the glued bundle here is strictly "

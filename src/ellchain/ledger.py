@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .chain import Split
 from .series import LimitSeries, validate_all
 
 
@@ -118,11 +117,10 @@ class DimensionLedger:
 def count_dimension(s: LimitSeries) -> DimensionLedger:
     """Price a validated rank-two series item by item.
 
-    Endomorphism dimensions are read structurally: a split of two equal
-    pinned line bundles has a four-dimensional endomorphism family;
-    unequal splits, indecomposables and free splits (whose stored
-    coefficients are representatives of two distinct generic bundles)
-    have two.
+    Endomorphism dimensions are read structurally: a component that is
+    ``Component.is_pencil`` (a pinned split of two identical line bundles)
+    has a four-dimensional endomorphism family; every other component has
+    two.
     """
     if s.rank != 2:
         raise ValueError("dimension ledger is defined for rank-two series")
@@ -132,14 +130,5 @@ def count_dimension(s: LimitSeries) -> DimensionLedger:
         raise ValueError(f"refusing unvalidated series (failing: {names})")
     gluing = tuple(node.free_parameter_count for node in s.nodes)
     moduli = tuple(c.moduli_freedom for c in s.components)
-    endo = []
-    for c in s.components:
-        if (
-            isinstance(c.bundle, Split)
-            and not c.is_generic
-            and c.bundle.first == c.bundle.second
-        ):
-            endo.append(4)
-        else:
-            endo.append(2)
-    return DimensionLedger(gluing, moduli, tuple(endo), stability_term=1)
+    endo = tuple(4 if c.is_pencil else 2 for c in s.components)
+    return DimensionLedger(gluing, moduli, endo, stability_term=1)

@@ -65,6 +65,7 @@ from .series import (
     QSide,
     derive_forced_pairs,
     free_split,
+    matching_failure,
     q_side,
     serialize_series,
     validate_all,
@@ -146,8 +147,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     components get the standard representative coefficients.  Idempotent.
     Constructed series and search leaves are canonical already.  Raises
     ``ValueError`` naming the component whose table does not have
-    ``sections`` rows of integers, or the node whose matching is not a
-    bijection of the integers ``1..sections``.
+    ``sections`` rows of integers, or the node that ``matching_failure``
+    refuses, as ``validate_all`` does.
     """
     k = s.sections
     identity = tuple(range(1, k + 1))
@@ -173,8 +174,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     nodes: list[NodeGluing] = []
     for n, node in enumerate(s.nodes):
         matching = node.matching
-        if tuple(sorted(matching)) != identity or not {*map(type, matching)} <= {int}:
-            raise ValueError(f"node {n + 1}: matching {matching} is not a bijection")
+        if why := matching_failure(matching, identity):
+            raise ValueError(f"node {n + 1}: {why}")
         was = [c.table.rows for c in s.components[n : n + 2]]
         left, right = comps[n].table.rows, comps[n + 1].table.rows
         # the greedy choice is least, as any pair still counted can be placed

@@ -71,6 +71,8 @@ DIR_FIRST = "1"
 DIR_SECOND = "2"
 DIR_MARKED = "m"
 
+_INT = frozenset((int,))
+
 
 @dataclass(frozen=True)
 class VanishingTable:
@@ -122,6 +124,20 @@ class NodeGluing:
         return 4 - len(self.forced_pairs)
 
 
+def matching_failure(matching: tuple[int, ...], identity: tuple[int, ...]) -> str | None:
+    """Why ``matching`` is not a bijection of ``identity``, the integers ``1..k``, or ``None``.
+
+    The one home of the matching rule.  Entry types are checked before any
+    compare or sort, so a float, bool or str entry fails and never crashes.
+    Callers build ``identity`` once per series, not once per node.
+    """
+    if _INT.issuperset(map(type, matching)) and (
+        matching == identity or tuple(sorted(matching)) == identity
+    ):
+        return None
+    return f"matching {matching} is not a bijection"
+
+
 @dataclass(frozen=True)
 class Component:
     """One component's bundle, vanishing table and moduli freedom.
@@ -139,6 +155,16 @@ class Component:
     @property
     def is_generic(self) -> bool:
         return self.moduli_freedom == 1
+
+    @property
+    def is_pencil(self) -> bool:
+        """A pinned split of two identical line bundles: the one home of that rule.
+
+        Never generic: a generic component's stored coefficients are only
+        representatives, so equal coefficients do not mean equal bundles.
+        """
+        b = self.bundle
+        return isinstance(b, Split) and not self.is_generic and b.first == b.second
 
     @property
     def degree(self) -> int:
@@ -365,17 +391,17 @@ def _node_condition_failures(s: LimitSeries, columns) -> list[str]:
     """Diagnostics for condition (b), given each component's ``(us, vs)``.
 
     A component whose entries are not all integers has ``None`` for its
-    columns.  A node fails outright when it touches such a component or
-    its matching reaches past a short or missing table; else each matched
-    row pair below the twist is named.
+    columns.  A node fails outright when ``matching_failure`` refuses its
+    matching, or it touches such a component or a short or missing table;
+    else each matched row pair below the twist is named.
     """
     failures = []
     k, twist = s.sections, s.twist
     identity = tuple(range(1, k + 1))
     for n, node in enumerate(s.nodes, start=1):
         matching = node.matching
-        if matching != identity and tuple(sorted(matching)) != identity:
-            failures.append(f"node {n}: matching {matching} is not a bijection")
+        if why := matching_failure(matching, identity):
+            failures.append(f"node {n}: {why}")
             continue
         sides = columns[n - 1 : n + 1]
         if None in sides:
@@ -429,9 +455,6 @@ def _canonical_failure(bundle: BundleLike, i: int, g: int) -> str | None:
     return f"determinant ({got[0]},{got[1]}) != canonical ({want[0]},{want[1]})"
 
 
-_INT = frozenset((int,))
-
-
 def validate_all(s: LimitSeries) -> ValidationReport:
     """Decide every check on ``s`` and collect a per-check report.
 
@@ -439,15 +462,15 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     decided in one walk over the components: structure, monotonicity,
     multiplicity, admissibility, the degree sum, determinacy and the
     canonical determinant; the node condition then reads the walk's
-    columns.  Every failure is named with the numbers it compared.  Each
-    table's rows are unpacked once into columns, and every table check is
-    a whole-column pass: entry types by one ``map(type, ...)`` over the
-    table; monotonicity, negative entries and multiplicity from one sort
-    of each column; admissibility by one pass of ``admissibility_failures``
-    over the rows, the one place a split's summand pairs are built.  A
-    diagnostic is built only for a row, value or node that fails.  A
-    component with an entry whose type is not ``int`` is a structure
-    failure, and its numbers are not read.
+    columns, and ``matching_failure`` decides each matching.  Every failure
+    is named with the numbers it compared.  Each table's rows are unpacked
+    once into columns, and every table check is a whole-column pass: entry
+    types by one ``map(type, ...)`` over the table; monotonicity, negative
+    entries and multiplicity from one sort of each column; admissibility
+    by one pass of ``admissibility_failures`` over the rows, the one place
+    a split's summand pairs are built.  A diagnostic is built only for a
+    row, value or node that fails.  A component with an entry whose type
+    is not ``int`` is a structure failure, and its numbers are not read.
     """
     k, rank, twist, genus = s.sections, s.rank, s.twist, s.genus
     structure, mono, mult, adm, flags = [], [], [], [], []

@@ -76,15 +76,10 @@ def check_semistable(s: LimitSeries) -> bool:
 
 
 def _candidates(c: Component) -> list[str]:
+    """Slope-equal subbundle choices: a pencil when ``Component.is_pencil``."""
     if isinstance(c.bundle, Indecomposable):
         return [DIR_MARKED]
-    if c.is_generic:
-        # two distinct generic line bundles; stored coefficients are only
-        # representatives, so structural equality does not apply
-        return [DIR_FIRST, DIR_SECOND]
-    if c.bundle.first == c.bundle.second:
-        return [FLEX]
-    return [DIR_FIRST, DIR_SECOND]
+    return [FLEX] if c.is_pencil else [DIR_FIRST, DIR_SECOND]
 
 
 def check_stable(s: LimitSeries) -> StabilityReport:

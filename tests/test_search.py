@@ -123,7 +123,10 @@ class TestCanonicalForm:
     @pytest.mark.parametrize(
         "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
     )
-    @pytest.mark.parametrize("matching", [(1, 2, 3, 9), (1, 1, 2, 3), (1, 2, 3.0, 4), (2, 1, 3.0, 4)])
+    @pytest.mark.parametrize(
+        "matching",
+        [(1, 2, 3, 9), (1, 1, 2, 3), (1, 2, 3.0, 4), (2, 1, 3.0, 4), (1, "2", 3, 4), (True, 2, 3, 4)],
+    )
     def test_non_permutation_matching_refused(self, key, matching):
         s = construct(5, 4)
         nodes = (replace(s.nodes[0], matching=matching),) + s.nodes[1:]

@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -28,6 +29,7 @@ from ellchain import (
     enumerate_series,
     parse_series,
     q_side,
+    rho_canonical,
     serialize_series,
     theorem_threshold,
     validate_all,
@@ -1050,6 +1052,47 @@ def test_token_mutants_round_trip(text):
     assert serialize_series(parse_series(again)) == again
 
 
+def _single_field_mutants(text):
+    """Each ``(tokens, index, step, mutant)`` with one integer token of ``text`` moved by ``step``."""
+    lines = text.splitlines(keepends=True)
+    for n, line in enumerate(lines):
+        tokens = re.findall(r"\s+|\S+", line)
+        for j, token in enumerate(tokens):
+            if not re.fullmatch(r"-?\d+", token):
+                continue
+            for step in (-1, 1):
+                edited = "".join(tokens[:j] + [str(int(token) + step)] + tokens[j + 1 :])
+                yield tokens, j, step, "".join(lines[:n] + [edited] + lines[n + 1 :])
+
+
+def test_single_field_mutation_probe():
+    """Every integer field of a constructed file, moved by one, is caught.
+
+    Each mutant fails to parse, fails ``validate_all``, or is a ``moduli
+    1 -> 0`` flip on a free component: that one passes every check, but
+    its priced total misses ``rho_canonical``, so ``dim`` exits 2.  The
+    ``forced`` fields are not integers and are not mutated here; a
+    rewritten ``forced`` field still passes ``verify``, the gap that the
+    strict xfail ``test_verify_catches_dropped_forced_pairs`` keeps
+    visible.
+    """
+    outcomes = Counter()
+    for g, k in [(5, 4), (7, 3), (9, 4), (8, 5), (12, 6)]:
+        for tokens, j, step, text in _single_field_mutants(serialize_series(construct(g, k))):
+            try:
+                s = parse_series(text)
+            except ParseError:
+                outcomes["parse"] += 1
+                continue
+            if not validate_all(s).all_passed:
+                outcomes["validate"] += 1
+                continue
+            assert (tokens[j - 2 : j + 1], step) == (["moduli", " ", "1"], -1), "".join(tokens)
+            assert count_dimension(s).total != rho_canonical(g, k)
+            outcomes["moduli"] += 1
+    assert outcomes == {"parse": 199, "validate": 1487, "moduli": 14}
+
+
 _K4 = serialize_series(construct(5, 4)).splitlines()  # k = 4, component 2 at line 8
 
 
@@ -1194,5 +1237,18 @@ class TestEntryTypes:
         bad = _with_component(s, 2, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
         assert bad == s and validate_all(s).all_passed
         assert not validate_all(bad).all_passed
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(bad)
+
+    @pytest.mark.parametrize(
+        "matching", [(1, 2, 3.0, 4), (2, 1, 3.0, 4), (1, "2", 3, 4), (True, 2, 3, 4)]
+    )
+    def test_non_int_matching_entry_is_a_node_condition_failure(self, matching):
+        # entries equal to an int (3.0, True) must not pass, and entries that
+        # do not sort or index (a str, a float out of place) must not crash
+        s = construct(5, 4)
+        bad = replace(s, nodes=(replace(s.nodes[0], matching=matching),) + s.nodes[1:])
+        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
+        assert failing == {"node-condition": (f"node 1: matching {matching} is not a bijection",)}
         with pytest.raises(ValueError, match="refusing unvalidated series"):
             count_dimension(bad)
