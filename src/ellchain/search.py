@@ -66,6 +66,7 @@ from .series import (
     derive_forced_pairs,
     free_split,
     matching_failure,
+    node_count_failure,
     q_side,
     serialize_series,
     validate_all,
@@ -146,10 +147,13 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     values, so every representation of a series has one form.  Free
     components get the standard representative coefficients.  Idempotent.
     Constructed series and search leaves are canonical already.  Raises
-    ``ValueError`` naming the component whose table does not have
+    ``ValueError`` naming both counts when there is not one node between
+    each two components, the component whose table does not have
     ``sections`` rows of integers, or the node that ``matching_failure``
     refuses, as ``validate_all`` does.
     """
+    if why := node_count_failure(s):
+        raise ValueError(why)
     k = s.sections
     identity = tuple(range(1, k + 1))
     flip = {DIR_FIRST: DIR_SECOND, DIR_SECOND: DIR_FIRST}

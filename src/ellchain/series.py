@@ -32,8 +32,8 @@ appear twice.  This module encodes that calculus exactly:
   multiplicity, admissibility, the degree sum, the node condition,
   determinacy and the canonical determinant, each failure named with the
   numbers it compared;
-* ``parse_series`` reads the ``k`` row records after a component record as
-  one block and each integer field of a record by one ``map(int, ...)``;
+* ``parse_series`` has each component record read the run of row records
+  below it, and each integer field of a record by one ``map(int, ...)``;
   the per-token checks run only on the way to a ``ParseError``.
 
 A row ``(u, v)`` on a summand of degree ``d_s`` with ``u + v = d_s - 1``
@@ -186,6 +186,17 @@ class LimitSeries:
     @property
     def genus(self) -> int:
         return self.chain.genus
+
+
+def node_count_failure(s: LimitSeries) -> str | None:
+    """Why ``s`` does not have one node between each two components, or ``None``.
+
+    The one home of the shape rule for callers that walk components and
+    nodes together; ``validate_all`` reports both counts against the chain.
+    """
+    if len(s.nodes) != len(s.components) - 1:
+        return f"{len(s.nodes)} nodes on {len(s.components)} components"
+    return None
 
 
 def free_split(i: int, g: int) -> Split:
@@ -639,15 +650,16 @@ def _parse_ints(tokens: list[str], line_no: int, what: str) -> list[int]:
 def parse_series(text: str) -> LimitSeries:
     """Read the text of a series file; a malformed line raises ``ParseError``.
 
-    Records are read in one loop over the lines.  The ``k`` lines after a
-    component record are first read as one block of ``row <u> <v>``
-    records; coefficients, moduli and matchings by one ``map(int, ...)``
-    per field; and an index spelled as the expected one is taken as read.
-    A block that does not read that way (a blank line, a short block, a
-    bad token) is left to the loop, which reads its lines one record at a
-    time; a field that does not is re-read one token at a time.  So the
-    error names the line and token it always named, and the per-token
-    checks run only on the way to it.
+    Records are read in one loop over the lines.  A component record reads
+    the run of ``row <u> <v>`` records below it, blank lines skipped, and
+    builds its table from that run: the run's integers by one
+    comprehension, and coefficients, moduli, indices and matchings by one
+    ``map(int, ...)`` per field.  Only a field or run that does not read
+    that way is re-read one token at a time, so the error names the line
+    and token it always named, and the per-token checks run only on the
+    way to it.  A run of the wrong length fails at the record that ends
+    it, or just past the last line; a run ended by an unknown record is
+    left to the loop, which names that record.
     """
     lines = text.splitlines()
     if not lines:
@@ -675,41 +687,21 @@ def parse_series(text: str) -> LimitSeries:
 
     components: list[Component] = []
     nodes: list[NodeGluing] = []
-    pending_bundle: BundleLike | None = None
-    pending_moduli = 0
-    pending_rows: list[tuple[int, int]] = []
-
-    def close_component(line_no: int):
-        nonlocal pending_bundle
-        if pending_bundle is None:
-            return
-        if len(pending_rows) != k:
-            raise ParseError(
-                line_no, f"component {len(components) + 1} has {len(pending_rows)} rows, expected {k}"
-            )
-        components.append(
-            Component(pending_bundle, VanishingTable(pending_rows), pending_moduli)
-        )
-        pending_bundle = None
-        pending_rows.clear()
-
     at = 2  # index of the next line to read; its line number is at + 1
+    ended: list[str] = []  # the record that ended a run of rows, split once
     while at < len(lines):
-        tokens = lines[at].split()
+        tokens, ended = ended or lines[at].split(), []
         at += 1
         line_no = at
         if not tokens:
             continue
         kind = tokens[0]
         if kind == "component":
-            close_component(line_no)
             if len(tokens) < 3:
                 raise ParseError(line_no, "truncated component record")
-            # the expected index, written as the format writes it, needs no parse
-            if tokens[1] != str(len(components) + 1):
-                index = _parse_int(tokens[1], line_no, "component index")
-                if index != len(components) + 1:
-                    raise ParseError(line_no, f"component index {index} out of order")
+            (index,) = _parse_ints(tokens[1:2], line_no, "component index")
+            if index != len(components) + 1:
+                raise ParseError(line_no, f"component index {index} out of order")
             bkind = tokens[2]
             rest = tokens[3:]
             if len(rest) < 2 or rest[-2] != "moduli":
@@ -720,42 +712,44 @@ def parse_series(text: str) -> LimitSeries:
             if make is None:
                 raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
             try:
-                pending_bundle = make(*coeffs)
+                bundle = make(*coeffs)
             except ValueError as e:
                 raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
-            pending_moduli = moduli
-            # the table, when its k lines are k well-formed row records
+            # the run of row records below it, blank lines skipped
+            run: list[list[str]] = []
+            first = at
+            for at in range(first, len(lines)):
+                tokens = lines[at].split()
+                if tokens:
+                    if tokens[0] != "row":
+                        ended = tokens
+                        break
+                    run.append(tokens)
+            else:
+                at = len(lines)
             try:
-                block = [
-                    (int(u), int(v))
-                    for tag, u, v in map(str.split, lines[at : at + k])
-                    if tag == "row"
-                ]
+                rows = [(int(u), int(v)) for _, u, v in run]
             except ValueError:
-                block = []
-            if len(block) == k:
-                pending_rows.extend(block)
-                at += k
-        elif kind == "row":
-            if pending_bundle is None:
-                raise ParseError(line_no, "row outside a component record")
-            if len(tokens) != 3:
-                raise ParseError(line_no, "expected 'row <u> <v>'")
-            pending_rows.append(
-                (
-                    _parse_int(tokens[1], line_no, "u"),
-                    _parse_int(tokens[2], line_no, "v"),
+                for line_no, tokens in enumerate(map(str.split, lines[first:at]), start=first + 1):
+                    if tokens and len(tokens) != 3:
+                        raise ParseError(line_no, "expected 'row <u> <v>'") from None
+                    for token, what in zip(tokens[1:], "uv"):
+                        _parse_int(token, line_no, what)
+                raise
+            # an unknown record that ends the run is the loop's to name
+            if len(rows) != k and (not ended or ended[0] in ("component", "node")):
+                raise ParseError(
+                    at + 1, f"component {len(components) + 1} has {len(rows)} rows, expected {k}"
                 )
-            )
+            components.append(Component(bundle, VanishingTable(rows), moduli))
+        elif kind == "row":
+            raise ParseError(line_no, "row outside a component record")
         elif kind == "node":
-            close_component(line_no)
             if len(tokens) < 4 or tokens[2] != "matching":
                 raise ParseError(line_no, "expected 'node <i> matching ... forced ...'")
-            # the expected index, written as the format writes it, needs no parse
-            if tokens[1] != str(len(nodes) + 1):
-                index = _parse_int(tokens[1], line_no, "node index")
-                if index != len(nodes) + 1:
-                    raise ParseError(line_no, f"node index {index} out of order")
+            (index,) = _parse_ints(tokens[1:2], line_no, "node index")
+            if index != len(nodes) + 1:
+                raise ParseError(line_no, f"node index {index} out of order")
             try:
                 split_at = tokens.index("forced")
             except ValueError:
@@ -776,8 +770,6 @@ def parse_series(text: str) -> LimitSeries:
             nodes.append(NodeGluing(matching, tuple(forced)))
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
-    close_component(len(lines) + 1)
-
     if len(components) != g:
         raise ParseError(len(lines), f"{len(components)} components, expected genus {g}")
     if len(nodes) != g - 1:

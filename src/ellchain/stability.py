@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import Indecomposable, Split
-from .series import DIR_FIRST, DIR_MARKED, DIR_SECOND, Component, LimitSeries
+from .series import DIR_FIRST, DIR_MARKED, DIR_SECOND, Component, LimitSeries, node_count_failure
 
 FLEX = "*"
 FREE_TOKEN = "free"
@@ -91,6 +91,8 @@ def check_stable(s: LimitSeries) -> StabilityReport:
     """
     if s.rank != 2:
         raise ValueError("stability verdicts are defined for rank-two series")
+    if why := node_count_failure(s):
+        raise ValueError(why)
     if not check_semistable(s):
         raise ValueError("check_stable requires a component-wise semistable series")
 

@@ -156,6 +156,21 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match=f"^component 3: {message}$"):
             key(replace(s, components=tuple(comps)))
 
+    @pytest.mark.parametrize(
+        "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
+    )
+    @pytest.mark.parametrize(
+        "reshape, message",
+        [
+            (lambda s: replace(s, nodes=s.nodes + s.nodes[-1:]), "5 nodes on 5 components"),
+            (lambda s: replace(s, components=s.components[:-1]), "4 nodes on 4 components"),
+        ],
+        ids=["extra-node", "dropped-component"],
+    )
+    def test_wrong_node_count_refused(self, key, reshape, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            key(reshape(construct(5, 4)))
+
 
 class TestRankOneUniqueness:
     @pytest.mark.parametrize("g", range(2, 11))

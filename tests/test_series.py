@@ -878,7 +878,8 @@ def test_token_mutants_parse_or_raise_parse_error(text):
 
 
 # ---------------------------------------------------------------------------
-# the parser: block reads against the line-at-a-time parser they replaced
+# the parser: each component record reading its own run of rows, against
+# the line-at-a-time parser
 
 _REFERENCE_BUNDLE_RECORDS = {
     ("split", 4): lambda p1, q1, p2, q2: Split(SplitLineBundle(p1, q1), SplitLineBundle(p2, q2)),
@@ -1111,8 +1112,8 @@ def _insert(at, text):
 
 
 class TestParserHandCases:
-    """Malformed row blocks and records: the error the line parser gave,
-    at the line it gave, and the block read only where it is well formed."""
+    """Malformed row runs and records: the error the line parser gave, at
+    the line it gave, and the table read only where its run is well formed."""
 
     @pytest.mark.parametrize(
         "edit, line_no, message",
@@ -1131,6 +1132,14 @@ class TestParserHandCases:
             # of the file
             (_set(10, "  rw 0 3"), 10, "unknown record 'rw'"),
             (lambda lines: lines.__delitem__(slice(25, None)), 26, "component 5 has 2 rows, expected 4"),
+            # the same, with blank lines after it: they count toward the line
+            (lambda lines: lines.__setitem__(slice(25, None), ["", "  "]), 28, "component 5 has 2 rows, expected 4"),
+            # a bad token in a short run comes before its length
+            (
+                lambda lines: (_set(9, "  row x 8")(lines), _set(12, "node 1 matching 1 2 3 4 forced -")(lines)),
+                9,
+                "expected integer u, got 'x'",
+            ),
             # a row before any component, a row right after a node record
             (_insert(3, "  row 0 4"), 3, "row outside a component record"),
             (_insert(29, "  row 0 4"), 29, "row outside a component record"),

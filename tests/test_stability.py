@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -91,6 +92,18 @@ class TestStable:
     def test_rank_one_rejected(self):
         with pytest.raises(ValueError):
             check_stable(canonical_limit_series(4))
+
+    @pytest.mark.parametrize(
+        "reshape, message",
+        [
+            (lambda s: replace(s, nodes=s.nodes + s.nodes[-1:]), "5 nodes on 5 components"),
+            (lambda s: replace(s, components=s.components[:-1]), "4 nodes on 4 components"),
+        ],
+        ids=["extra-node", "dropped-component"],
+    )
+    def test_wrong_node_count_refused(self, reshape, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_stable(reshape(construct(5, 4)))
 
 
 def test_external_case_detection():
