@@ -3,6 +3,8 @@
 Exit codes are part of the contract so sweeps can run under CI:
 0 success, 1 usage or file error, 2 validation failure (or ledger
 mismatch), 3 below the nonemptiness threshold, 4 malformed series file.
+Commands raise their refusals; ``main`` is the one map from a refusal to
+its exit code and its one stderr line.  ``--out`` has one writer.
 
 The sweep emits one CSV row per (g, k) cell with a nonnegative expected
 dimension, in grid order (g ascending, then k), with the fixed column
@@ -30,7 +32,6 @@ from .ledger import (
 from .search import (
     DEFAULT_CAP_RANK1,
     DEFAULT_CAP_RANK2,
-    SearchCapError,
     SearchSpace,
     enumerate_series,
 )
@@ -86,23 +87,21 @@ def _text_dump(s: LimitSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_construct(args) -> int:
-    try:
-        s = construct(args.g, args.k, force=args.force)
-    except ThresholdError as e:
-        print(f"not constructed: {e}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    report = validate_all(s)
-    payload = serialize_series(s) if args.format == "structured" else _text_dump(s)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+def _write(payload: str, out: str | None, note: str = "") -> None:
+    """Write ``payload`` to the file ``out`` byte for byte, or to stdout."""
+    if out:
+        # newline="" keeps "\n" on every platform: the file is the payload
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(payload)
-        print(f"wrote {args.out}")
+        print(f"wrote {out}{note}")
     else:
         sys.stdout.write(payload)
+
+
+def cmd_construct(args) -> int:
+    s = construct(args.g, args.k, force=args.force)
+    report = validate_all(s)
+    _write(serialize_series(s) if args.format == "structured" else _text_dump(s), args.out)
     if external_stable_case(args.g, args.k):
         print(
             "note: external-construction case; the glued bundle here is strictly "
@@ -155,14 +154,7 @@ def cmd_search(args) -> int:
         space = SearchSpace(args.g, args.r, args.k, prefix_length=args.prefix)
         report = enumerate_series(space, limit=args.max, cap=args.cap)
     except RecursionError:  # the transfer step recurses once per component
-        print(f"error: search at g={args.g}, k={args.k} is too deep", file=sys.stderr)
-        return EXIT_USAGE
-    except SearchCapError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"search at g={args.g}, k={args.k} is too deep") from None
     for line in report.summary_lines():
         print(line)
     if args.show_solutions:
@@ -213,11 +205,9 @@ def _sweep_cell(cell: tuple[int, int]) -> str:
 
 def cmd_sweep(args) -> int:
     if args.g_min > args.g_max or args.k_min > args.k_max:
-        print("error: empty sweep range", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty sweep range")
     if args.k_min < 2:
-        print("error: sweep needs k >= 2", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("sweep needs k >= 2")
     cells = [
         (g, k)
         for g in range(args.g_min, args.g_max + 1)
@@ -232,13 +222,7 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]
-    payload = "\n".join([CSV_COLUMNS] + rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out} ({len(rows)} rows)")
-    else:
-        sys.stdout.write(payload)
+    _write("\n".join([CSV_COLUMNS] + rows) + "\n", args.out, f" ({len(rows)} rows)")
     return EXIT_OK
 
 
@@ -296,13 +280,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # file errors end in their documented exit code, not a traceback
+    # the one refusal map: every refusal ends in its documented exit code
+    # and one stderr line, not a traceback; the subclasses of ValueError
+    # come first
     try:
         return args.func(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as e:
+    except ThresholdError as e:
+        print(f"not constructed: {e}", file=sys.stderr)
+        return EXIT_THRESHOLD
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -64,6 +64,7 @@ from .series import (
     VanishingTable,
     QSide,
     derive_forced_pairs,
+    forced_pairs_failure,
     free_split,
     matching_failure,
     node_count_failure,
@@ -149,8 +150,9 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     Constructed series and search leaves are canonical already.  Raises
     ``ValueError`` naming both counts when there is not one node between
     each two components, the component whose table does not have
-    ``sections`` rows of integers, or the node that ``matching_failure``
-    refuses, as ``validate_all`` does.
+    ``sections`` rows of integers, or the node whose matching or forced
+    pairs ``matching_failure`` or ``forced_pairs_failure`` refuses, as
+    ``validate_all`` does.
     """
     if why := node_count_failure(s):
         raise ValueError(why)
@@ -178,7 +180,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     nodes: list[NodeGluing] = []
     for n, node in enumerate(s.nodes):
         matching = node.matching
-        if why := matching_failure(matching, identity):
+        why = matching_failure(matching, identity) or forced_pairs_failure(node.forced_pairs)
+        if why:
             raise ValueError(f"node {n + 1}: {why}")
         was = [c.table.rows for c in s.components[n : n + 2]]
         left, right = comps[n].table.rows, comps[n + 1].table.rows

@@ -27,6 +27,10 @@ appear twice.  This module encodes that calculus exactly:
   once per component and side;
 * ``q_side`` is all a node reads of its left component, and
   ``derive_forced_pairs`` takes it in place of that component;
+* ``forced_pairs_failure`` is the one forced-pair rule: each pair is two
+  direction tokens, no direction is forced twice on either side, and a
+  node has at most two pairs.  ``derive_forced_pairs``, ``validate_all``,
+  ``canonical_form`` and ``check_stable`` all apply it;
 * ``validate_all`` is the one validator.  It decides every check in one
   walk over the components: structure and entry types, monotonicity,
   multiplicity, admissibility, the degree sum, the node condition,
@@ -70,6 +74,9 @@ BundleLike = Split | Indecomposable | SplitLineBundle
 DIR_FIRST = "1"
 DIR_SECOND = "2"
 DIR_MARKED = "m"
+# a tuple, not a set: membership compares and never hashes, so a token
+# that cannot be hashed fails the forced-pair rule instead of raising
+_DIRECTIONS = (DIR_FIRST, DIR_SECOND, DIR_MARKED)
 
 _INT = frozenset((int,))
 
@@ -136,6 +143,35 @@ def matching_failure(matching: tuple[int, ...], identity: tuple[int, ...]) -> st
     ):
         return None
     return f"matching {matching} is not a bijection"
+
+
+def forced_pairs_failure(pairs: tuple[tuple[str, str], ...]) -> str | None:
+    """Why ``pairs`` cannot be one node's forced direction pairs, or ``None``.
+
+    The one home of the forced-pair rule: each pair is a tuple of two
+    direction tokens from ``1``, ``2``, ``m``; no direction is forced twice
+    on either side (the first pair that forces one again is named with the
+    earlier pair); there are at most two pairs.  Each pair's shape is
+    checked before its tokens are compared, so a malformed pair fails and
+    never crashes.
+    """
+    for j, pair in enumerate(pairs):
+        if not (
+            isinstance(pair, tuple)
+            and len(pair) == 2
+            and pair[0] in _DIRECTIONS
+            and pair[1] in _DIRECTIONS
+        ):
+            return f"forced pair {pair!r} is not two direction tokens from 1, 2, m"
+        dl, dr = pair
+        for el, er in pairs[:j]:
+            if (el, er) == pair:
+                return f"forced pair {dl}->{dr} listed twice"
+            if el == dl or er == dr:
+                return f"inconsistent forced directions: {dl}->{dr} conflicts with {el}->{er}"
+    if len(pairs) > 2:
+        return f"more than two forced direction pairs: {list(pairs)}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -330,8 +366,8 @@ def derive_forced_pairs(
     equality (with slack, one side vanishes deeper than required and
     nothing must match); it then forces the gluing exactly when its
     section has a pinned direction on both sides.  Several rows may force
-    the same identification; the result is deduplicated and checked for
-    consistency (a direction cannot be forced onto two different images).
+    the same identification; the result is deduplicated and, when there
+    are any pairs, checked by ``forced_pairs_failure``.
     The pairs come out sorted, which is their order in canonical form.
     The right side is pinned once, when a row first needs it.
     """
@@ -343,16 +379,10 @@ def derive_forced_pairs(
         if right_p is None:
             right_p = _pinned_directions(right, "P")
         dr = right_p[t2 - 1]
-        if dr is None or (dl, dr) in pairs:
-            continue
-        for el, er in pairs:
-            if el == dl or er == dr:
-                raise ValueError(
-                    f"inconsistent forced directions: {dl}->{dr} conflicts with {el}->{er}"
-                )
-        pairs.append((dl, dr))
-    if len(pairs) > 2:
-        raise ValueError(f"more than two forced direction pairs: {pairs}")
+        if dr is not None and (dl, dr) not in pairs:
+            pairs.append((dl, dr))
+    if pairs and (why := forced_pairs_failure(pairs)):
+        raise ValueError(why)
     return tuple(sorted(pairs))
 
 
@@ -473,7 +503,8 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     decided in one walk over the components: structure, monotonicity,
     multiplicity, admissibility, the degree sum, determinacy and the
     canonical determinant; the node condition then reads the walk's
-    columns, and ``matching_failure`` decides each matching.  Every failure
+    columns, ``matching_failure`` decides each matching, and
+    ``forced_pairs_failure`` each node's forced pairs.  Every failure
     is named with the numbers it compared.  Each table's rows are unpacked
     once into columns, and every table check is a whole-column pass: entry
     types by one ``map(type, ...)`` over the table; monotonicity, negative
@@ -559,8 +590,8 @@ def validate_all(s: LimitSeries) -> ValidationReport:
             for msg in admissibility_failures(bundle, c.table, c.is_generic)
         )
     for n, node in enumerate(s.nodes, start=1):
-        if len(node.forced_pairs) > 2:
-            structure.append(f"node {n}: {len(node.forced_pairs)} forced pairs")
+        if node.forced_pairs and (why := forced_pairs_failure(node.forced_pairs)):
+            structure.append(f"node {n}: {why}")
 
     checks = [
         CheckResult(name, not diagnostics, tuple(diagnostics))

@@ -29,7 +29,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chain import Indecomposable, Split
-from .series import DIR_FIRST, DIR_MARKED, DIR_SECOND, Component, LimitSeries, node_count_failure
+from .series import (
+    DIR_FIRST,
+    DIR_MARKED,
+    DIR_SECOND,
+    Component,
+    LimitSeries,
+    forced_pairs_failure,
+    node_count_failure,
+)
 
 FLEX = "*"
 FREE_TOKEN = "free"
@@ -87,7 +95,8 @@ def check_stable(s: LimitSeries) -> StabilityReport:
 
     Every node's gluing is taken to be generic away from its forced
     pairs, so a chain that needs an unforced identification of rigid
-    directions dies there.
+    directions dies there.  Each node's forced pairs are read once, and a
+    node that ``forced_pairs_failure`` refuses raises ``ValueError``.
     """
     if s.rank != 2:
         raise ValueError("stability verdicts are defined for rank-two series")
@@ -95,6 +104,13 @@ def check_stable(s: LimitSeries) -> StabilityReport:
         raise ValueError(why)
     if not check_semistable(s):
         raise ValueError("check_stable requires a component-wise semistable series")
+    # the forced image of a direction at each node that forces one
+    forced: dict[int, dict[str, str]] = {}
+    for idx, node in enumerate(s.nodes):
+        if node.forced_pairs:
+            if why := forced_pairs_failure(node.forced_pairs):
+                raise ValueError(f"node {idx + 1}: {why}")
+            forced[idx] = dict(node.forced_pairs)
 
     survivors: list[DestabilizingChain] = []
     killed: list[DestabilizingChain] = []
@@ -106,9 +122,7 @@ def check_stable(s: LimitSeries) -> StabilityReport:
         if idx == len(s.nodes):
             survivors.append(DestabilizingChain(selections, statuses, None))
             return
-        node = s.nodes[idx]
-        forced_of = dict(node.forced_pairs)
-        images = {right for _, right in node.forced_pairs}
+        forced_of = forced.get(idx, {})
         for sel in _candidates(s.components[idx + 1]):
             # out: the token emitted at Q of the next component, or None
             # when the chain dies at this node
@@ -126,7 +140,7 @@ def check_stable(s: LimitSeries) -> StabilityReport:
             # gluing sends it past any other rigid target
             elif sel == FLEX:
                 status, out = FREE_TOKEN, FIXED_TOKEN
-            elif sel in images:
+            elif sel in forced_of.values():
                 status, out = "constrained-away", None
             else:
                 status, out = "generic-free", None

@@ -24,6 +24,38 @@ def mutate_entry(
     return replace(s, components=tuple(comps))
 
 
+# forced pairs that no node may carry, each with the reason the forced-pair
+# rule gives
+BAD_FORCED_PAIRS = {
+    "letters": ((("x", "y"),), "forced pair ('x', 'y') is not two direction tokens from 1, 2, m"),
+    "triple": (
+        (("1", "2", "3"),),
+        "forced pair ('1', '2', '3') is not two direction tokens from 1, 2, m",
+    ),
+    "ints": (((1, 2),), "forced pair (1, 2) is not two direction tokens from 1, 2, m"),
+    "one-direction-two-images": (
+        (("1", "2"), ("1", "1")),
+        "inconsistent forced directions: 1->1 conflicts with 1->2",
+    ),
+    "two-directions-one-image": (
+        (("1", "1"), ("2", "1")),
+        "inconsistent forced directions: 2->1 conflicts with 1->1",
+    ),
+    "pair-twice": ((("1", "2"), ("1", "2")), "forced pair 1->2 listed twice"),
+    "three-pairs": (
+        (("1", "2"), ("2", "1"), ("m", "m")),
+        "more than two forced direction pairs: [('1', '2'), ('2', '1'), ('m', 'm')]",
+    ),
+}
+
+
+def with_forced_pairs(s: LimitSeries, node_index: int, pairs) -> LimitSeries:
+    """Return a copy of ``s`` whose node ``node_index`` (0-based) carries ``pairs``."""
+    nodes = list(s.nodes)
+    nodes[node_index] = replace(nodes[node_index], forced_pairs=pairs)
+    return replace(s, nodes=tuple(nodes))
+
+
 def all_entries(s: LimitSeries):
     """Every (comp_index, row_index, which) coordinate of a series."""
     for ci, comp in enumerate(s.components):

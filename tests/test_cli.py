@@ -148,6 +148,32 @@ class TestVerifyAndDim:
         code, _, _ = run_cli(capsys, "verify", str(unforced_file))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "dim"])
+    @pytest.mark.parametrize(
+        "forced, why",
+        [
+            ("1:2 1:1", "inconsistent forced directions: 1->1 conflicts with 1->2"),
+            ("1:1 2:1", "inconsistent forced directions: 2->1 conflicts with 1->1"),
+            ("1:2 1:2", "forced pair 1->2 listed twice"),
+        ],
+        ids=["one-direction-two-images", "two-directions-one-image", "pair-twice"],
+    )
+    def test_malformed_forced_pairs_exit_2(self, capsys, tmp_path, command, forced, why):
+        # each edit parses, and every check but structure passes on it
+        lines = serialize_series(construct(9, 4)).splitlines(keepends=True)
+        assert lines[48] == "node 2 matching 1 2 3 4 forced 1:2 2:1\n"
+        lines[48] = f"node 2 matching 1 2 3 4 forced {forced}\n"
+        path = tmp_path / "s94.txt"
+        path.write_text("".join(lines))
+        code, stdout, stderr = run_cli(capsys, command, str(path))
+        assert code == 2
+        if command == "verify":
+            assert stdout.startswith(f"FAIL  structure\n      node 2: {why}\n")
+            assert stdout.count("FAIL") == 1
+        else:
+            assert stdout == ""
+            assert stderr == "error: refusing unvalidated series (failing: structure)\n"
+
     def test_no_sections_is_refused(self, capsys, tmp_path):
         # with no rows and empty matchings every other check holds vacuously
         path = tmp_path / "s0.txt"
@@ -199,9 +225,18 @@ class TestVerifyAndDim:
             1,
             "error: ",
         ),
+        (["construct", "--g", "4", "--k", "4"], 3, "not constructed: "),
+        (["construct", "--g", "3", "--k", "1"], 1, "error: "),
+        (["search", "--g", "9", "--k", "2"], 1, "error: "),
+        (["sweep", "--g-min", "5", "--g-max", "4", "--k-min", "2", "--k-max", "3"], 1,
+         "error: empty sweep range"),
+        (["sweep", "--g-min", "3", "--g-max", "4", "--k-min", "1", "--k-max", "3"], 1,
+         "error: sweep needs k >= 2"),
     ],
     ids=["verify-missing", "dim-missing", "verify-latin1", "dim-latin1",
-         "construct-out-missing-dir", "sweep-out-missing-dir"],
+         "construct-out-missing-dir", "sweep-out-missing-dir",
+         "construct-below-threshold", "construct-k1", "search-over-cap",
+         "sweep-empty-range", "sweep-k1"],
 )
 def test_file_errors_end_in_exit_code(capsys, tmp_path, argv, code, message):
     latin1 = tmp_path / "latin1.txt"
@@ -211,6 +246,18 @@ def test_file_errors_end_in_exit_code(capsys, tmp_path, argv, code, message):
     assert got == code
     assert stdout == ""
     assert stderr.startswith(message)
+
+
+def test_uncaught_value_error_is_one_error_line(capsys, tmp_path, monkeypatch):
+    # main maps any ValueError a command raises to exit 1, not a traceback
+    path = tmp_path / "s54.txt"
+    path.write_text(serialize_series(construct(5, 4)))
+
+    def boom(s):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("ellchain.cli.validate_all", boom)
+    assert run_cli(capsys, "verify", str(path)) == (1, "", "error: boom\n")
 
 
 class TestSearch:

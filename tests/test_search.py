@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,6 +20,7 @@ from ellchain import (
     prefix_key,
     q_side,
 )
+from helpers import BAD_FORCED_PAIRS, with_forced_pairs
 
 
 class TestCanonicalForm:
@@ -170,6 +172,16 @@ class TestCanonicalForm:
     def test_wrong_node_count_refused(self, key, reshape, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             key(reshape(construct(5, 4)))
+
+    @pytest.mark.parametrize(
+        "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
+    )
+    @pytest.mark.parametrize(
+        "pairs, why", BAD_FORCED_PAIRS.values(), ids=list(BAD_FORCED_PAIRS)
+    )
+    def test_bad_forced_pairs_refused(self, key, pairs, why):
+        with pytest.raises(ValueError, match=f"^node 1: {re.escape(why)}$"):
+            key(with_forced_pairs(construct(5, 4), 0, pairs))
 
 
 class TestRankOneUniqueness:

@@ -45,8 +45,9 @@ from ellchain.series import (
     CheckResult,
     _pinned_directions,
     admissibility_failures,
+    forced_pairs_failure,
 )
-from helpers import mutate_entry
+from helpers import BAD_FORCED_PAIRS, mutate_entry, with_forced_pairs
 
 
 def split(p1, q1, p2, q2):
@@ -247,6 +248,27 @@ class TestForcedPairs:
     def test_rank1_nodes_never_forced(self):
         s = canonical_limit_series(7)
         assert all(n.forced_pairs == () for n in s.nodes)
+
+
+class TestForcedPairsRule:
+    @pytest.mark.parametrize(
+        "pairs", [(), (("2", "m"),), (("1", "2"), ("2", "1")), (("1", "1"), ("2", "2"))]
+    )
+    def test_well_formed_pairs_pass(self, pairs):
+        assert forced_pairs_failure(pairs) is None
+        assert validate_all(with_forced_pairs(construct(5, 4), 0, pairs)).all_passed
+
+    @pytest.mark.parametrize(
+        "pairs, why", BAD_FORCED_PAIRS.values(), ids=list(BAD_FORCED_PAIRS)
+    )
+    def test_bad_pairs_are_a_structure_failure(self, pairs, why):
+        # the pairs are checked for shape, not against the derived ones
+        assert forced_pairs_failure(pairs) == why
+        bad = with_forced_pairs(construct(5, 4), 0, pairs)
+        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
+        assert failing == {"structure": (f"node 1: {why}",)}
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(bad)
 
 
 def _reference_pinned_direction(component, row_index, side):
@@ -462,9 +484,10 @@ def _reference_structure_failures(s):
         for j, (u, v) in enumerate(c.table.rows, start=1):
             if u < 0 or v < 0:
                 failures.append(f"component {i} row {j}: negative vanishing ({u},{v})")
+    # the forced-pair rule has its own hand cases in TestForcedPairsRule
     for n, node in enumerate(s.nodes, start=1):
-        if len(node.forced_pairs) > 2:
-            failures.append(f"node {n}: {len(node.forced_pairs)} forced pairs")
+        if why := forced_pairs_failure(node.forced_pairs):
+            failures.append(f"node {n}: {why}")
     return failures
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import pytest
@@ -20,6 +21,7 @@ from ellchain import (
     external_stable_case,
     theorem_threshold,
 )
+from helpers import BAD_FORCED_PAIRS, with_forced_pairs
 
 
 def split(p1, q1, p2, q2):
@@ -104,6 +106,13 @@ class TestStable:
     def test_wrong_node_count_refused(self, reshape, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             check_stable(reshape(construct(5, 4)))
+
+    @pytest.mark.parametrize(
+        "pairs, why", BAD_FORCED_PAIRS.values(), ids=list(BAD_FORCED_PAIRS)
+    )
+    def test_bad_forced_pairs_refused(self, pairs, why):
+        with pytest.raises(ValueError, match=f"^node 1: {re.escape(why)}$"):
+            check_stable(with_forced_pairs(construct(5, 4), 0, pairs))
 
 
 def test_external_case_detection():
