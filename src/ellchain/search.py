@@ -40,10 +40,14 @@ table options and forced-direction checks are computed once, and a state reached
 another path adds its cached totals.  The reported counters (tables
 expanded, prunes) are still the sums over the full depth-first search
 tree, as if every path were expanded anew.  Solutions are read off by a
-walk over the memoized states.  A leaf is built from the components and
-forced pairs found on the way down, which are already in canonical form,
-and is serialized as it stands; a full-chain leaf that fails
-``validate_all`` is an oracle defect and raises.
+walk over the memoized states.  The components and forced pairs found on
+the way down are already in canonical form, so a leaf's key is its text
+as it stands: each transfer edge renders its component block and the node
+line into it once, with the renderers ``serialize_series`` is assembled
+from, and a key is the series head followed by the blocks and the lines on
+its path.  A full-chain leaf is also built as a series, and one that fails
+``validate_all`` is an oracle defect and raises; a prefix leaf builds no
+series.
 The search runs in one process with one memo, and its reports are
 reproducible bit for bit; they claim combinatorial solutions only.
 """
@@ -63,13 +67,16 @@ from .series import (
     NodeGluing,
     VanishingTable,
     QSide,
+    component_block,
     derive_forced_pairs,
     forced_pairs_failure,
     free_split,
     matching_failure,
     node_count_failure,
+    node_line,
     q_side,
     serialize_series,
+    series_head,
     validate_all,
 )
 
@@ -198,10 +205,14 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     return replace(s, components=tuple(comps), nodes=tuple(nodes))
 
 
+def _prefix_line(prefix_length: int | None) -> str:
+    """The ``prefix N`` line that heads a prefix key; a full-chain key has none."""
+    return "" if prefix_length is None else f"prefix {prefix_length}\n"
+
+
 def _key(s: LimitSeries, prefix_length: int | None) -> str:
-    """The one key format: the serialized series, under a ``prefix N`` header."""
-    text = serialize_series(s)
-    return text if prefix_length is None else f"prefix {prefix_length}\n{text}"
+    """The one key format: the serialized series, under a ``prefix N`` line."""
+    return _prefix_line(prefix_length) + serialize_series(s)
 
 
 def canonical_key(s: LimitSeries) -> str:
@@ -324,14 +335,17 @@ class _State:
 
     The counters are the sums a depth-first walk of that subtree would
     make.  ``edges`` keeps only the children that lead to a solution, each
-    as (component, gluing at the node into it, child state).
+    as (component, gluing at the node into it, the component's block, the
+    node's line, child state).  The two texts are rendered once per edge,
+    by the renderers ``serialize_series`` is assembled from, so a leaf's
+    key is a concatenation of the texts on its path.
     """
 
     count: int
     expanded: int
     pruned_capacity: int
     direction_conflict: int
-    edges: tuple[tuple[Component, NodeGluing, "_State"], ...] = ()
+    edges: tuple[tuple[Component, NodeGluing, str, str, "_State"], ...] = ()
 
 
 _LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
@@ -343,15 +357,18 @@ class _Transfer:
     ``memo`` maps (component index, ``q_side`` of the previous component)
     to the totals of the subtree below it, so each state is expanded once.
     The key is exact by construction: ``_expand`` is handed the key and
-    nothing else.
+    nothing else.  ``head`` is the text every leaf key starts with: the
+    series head, under the ``prefix N`` line in a prefix search.
     """
 
     def __init__(self, space: SearchSpace, slow: bool):
         self.space = space
         self.slow = slow
         self.identity = tuple(range(1, space.k + 1))
-        self.blank = LimitSeries(
-            ChainCurve(space.g, space.length), space.rank, space.k, space.d, space.a, (), ()
+        self.chain = ChainCurve(space.g, space.length)
+        self.params = (space.rank, space.k, space.d, space.a)
+        self.head = _prefix_line(space.prefix_length) + series_head(
+            LimitSeries(self.chain, *self.params, (), ())
         )
         self.memo: dict[tuple[int, QSide], _State] = {}
 
@@ -388,7 +405,10 @@ class _Transfer:
             pruned += child.pruned_capacity
             conflicts += child.direction_conflict
             if child.count:
-                edges.append((comp, NodeGluing(self.identity, forced), child))
+                node = NodeGluing(self.identity, forced)
+                edges.append(
+                    (comp, node, component_block(idx, comp), node_line(idx - 1, node), child)
+                )
         return _State(count, expanded, pruned, conflicts, tuple(edges))
 
     def run(self, first: Component) -> tuple[_State, list[str]]:
@@ -397,23 +417,35 @@ class _Transfer:
         # its edges are freed once the caller has read its totals
         root = self._expand(2, q_side(first)) if self.space.length > 1 else _LEAF
         solutions: list[str] = []
-        self._collect(root, (first,), (), solutions)
+        self._collect(root, (first,), (), component_block(1, first), "", solutions)
         return root, solutions
 
-    def _collect(self, state: _State, comps, nodes, out: list[str]):
+    def _collect(self, state: _State, comps, nodes, comps_text: str, nodes_text: str, out):
+        """Append the key of every leaf below ``state`` to ``out``.
+
+        ``comps_text`` and ``nodes_text`` are the component blocks and node
+        lines on the path so far; a full-chain leaf is also built as a
+        series and must pass ``validate_all``.
+        """
         if state is _LEAF:
-            leaf = replace(self.blank, components=comps, nodes=nodes)
             if self.space.prefix_length is None:
-                report = validate_all(leaf)
+                report = validate_all(LimitSeries(self.chain, *self.params, comps, nodes))
                 if not report.all_passed:
                     raise RuntimeError(
                         "oracle defect: enumerated configuration fails validation: "
                         + "; ".join(c.name for c in report.failures())
                     )
-            out.append(_key(leaf, self.space.prefix_length))
+            out.append(self.head + comps_text + nodes_text)
             return
-        for comp, node, child in state.edges:
-            self._collect(child, comps + (comp,), nodes + (node,), out)
+        for comp, node, comp_text, node_text, child in state.edges:
+            self._collect(
+                child,
+                comps + (comp,),
+                nodes + (node,),
+                comps_text + comp_text,
+                nodes_text + node_text,
+                out,
+            )
 
 
 def enumerate_series(

@@ -38,7 +38,11 @@ appear twice.  This module encodes that calculus exactly:
   numbers it compared;
 * ``parse_series`` has each component record read the run of row records
   below it, and each integer field of a record by one ``map(int, ...)``;
-  the per-token checks run only on the way to a ``ParseError``.
+  the per-token checks run only on the way to a ``ParseError``;
+* ``serialize_series`` is one join of the series head, the component
+  blocks and the node lines, rendered by ``series_head``,
+  ``component_block`` and ``node_line``; the search oracle keys its
+  leaves with the same renderers.
 
 A row ``(u, v)`` on a summand of degree ``d_s`` with ``u + v = d_s - 1``
 has a one-dimensional section space in that summand, but its divisor is
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain as _chain
 from operator import eq
 
 from .chain import (
@@ -622,33 +627,58 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def serialize_series(s: LimitSeries) -> str:
-    """Canonical textual form; parse/serialize round-trips byte-identically."""
-    out = [f"{FORMAT_HEADER} {FORMAT_VERSION}"]
-    out.append(
+_ROW = "  row %s %s\n"
+
+
+def series_head(s: LimitSeries) -> str:
+    """The header and parameter lines of ``s``'s file, newline-terminated."""
+    return (
+        f"{FORMAT_HEADER} {FORMAT_VERSION}\n"
         f"genus {s.genus} rank {s.rank} sections {s.sections} "
-        f"degree {s.degree} twist {s.twist}"
+        f"degree {s.degree} twist {s.twist}\n"
     )
-    for i, c in enumerate(s.components, start=1):
-        b = c.bundle
-        if isinstance(b, Split):
-            kind = f"split {b.first.p} {b.first.q} {b.second.p} {b.second.q}"
-        elif isinstance(b, SplitLineBundle):
-            kind = f"line {b.p} {b.q}"
-        else:
-            kind = f"indec {b.degree} {b.marked_u} {b.marked_v}"
-        out.append(f"component {i} {kind} moduli {c.moduli_freedom}")
-        for u, v in c.table.rows:
-            out.append(f"  row {u} {v}")
-    for n, node in enumerate(s.nodes, start=1):
-        matching = " ".join(str(t) for t in node.matching)
-        forced = (
-            " ".join(f"{a}:{b}" for a, b in node.forced_pairs)
-            if node.forced_pairs
-            else "-"
-        )
-        out.append(f"node {n} matching {matching} forced {forced}")
-    return "\n".join(out) + "\n"
+
+
+def component_block(i: int, c: Component) -> str:
+    """Component ``i``'s record and its row records, newline-terminated."""
+    b = c.bundle
+    if isinstance(b, Split):
+        kind = f"split {b.first.p} {b.first.q} {b.second.p} {b.second.q}"
+    elif isinstance(b, SplitLineBundle):
+        kind = f"line {b.p} {b.q}"
+    else:
+        kind = f"indec {b.degree} {b.marked_u} {b.marked_v}"
+    # one %-format writes all rows (and, below, a whole matching), which
+    # keeps the per-component call from slowing the writer; "%s" writes
+    # str(x), the text an f-string field gives int, bool, float and str
+    rows = c.table.rows
+    return f"component {i} {kind} moduli {c.moduli_freedom}\n" + _ROW * len(rows) % tuple(
+        _chain.from_iterable(rows)
+    )
+
+
+def node_line(n: int, node: NodeGluing) -> str:
+    """Node ``n``'s record, newline-terminated; no forced pairs is ``-``."""
+    matching = tuple(node.matching)
+    entries = " ".join(["%s"] * len(matching)) % matching
+    pairs = node.forced_pairs
+    forced = " ".join([f"{a}:{b}" for a, b in pairs]) if pairs else "-"
+    return f"node {n} matching {entries} forced {forced}\n"
+
+
+def serialize_series(s: LimitSeries) -> str:
+    """Canonical textual form; parse/serialize round-trips byte-identically.
+
+    The head, then every component block, then every node line: the same
+    renderers the search oracle keys its leaves with.
+    """
+    return "".join(
+        [
+            series_head(s),
+            *(component_block(i, c) for i, c in enumerate(s.components, start=1)),
+            *(node_line(n, node) for n, node in enumerate(s.nodes, start=1)),
+        ]
+    )
 
 
 # (record kind, coefficient count) -> bundle constructor
@@ -789,6 +819,8 @@ def parse_series(text: str) -> LimitSeries:
             if len(matching) != k:
                 raise ParseError(line_no, f"matching has {len(matching)} entries, expected {k}")
             forced_tokens = tokens[split_at + 1 :]
+            if not forced_tokens:
+                raise ParseError(line_no, "empty 'forced' field; '-' writes no pairs")
             forced: list[tuple[str, str]] = []
             if forced_tokens != ["-"]:
                 for t in forced_tokens:

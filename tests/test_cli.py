@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ellchain import construct, parse_series, serialize_series, theorem_threshold
+from ellchain import canonical_key, construct, parse_series, serialize_series, theorem_threshold
 from ellchain.cli import main
 from helpers import mutate_entry, recording_pool
 
@@ -46,6 +46,16 @@ class TestConstruct:
         )
         assert code == 0
         assert "all checks passed" in stdout
+
+    def test_force_at_genus_one_reports_the_twist(self, capsys):
+        code, stdout, _ = run_cli(capsys, "construct", "--g", "1", "--k", "2", "--force")
+        assert code == 2
+        assert "FAIL  structure\n      twist 0 must be a positive integer\n" in stdout
+
+    def test_text_format_names_the_indecomposable_component(self, capsys):
+        code, stdout, _ = run_cli(capsys, "construct", "--g", "7", "--k", "3", "--format", "text")
+        assert code == 0
+        assert "component 3: indecomposable deg 12, marked (2,4)\n" in stdout
 
     def test_text_format(self, capsys, tmp_path):
         out = tmp_path / "t.txt"
@@ -102,6 +112,14 @@ class TestVerifyAndDim:
         code, _, stderr = run_cli(capsys, "verify", str(series_file))
         assert code == 4
         assert "line 3" in stderr
+
+    @pytest.mark.parametrize("command", ["verify", "dim"])
+    def test_empty_forced_field_exit_4_with_line(self, capsys, series_file, command):
+        node = "node 1 matching 1 2 3 4 forced"
+        series_file.write_text(series_file.read_text().replace(f"{node} -", node))
+        code, stdout, stderr = run_cli(capsys, command, str(series_file))
+        assert (code, stdout) == (4, "")
+        assert "line 28: empty 'forced' field" in stderr
 
     @pytest.mark.parametrize("command", ["verify", "dim"])
     @pytest.mark.parametrize(
@@ -312,6 +330,16 @@ class TestSearch:
         )
         assert code == 0
         assert "prefix" in stdout
+
+
+    def test_search_show_solutions(self, capsys):
+        code, stdout, _ = run_cli(capsys, "search", "--g", "5", "--k", "4", "--show-solutions")
+        assert code == 0
+        report, *blocks = stdout.split("---\n")
+        count = int(re.match(r"combinatorial solutions: (\d+)\n", report).group(1))
+        assert stdout.splitlines().count("---") == len(blocks) == count == 65
+        for block in blocks:
+            assert canonical_key(parse_series(block)) == block
 
 
 class TestSweep:

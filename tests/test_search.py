@@ -7,6 +7,7 @@ import pytest
 from ellchain import search
 from ellchain.cli import main
 from ellchain import (
+    LimitSeries,
     SearchCapError,
     SearchSpace,
     canonical_form,
@@ -19,7 +20,10 @@ from ellchain import (
     parse_series,
     prefix_key,
     q_side,
+    serialize_series,
+    validate_all,
 )
+from ellchain.series import component_block, node_line, series_head
 from helpers import BAD_FORCED_PAIRS, with_forced_pairs
 
 
@@ -274,8 +278,6 @@ class TestSearchMechanics:
 
     def test_solutions_validate(self):
         # spot-check that emitted keys parse back into validating series
-        from ellchain import validate_all
-
         report = enumerate_series(SearchSpace(4, 2, 4))
         assert report.count >= 1
         for key in report.solutions:
@@ -441,3 +443,51 @@ def test_memo_key_matches_whole_component_key(monkeypatch, space, slow):
     if space == SearchSpace(11, 1, 11):
         assert len(shipped.memo) < len(keyed.memo)
         assert len(shipped.memo) < fresh.expansions
+
+
+class _SeriesKeyedTransfer(search._Transfer):
+    """The transfer step that rebuilds every leaf and keys it with
+    ``serialize_series``, ignoring the per-edge texts."""
+
+    def _collect(self, state, comps, nodes, comps_text, nodes_text, out):
+        if state is search._LEAF:
+            prefix = self.space.prefix_length
+            leaf = LimitSeries(self.chain, *self.params, comps, nodes)
+            if prefix is None:
+                assert validate_all(leaf).all_passed
+            out.append(("" if prefix is None else f"prefix {prefix}\n") + serialize_series(leaf))
+            return
+        for comp, node, _, _, child in state.edges:
+            self._collect(child, comps + (comp,), nodes + (node,), "", "", out)
+
+
+@pytest.mark.parametrize(
+    "space,slow",
+    [
+        (SearchSpace(4, 2, 2), False),
+        (SearchSpace(5, 2, 4), False),
+        (SearchSpace(6, 2, 4, prefix_length=3), False),
+        (SearchSpace(7, 2, 4, prefix_length=2), False),
+        (SearchSpace(8, 1, 8), False),
+        (SearchSpace(4, 2, 2), True),
+    ],
+    ids=str,
+)
+def test_per_edge_keys_match_serialized_leaves(monkeypatch, space, slow):
+    # keys assembled from the texts rendered once per edge must equal the
+    # serialized leaves, in the same order, with the same count and counters
+    ours, _ = _run_with(monkeypatch, search._Transfer, space, slow)
+    rebuilt, _ = _run_with(monkeypatch, _SeriesKeyedTransfer, space, slow)
+    assert ours.count == len(ours.solutions) > 0
+    assert ours == rebuilt
+
+
+@pytest.mark.parametrize(
+    "series",
+    [construct(9, 4), construct(7, 3), canonical_limit_series(6)],
+    ids=["g9k4", "g7k3", "rank1g6"],
+)
+def test_serialize_is_head_blocks_and_node_lines(series):
+    blocks = [component_block(i, c) for i, c in enumerate(series.components, start=1)]
+    lines = [node_line(n, node) for n, node in enumerate(series.nodes, start=1)]
+    assert serialize_series(series) == series_head(series) + "".join(blocks) + "".join(lines)

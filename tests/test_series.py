@@ -853,6 +853,58 @@ class TestSerialization:
             parse_series("\n".join(lines) + "\n")
 
 
+def _reference_serialize_series(s):
+    """The line-at-a-time writer, one f-string per record."""
+    out = [f"{FORMAT_HEADER} {FORMAT_VERSION}"]
+    out.append(
+        f"genus {s.genus} rank {s.rank} sections {s.sections} "
+        f"degree {s.degree} twist {s.twist}"
+    )
+    for i, c in enumerate(s.components, start=1):
+        b = c.bundle
+        if isinstance(b, Split):
+            kind = f"split {b.first.p} {b.first.q} {b.second.p} {b.second.q}"
+        elif isinstance(b, SplitLineBundle):
+            kind = f"line {b.p} {b.q}"
+        else:
+            kind = f"indec {b.degree} {b.marked_u} {b.marked_v}"
+        out.append(f"component {i} {kind} moduli {c.moduli_freedom}")
+        for u, v in c.table.rows:
+            out.append(f"  row {u} {v}")
+    for n, node in enumerate(s.nodes, start=1):
+        matching = " ".join(str(t) for t in node.matching)
+        forced = " ".join(f"{a}:{b}" for a, b in node.forced_pairs) if node.forced_pairs else "-"
+        out.append(f"node {n} matching {matching} forced {forced}")
+    return "\n".join(out) + "\n"
+
+
+def _odd_entries(s):
+    """``s`` with float, bool, str and tuple table entries and list matchings."""
+    comps = list(s.components)
+    c = comps[1]
+    rows = [(0.5, True), ("3", (1, 2))] + list(c.table.rows[2:])
+    comps[1] = Component(c.bundle, VanishingTable(rows), c.moduli_freedom)
+    nodes = [NodeGluing(list(n.matching), n.forced_pairs) for n in s.nodes]
+    nodes[0] = NodeGluing((2.0, "1", *s.nodes[0].matching[2:]), (("1", "m"),))
+    return replace(s, components=tuple(comps), nodes=tuple(nodes))
+
+
+@pytest.mark.parametrize(
+    "series",
+    [
+        *(construct(g, k) for g, k in ((9, 4), (7, 3), (40, 3), (80, 7), (300, 16))),
+        canonical_limit_series(6),
+        _odd_entries(construct(9, 4)),
+        _odd_entries(construct(7, 3)),
+    ],
+    ids=["g9k4", "g7k3", "g40k3", "g80k7", "g300k16", "rank1g6", "odd-entries94", "odd-entries73"],
+)
+def test_serialize_matches_line_at_a_time_writer(series):
+    # the block and matching renderers %-format their fields; the writer
+    # they replaced wrote one f-string field at a time
+    assert serialize_series(series) == _reference_serialize_series(series)
+
+
 # serialized files split into alternating whitespace and word tokens
 _FILES = [
     re.findall(r"\s+|\S+", serialize_series(s)) for s in (construct(5, 4), construct_odd(7, 3))
@@ -1015,6 +1067,8 @@ def _reference_parse_series(text):
             if len(matching) != k:
                 raise ParseError(line_no, f"matching has {len(matching)} entries, expected {k}")
             forced_tokens = tokens[split_at + 1 :]
+            if not forced_tokens:
+                raise ParseError(line_no, "empty 'forced' field; '-' writes no pairs")
             forced = []
             if forced_tokens != ["-"]:
                 for t in forced_tokens:
@@ -1172,6 +1226,8 @@ class TestParserHandCases:
             (_set(8, "component 2 split 0 4 2 2 moduli one"), 8, "expected integer moduli freedom, got 'one'"),
             (_set(8, "component z split 0 4 2 2 moduli 0"), 8, "expected integer component index, got 'z'"),
             (_set(2, "genus 5 rank 2 sections four degree 8 twist 4"), 2, "expected integer sections, got 'four'"),
+            # an empty forced field would be read as no pairs and written back as '-'
+            (_set(28, "node 1 matching 1 2 3 4 forced"), 28, "empty 'forced' field; '-' writes no pairs"),
         ],
     )
     def test_errors(self, edit, line_no, message):
