@@ -27,6 +27,7 @@ from .construct import (
 )
 from .ledger import (
     DimensionLedger,
+    LedgerRefusal,
     corollary_range,
     count_dimension,
     rho_canonical,
@@ -73,6 +74,7 @@ __all__ = [
     "DimensionLedger",
     "Indecomposable",
     "LayerDecomposition",
+    "LedgerRefusal",
     "LimitSeries",
     "NodeGluing",
     "ParseError",

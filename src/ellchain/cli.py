@@ -23,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .chain import Split, SplitLineBundle
 from .construct import ThresholdError, construct
 from .ledger import (
+    LedgerRefusal,
     corollary_range,
     count_dimension,
     rho_canonical,
@@ -136,11 +137,7 @@ def cmd_verify(args) -> int:
 
 def cmd_dim(args) -> int:
     s = _load(args.file)
-    try:
-        ledger = count_dimension(s)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    ledger = count_dimension(s)
     for line in ledger.summary_lines():
         print(line)
     rho = rho_canonical(s.genus, s.sections)
@@ -291,6 +288,9 @@ def main(argv=None) -> int:
     except ThresholdError as e:
         print(f"not constructed: {e}", file=sys.stderr)
         return EXIT_THRESHOLD
+    except LedgerRefusal as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

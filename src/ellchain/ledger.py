@@ -27,6 +27,10 @@ from dataclasses import dataclass
 from .series import LimitSeries, validate_all
 
 
+class LedgerRefusal(ValueError):
+    """``count_dimension`` declines to price a series: not rank two, or not validated."""
+
+
 def rho_general(r: int, d: int, g: int, k: int) -> int:
     """Expected dimension of the locus of rank-r degree-d bundles with k sections."""
     return r * r * (g - 1) + 1 - k * (k - d + r * (g - 1))
@@ -117,17 +121,20 @@ class DimensionLedger:
 def count_dimension(s: LimitSeries) -> DimensionLedger:
     """Price a validated rank-two series item by item.
 
+    A series that is not rank two or fails ``validate_all`` is refused with
+    ``LedgerRefusal``.
+
     Endomorphism dimensions are read structurally: a component that is
     ``Component.is_pencil`` (a pinned split of two identical line bundles)
     has a four-dimensional endomorphism family; every other component has
     two.
     """
     if s.rank != 2:
-        raise ValueError("dimension ledger is defined for rank-two series")
+        raise LedgerRefusal("dimension ledger is defined for rank-two series")
     report = validate_all(s)
     if not report.all_passed:
         names = ", ".join(c.name for c in report.failures())
-        raise ValueError(f"refusing unvalidated series (failing: {names})")
+        raise LedgerRefusal(f"refusing unvalidated series (failing: {names})")
     gluing = tuple(node.free_parameter_count for node in s.nodes)
     moduli = tuple(c.moduli_freedom for c in s.components)
     endo = tuple(4 if c.is_pencil else 2 for c in s.components)

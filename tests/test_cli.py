@@ -5,7 +5,14 @@ import sys
 
 import pytest
 
-from ellchain import canonical_key, construct, parse_series, serialize_series, theorem_threshold
+from ellchain import (
+    canonical_key,
+    canonical_limit_series,
+    construct,
+    parse_series,
+    serialize_series,
+    theorem_threshold,
+)
 from ellchain.cli import main
 from helpers import mutate_entry, recording_pool
 
@@ -211,6 +218,14 @@ class TestVerifyAndDim:
         assert stdout == ""
         assert "refusing unvalidated series (failing: structure)" in stderr
 
+    def test_dim_refuses_a_rank_one_series(self, capsys, tmp_path):
+        path = tmp_path / "r1.txt"
+        path.write_text(serialize_series(canonical_limit_series(5)))
+        assert run_cli(capsys, "verify", str(path))[0] == 0
+        assert run_cli(capsys, "dim", str(path)) == (
+            2, "", "error: dimension ledger is defined for rank-two series\n"
+        )
+
     def test_dim_matches_rho(self, capsys, series_file):
         code, stdout, _ = run_cli(capsys, "dim", str(series_file))
         assert code == 0
@@ -236,6 +251,8 @@ class TestVerifyAndDim:
         (["dim", "{missing}"], 1, "error: "),
         (["verify", "{latin1}"], 4, "parse error: line 1: not UTF-8"),
         (["dim", "{latin1}"], 4, "parse error: line 1: not UTF-8"),
+        (["verify", "{genus0}"], 4, "parse error: line 2: genus must be >= 1, got 0"),
+        (["dim", "{genus0}"], 4, "parse error: line 2: genus must be >= 1, got 0"),
         (["construct", "--g", "9", "--k", "4", "--out", "{missing}/s.txt"], 1, "error: "),
         (
             ["sweep", "--g-min", "3", "--g-max", "4", "--k-min", "2", "--k-max", "3",
@@ -252,6 +269,7 @@ class TestVerifyAndDim:
          "error: sweep needs k >= 2"),
     ],
     ids=["verify-missing", "dim-missing", "verify-latin1", "dim-latin1",
+         "verify-genus0", "dim-genus0",
          "construct-out-missing-dir", "sweep-out-missing-dir",
          "construct-below-threshold", "construct-k1", "search-over-cap",
          "sweep-empty-range", "sweep-k1"],
@@ -259,7 +277,9 @@ class TestVerifyAndDim:
 def test_file_errors_end_in_exit_code(capsys, tmp_path, argv, code, message):
     latin1 = tmp_path / "latin1.txt"
     latin1.write_bytes("ellchain-series v1 \u00e9\n".encode("latin-1"))
-    paths = {"missing": tmp_path / "missing", "latin1": latin1}
+    genus0 = tmp_path / "genus0.txt"
+    genus0.write_text("ellchain-series v1\ngenus 0 rank 2 sections 4 degree 8 twist 4\n")
+    paths = {"missing": tmp_path / "missing", "latin1": latin1, "genus0": genus0}
     got, stdout, stderr = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert got == code
     assert stdout == ""

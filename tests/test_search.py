@@ -16,6 +16,7 @@ from ellchain import (
     construct,
     construct_even,
     construct_odd,
+    derive_forced_pairs,
     enumerate_series,
     parse_series,
     prefix_key,
@@ -288,6 +289,22 @@ class TestSearchMechanics:
         report = enumerate_series(SearchSpace(4, 2, 4))
         assert report.count == 1
         assert report.solutions[0] == canonical_key(construct_even(4, 4, force=True))
+
+    def test_direction_conflict_prunes_the_option(self):
+        # no search of the splits-only ansatz reaches a conflict (GOLDEN reads
+        # 0), so the step is handed a left side by hand: both rows pinned to
+        # summand 1 at Q, and the option ((1,1),(2,1)) pins them to summand 2
+        # and 1 at P, which one fiber isomorphism cannot do
+        space = SearchSpace(4, 2, 2)
+        left_q = ((2, "1"), (1, "1"))
+        options, _ = search._table_options(space, 2, (1, 2), search._min_vsum_needed(space, 2))
+        (clash,) = [c for c in options if c.table.rows == ((1, 1), (2, 1))]
+        with pytest.raises(ValueError, match="1->2 conflicts with 1->1"):
+            derive_forced_pairs(left_q, clash, (1, 2), space.a)
+        state = search._Transfer(space, False)._expand(2, left_q)
+        assert state.direction_conflict == 1
+        assert state.count > 0
+        assert clash not in [comp for comp, *_ in state.edges]
 
 
 # Counters and solution hashes of the depth-first search the memoized

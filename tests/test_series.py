@@ -660,18 +660,42 @@ def _oracle_leaves(g, r, k):
     return [parse_series(key) for key in enumerate_series(SearchSpace(g, r, k)).solutions]
 
 
+def _identical_row_swaps(s):
+    """``s`` once per node with two identical left rows, their matching entries swapped.
+
+    The swap pairs the same row values, so each is a valid series whose
+    matching is not the identity."""
+    swaps = []
+    for n, node in enumerate(s.nodes):
+        left = s.components[n].table.rows
+        t = next((t for t in range(s.sections - 1) if left[t] == left[t + 1]), None)
+        if t is not None:
+            m = list(node.matching)
+            m[t], m[t + 1] = m[t + 1], m[t]
+            nodes = s.nodes[:n] + (replace(node, matching=tuple(m)),) + s.nodes[n + 1 :]
+            swaps.append(replace(s, nodes=nodes))
+    return swaps
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    """The sweep grid for k 2..8 and g up to 30, the canonical series for
-    g up to 20, and the oracle leaves of (4,2,2) and (5,2,4)."""
+    """The sweep grid for k 2..8 and g up to 30, the benchmark's file cells
+    (150,16) and (300,30), the canonical series for g up to 20, the oracle
+    leaves of (4,2,2) and (5,2,4), and series with identical-row swaps in
+    their matchings."""
     grid = [construct(g, k) for k in range(2, 9) for g in range(theorem_threshold(k), 31)]
+    files = [construct(150, 16), construct(300, 30)]
     rank1 = [canonical_limit_series(g) for g in range(2, 21)]
-    return grid + rank1 + _oracle_leaves(4, 2, 2) + _oracle_leaves(5, 2, 4)
+    swapped = _identical_row_swaps(construct(9, 4)) + _identical_row_swaps(construct(8, 5))
+    return (
+        grid + files + rank1 + _oracle_leaves(4, 2, 2) + _oracle_leaves(5, 2, 4) + swapped
+    )
 
 
 class TestValidateAllDifferential:
-    """``validate_all`` as one walk per component, and the per-component
-    pinning rule, against the per-check and per-row code they replaced."""
+    """``validate_all`` (column passes, and explainers for the checks they do
+    not pass) and the per-component pinning rule, against the per-check and
+    per-row reference code."""
 
     @staticmethod
     def _same_directions(c):
@@ -688,6 +712,7 @@ class TestValidateAllDifferential:
             for c in s.components:
                 self._same_directions(c)
         assert len(corpus) > 900
+        assert any(n.matching != tuple(range(1, s.sections + 1)) for s in corpus for n in s.nodes)
 
     def test_seeded_mutants(self, corpus):
         rng = random.Random(9)
@@ -992,6 +1017,8 @@ def _reference_parse_series(text):
     if len(params) != 10 or params[0::2] != expected_keys:
         raise ParseError(2, f"expected '{' '.join(k + ' <n>' for k in expected_keys)}'")
     g, r, k, d, a = (_reference_parse_int(params[i], 2, params[i - 1]) for i in (1, 3, 5, 7, 9))
+    if g < 1:
+        raise ParseError(2, f"genus must be >= 1, got {g}")
 
     components = []
     nodes = []
@@ -1226,6 +1253,10 @@ class TestParserHandCases:
             (_set(8, "component 2 split 0 4 2 2 moduli one"), 8, "expected integer moduli freedom, got 'one'"),
             (_set(8, "component z split 0 4 2 2 moduli 0"), 8, "expected integer component index, got 'z'"),
             (_set(2, "genus 5 rank 2 sections four degree 8 twist 4"), 2, "expected integer sections, got 'four'"),
+            # a genus below 1 names the genus, as ChainCurve does, not the
+            # component or node count it implies
+            (_set(2, "genus 0 rank 2 sections 4 degree 8 twist 4"), 2, "genus must be >= 1, got 0"),
+            (_set(2, "genus -1 rank 2 sections 4 degree 8 twist 4"), 2, "genus must be >= 1, got -1"),
             # an empty forced field would be read as no pairs and written back as '-'
             (_set(28, "node 1 matching 1 2 3 4 forced"), 28, "empty 'forced' field; '-' writes no pairs"),
         ],
