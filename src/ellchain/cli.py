@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from .chain import Split, SplitLineBundle
 from .construct import ThresholdError, construct
@@ -223,7 +224,14 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call.
+
+    Parsing reads the parser and never changes it, and ``parse_args``
+    returns a fresh namespace each time, so one call's options and
+    defaults never reach the next.
+    """
     parser = _Parser(prog="ellchain", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -275,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # the one refusal map: every refusal ends in its documented exit code
     # and one stderr line, not a traceback; the subclasses of ValueError
     # come first

@@ -20,7 +20,10 @@ indecomposable component) and they coincide with the summand
 coefficients; every other row adds up to ``g - 2``.  Node gluings store
 the identity matching (ties between equal vanishing values are broken by
 row index) and the forced direction pairs derived from the pinning
-analysis in :mod:`ellchain.series`.
+analysis in :mod:`ellchain.series`.  A node that touches a component that
+pins nothing (``Component.pins_nothing``: a line bundle or a free split)
+has no forced pairs, so it stores one shared unforced gluing and no
+derivation runs there.
 """
 
 from __future__ import annotations
@@ -108,7 +111,10 @@ def canonical_limit_series(g: int) -> LimitSeries:
 # rank two, even number of sections
 
 
-def _even_pinned_component(i: int, g: int, k1: int) -> Component:
+def _even_pinned_component(
+    i: int, g: int, k1: int, extra: tuple[tuple[int, int], ...] = ()
+) -> Component:
+    """Component ``i`` of the even series, with the rows ``extra`` appended."""
     dec = decompose_index(i, k1)
     layer, c, eps = dec.layer, dec.c, dec.eps
     first = SplitLineBundle(i - 1 + c - layer, g - i - c + layer)
@@ -136,6 +142,7 @@ def _even_pinned_component(i: int, g: int, k1: int) -> Component:
             rows.append((i + layer - c - 1, g - i - layer + c))
     for e in range(layer + 2, k1 + 1):
         rows += [(i + e - 2, g - i - e)] * 2
+    rows += extra
     return Component(Split(first, second), VanishingTable(rows))
 
 
@@ -167,14 +174,6 @@ def construct_even(g: int, k: int, force: bool = False) -> LimitSeries:
 
 # ---------------------------------------------------------------------------
 # rank two, odd number of sections
-
-
-def _with_extra_row(component: Component, row: tuple[int, int]) -> Component:
-    return Component(
-        component.bundle,
-        VanishingTable(component.table.rows + (row,)),
-        component.moduli_freedom,
-    )
 
 
 def _transition_component(m: int, g: int, k1: int) -> Component:
@@ -231,10 +230,10 @@ def construct_odd(g: int, k: int, force: bool = False) -> LimitSeries:
         raise ValueError(
             f"g={g} cannot host the indecomposable component at index {k1 * k1 + k1 + 1}"
         )
-    components: list[Component] = []
-    for i in range(1, k1 * k1 + 1):
-        even = _even_pinned_component(i, g, k1)
-        components.append(_with_extra_row(even, (i + k1 - 1, g - i - k1 - 1)))
+    components = [
+        _even_pinned_component(i, g, k1, ((i + k1 - 1, g - i - k1 - 1),))
+        for i in range(1, k1 * k1 + 1)
+    ]
     for m in range(1, k1 + 1):
         components.append(_transition_component(m, g, k1))
     components.append(_indecomposable_component(g, k1))
@@ -256,9 +255,18 @@ def construct(g: int, k: int, force: bool = False) -> LimitSeries:
 
 
 def _assemble(g, rank, k, d, a, components) -> LimitSeries:
+    """The series of ``components``, glued by the identity at every node.
+
+    Only a node between two components that can pin derives its forced
+    pairs; every node that touches a component that pins nothing shares
+    one unforced gluing, which is what the derivation returns there.
+    """
     identity = tuple(range(1, k + 1))
+    unforced = NodeGluing(identity)
     nodes = tuple(
-        NodeGluing(identity, derive_forced_pairs(q_side(left), right, identity, a))
+        unforced
+        if left.pins_nothing or right.pins_nothing
+        else NodeGluing(identity, derive_forced_pairs(q_side(left), right, identity, a))
         for left, right in zip(components, components[1:])
     )
     return LimitSeries(

@@ -24,7 +24,8 @@ appear twice.  This module encodes that calculus exactly:
 * the direction-pinning rule decides when a row's section has a forced
   direction in the fiber at a node, which is what turns some gluings from
   four free parameters into three or two.  It lives in one place and runs
-  once per component and side;
+  once per component and side; ``Component.pins_nothing`` is its part that
+  reads the bundle alone (a line bundle or a generic split pins no row);
 * ``q_side`` is all a node reads of its left component, and
   ``derive_forced_pairs`` takes it in place of that component;
 * ``forced_pairs_failure`` is the one forced-pair rule: each pair is two
@@ -201,6 +202,16 @@ class Component:
         return self.moduli_freedom == 1
 
     @property
+    def pins_nothing(self) -> bool:
+        """No row has a pinned direction at either side: the one home of that rule.
+
+        Rank-one fibers are lines and carry no direction moduli, and the
+        summands of a generic split are free choices, which never pin.
+        """
+        b = self.bundle
+        return isinstance(b, SplitLineBundle) or (self.is_generic and isinstance(b, Split))
+
+    @property
     def is_pencil(self) -> bool:
         """A pinned split of two identical line bundles: the one home of that rule.
 
@@ -327,6 +338,8 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
     point lies at ``side``: see the module docstring).
     """
     bundle, rows = component.bundle, component.table.rows
+    if component.pins_nothing:
+        return (None,) * len(rows)
     dp, dq = (1, 0) if side == "P" else (0, 1)
     if isinstance(bundle, Indecomposable):
         mu, mv = marked = (bundle.marked_u, bundle.marked_v)
@@ -336,10 +349,6 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
         below = (mu - dp, mv - dq)
         pinned = (marked, below) if 2 * (mu + mv) == bundle.degree else (marked,)
         return tuple(DIR_MARKED if row in pinned else None for row in rows)
-    # rank-one fibers are lines and carry no direction moduli, and
-    # generic summands never pin
-    if isinstance(bundle, SplitLineBundle) or component.is_generic:
-        return (None,) * len(rows)
     (p1, q1), (p2, q2) = pair1, pair2 = bundle.first.pair, bundle.second.pair
     below1, below2 = (p1 - dp, q1 - dq), (p2 - dp, q2 - dq)
     pins: list[str | None] = []
@@ -438,10 +447,16 @@ def _explain_structure(s: LimitSeries) -> list[str]:
     """The series' shape and entries, component by component, then the forced pairs.
 
     A component with an entry whose type is not ``int`` is named row by
-    row, and its numbers are not read.
+    row, and its numbers are not read.  A header field whose type is not
+    ``int`` is named, and nothing else is read.
     """
     k, rank, length = s.sections, s.rank, s.chain.length
-    failures = []
+    header = (("rank", rank), ("sections", k), ("degree", s.degree), ("twist", s.twist))
+    failures = [
+        f"{name} {value!r} is not an int" for name, value in header if type(value) is not int
+    ]
+    if failures:
+        return failures
     if s.twist < 1:
         failures.append(f"twist {s.twist} must be a positive integer")
     if rank not in (1, 2):
@@ -630,6 +645,9 @@ _CHECKS = (
     ("canonical-determinant", _explain_canonical),
 )
 _UNDECIDED = (False,) * len(_CHECKS)
+# a header field that is not an int fails structure, and no other check
+# reads the series
+_HEADER_UNREAD = (False,) + (True,) * (len(_CHECKS) - 1)
 # a passing check's result carries nothing of the series, so one serves all
 _PASSED = tuple(CheckResult(name, True) for name, _ in _CHECKS)
 
@@ -660,9 +678,12 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
     read only a series whose tables are all ``sections`` rows of ``int``
     entries, whose bundles are the rank's kinds with ``int`` coefficients,
     and whose nodes and components fit the genus; every check of any
-    other series is explained.
+    other series is explained, except that a header field that is not an
+    ``int`` is explained at structure alone.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
+    if not _INT.issuperset(map(type, (k, rank, twist, s.degree))):
+        return _HEADER_UNREAD
     components, nodes = s.components, s.nodes
     m = len(components)
     tables = list(map(_ROWS, components))
@@ -792,6 +813,8 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     by row and names every failure with the numbers it compared, so the
     report is the same either way.  A component with an entry whose type
     is not ``int`` is a structure failure, and its numbers are not read.
+    So is a ``rank``, ``sections``, ``degree`` or ``twist`` whose type is
+    not ``int``; then no other check reads the series, and each passes.
     """
     checks = []
     for (name, explain), passed, result in zip(_CHECKS, _column_verdicts(s), _PASSED):

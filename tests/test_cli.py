@@ -13,7 +13,7 @@ from ellchain import (
     serialize_series,
     theorem_threshold,
 )
-from ellchain.cli import main
+from ellchain.cli import build_parser, main
 from helpers import mutate_entry, recording_pool
 
 
@@ -458,3 +458,38 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "ellchain-series v1" in proc.stdout
+
+    def test_one_parser_serves_many_calls(self, capsys):
+        # main builds its parser once per process: every call in this
+        # process prints and exits as the same call made first in a fresh
+        # one, the search's wall time aside
+        def masked(out):
+            return re.sub(r"wall time: .*", "wall time: -", out)
+
+        sweep = ("sweep", "--g-min", "3", "--g-max", "8", "--k-min", "2", "--k-max", "5")
+        calls = [
+            (*sweep, "--workers", "2"),
+            ("search", "--g", "5", "--k", "four"),
+            ("search", "--g", "5", "--k", "4"),
+            sweep,
+        ]
+        codes = []
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "ellchain.cli", *argv], capture_output=True, text=True
+            )
+            try:
+                code = main(list(argv))
+            except SystemExit as e:  # argparse ends a usage error here
+                code = e.code
+            out = masked(capsys.readouterr().out)
+            assert (code, out) == (fresh.returncode, masked(fresh.stdout)), argv
+            codes.append(code)
+        assert codes == [0, 1, 0, 0]
+        # each call gets a fresh namespace with its own command's defaults
+        parser = build_parser()
+        assert build_parser() is parser
+        first, second = parser.parse_args(calls[0]), parser.parse_args(calls[2])
+        assert (first.workers, second.workers) == (2, 1)
+        assert not hasattr(second, "g_min")
+        assert parser.parse_args(sweep).workers == 1

@@ -13,7 +13,9 @@ from ellchain import (
     construct_even,
     construct_odd,
     decompose_index,
+    derive_forced_pairs,
     determinant,
+    q_side,
     serialize_series,
     theorem_threshold,
     validate_all,
@@ -215,3 +217,40 @@ class TestDispatch:
             construct(9, 1)
         with pytest.raises(ValueError):
             construct(9, 0)
+
+
+class TestNodeShortcut:
+    """``_assemble`` derives forced pairs only between two components that
+    can pin; every node it stores must equal the full derivation."""
+
+    @staticmethod
+    def _series():
+        for g in range(3, 106):
+            for k in range(2, 17):
+                if g >= theorem_threshold(k):
+                    yield construct(g, k)
+        for g in range(2, 41):
+            yield canonical_limit_series(g)
+
+    def test_every_node_equals_the_full_derivation(self):
+        quiet = forced = 0
+        for s in self._series():
+            identity = tuple(range(1, s.sections + 1))
+            for left, right, node in zip(s.components, s.components[1:], s.nodes):
+                assert node.matching == identity
+                derived = derive_forced_pairs(q_side(left), right, identity, s.twist)
+                assert node.forced_pairs == derived, (s.genus, s.sections)
+                if left.pins_nothing or right.pins_nothing:
+                    assert node.forced_pairs == ()
+                    quiet += 1
+                forced += bool(derived)
+        # both branches run: most nodes touch a free component, and some
+        # between pinned components carry pairs
+        assert quiet > forced > 0
+
+    def test_what_pins_nothing(self):
+        even, odd = construct(20, 6), construct(20, 7)
+        assert all(c.pins_nothing for c in canonical_limit_series(6).components)
+        assert [c.pins_nothing for c in even.components] == [False] * 9 + [True] * 11
+        assert [c.pins_nothing for c in odd.components] == [False] * 13 + [True] * 7
+        assert isinstance(odd.components[12].bundle, Indecomposable)

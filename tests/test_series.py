@@ -1360,6 +1360,43 @@ class TestEntryTypes:
             count_dimension(bad)
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rank", 2.0),
+            ("rank", True),
+            ("sections", 4.0),
+            ("sections", "4"),
+            ("degree", 8.0),
+            ("degree", True),
+            ("twist", 4.0),
+            ("twist", True),
+        ],
+    )
+    def test_non_int_header_field_is_a_structure_failure(self, field, value):
+        # a header field equal to an int (2.0, True) must not pass, and one
+        # that does not count or compare ("4") must not crash
+        bad = replace(construct(5, 4), **{field: value})
+        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
+        assert failing == {"structure": (f"{field} {value!r} is not an int",)}
+        with pytest.raises(ValueError):
+            count_dimension(bad)
+
+    def test_every_header_field_that_is_not_an_int_is_named(self):
+        bad = replace(construct(5, 4), rank=2.0, sections=4.0, degree=8.0, twist=4.0)
+        assert validate_all(bad).failures() == [
+            CheckResult(
+                "structure",
+                False,
+                (
+                    "rank 2.0 is not an int",
+                    "sections 4.0 is not an int",
+                    "degree 8.0 is not an int",
+                    "twist 4.0 is not an int",
+                ),
+            )
+        ]
+
+    @pytest.mark.parametrize(
         "matching", [(1, 2, 3.0, 4), (2, 1, 3.0, 4), (1, "2", 3, 4), (True, 2, 3, 4)]
     )
     def test_non_int_matching_entry_is_a_node_condition_failure(self, matching):
