@@ -29,12 +29,14 @@ class ChainCurve:
     length: int
 
     def __init__(self, genus: int, length: int | None = None):
-        if genus < 1:
-            raise ValueError(f"genus must be >= 1, got {genus}")
+        length = genus if length is None else length
+        for name, value in (("genus", genus), ("length", length)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "length", genus if length is None else length)
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+        object.__setattr__(self, "length", length)
 
     @property
     def node_count(self) -> int:
@@ -53,6 +55,8 @@ class SplitLineBundle:
     q: int
 
     def __post_init__(self):
+        if type(self.p) is not int or type(self.q) is not int:
+            raise TypeError(f"coefficients must be ints, got ({self.p!r}, {self.q!r})")
         if self.p < 0 or self.q < 0:
             raise ValueError(f"coefficients must be >= 0, got ({self.p}, {self.q})")
 
@@ -98,6 +102,11 @@ class Indecomposable:
     marked_v: int
 
     def __post_init__(self):
+        if {type(self.degree), type(self.marked_u), type(self.marked_v)} != {int}:
+            raise TypeError(
+                f"degree and marked vanishing must be ints, got "
+                f"{self.degree!r}, {self.marked_u!r}, {self.marked_v!r}"
+            )
         if self.marked_u < 0 or self.marked_v < 0:
             raise ValueError("marked vanishing orders must be >= 0")
         if self.marked_u + self.marked_v > self.degree:

@@ -471,8 +471,8 @@ def _explain_structure(s: LimitSeries) -> list[str]:
         bundle, rows = c.bundle, c.table.rows
         if len(rows) != k:
             failures.append(f"component {i}: {len(rows)} rows, expected {k}")
-        if c.moduli_freedom not in (0, 1):
-            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom}")
+        if type(c.moduli_freedom) is not int or c.moduli_freedom not in (0, 1):
+            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom!r}")
         line = isinstance(bundle, SplitLineBundle)
         if rank == 1 and not line:
             failures.append(f"component {i}: rank-1 series needs line bundles")
@@ -676,10 +676,10 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
     by itself), and the degree sum, determinacy and the canonical
     determinant by coefficient columns against expected ones.  The passes
     read only a series whose tables are all ``sections`` rows of ``int``
-    entries, whose bundles are the rank's kinds with ``int`` coefficients,
-    and whose nodes and components fit the genus; every check of any
-    other series is explained, except that a header field that is not an
-    ``int`` is explained at structure alone.
+    entries, whose bundles are the rank's kinds (their constructors take
+    only ``int`` fields), and whose nodes and components fit the genus;
+    every check of any other series is explained, except that a header
+    field that is not an ``int`` is explained at structure alone.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     if not _INT.issuperset(map(type, (k, rank, twist, s.degree))):
@@ -716,7 +716,7 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
     # j + 1 of the same component is m on, and row j of the next one is 1 on
     u_rows = list(map(_U, _chain.from_iterable(zip(*tables))))
     v_rows = list(map(_V, _chain.from_iterable(zip(*tables))))
-    if not _INT.issuperset(map(type, _chain(u_rows, v_rows, p1, q1, p2, q2))):
+    if not _INT.issuperset(map(type, _chain(u_rows, v_rows))):
         return _UNDECIDED
 
     moduli = list(map(_MODULI, components))
@@ -726,6 +726,7 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
         and m == s.chain.length
         and min(u_rows) >= 0
         and min(v_rows) >= 0
+        and _INT.issuperset(map(type, moduli))
         and moduli.count(0) + moduli.count(1) == m
         and not any(moduli[i] for i in indec)
         and all(forced_pairs_failure(pairs) is None for pairs in compress(forced, forced))

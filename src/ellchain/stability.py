@@ -21,12 +21,14 @@ its parameter; and a gluing whose free part is generic sends any other
 direction somewhere new, killing the chain.  The unforced part of every
 gluing is taken to be generic, as the paper's construction assumes, so
 the verdict is ``stable`` when every chain dies and
-``strictly-semistable`` when one survives.
+``strictly-semistable`` when one survives.  ``_cross`` is the one home
+of that rule, and ``check_stable`` applies it in one pass over the nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .chain import Indecomposable, Split
 from .series import (
@@ -84,19 +86,43 @@ def check_semistable(s: LimitSeries) -> bool:
 
 
 def _candidates(c: Component) -> list[str]:
-    """Slope-equal subbundle choices: a pencil when ``Component.is_pencil``."""
+    """Slope-equal subbundle choices in string order: a pencil when ``Component.is_pencil``."""
     if isinstance(c.bundle, Indecomposable):
         return [DIR_MARKED]
     return [FLEX] if c.is_pencil else [DIR_FIRST, DIR_SECOND]
 
 
+def _cross(token: str, sel: str, forced_of: dict[str, str]) -> tuple[str, str | None]:
+    """The chain rule at one node: a chain emitting ``token`` at Q selects ``sel`` next.
+
+    Returns the node status and the token emitted at Q of the next
+    component, or ``None`` when the chain dies at this node.
+    """
+    if token == FREE_TOKEN:
+        return FREE_TOKEN, (FREE_TOKEN if sel == FLEX else sel)
+    if token in forced_of:
+        if sel == FLEX:
+            return "forced", FIXED_TOKEN
+        return ("forced", sel) if sel == forced_of[token] else ("constrained-away", None)
+    # no forced image: a pencil absorbs the token, a rigid target claimed by
+    # another pair is unreachable, and the generic gluing misses any other
+    if sel == FLEX:
+        return FREE_TOKEN, FIXED_TOKEN
+    if sel in forced_of.values():
+        return "constrained-away", None
+    return "generic-free", None
+
+
 def check_stable(s: LimitSeries) -> StabilityReport:
     """Enumerate destabilizing chains and report the verdict.
 
-    Every node's gluing is taken to be generic away from its forced
-    pairs, so a chain that needs an unforced identification of rigid
-    directions dies there.  Each node's forced pairs are read once, and a
-    node that ``forced_pairs_failure`` refuses raises ``ValueError``.
+    Every node's forced pairs are read first, and a node that
+    ``forced_pairs_failure`` refuses raises ``ValueError``.  One pass over
+    the nodes then crosses each live chain into every candidate of the
+    next component until none is live.  No killed chain extends another
+    and ``_candidates`` lists each component's choices in string order, so
+    sorting killed chains by selections gives the depth-first order of the
+    chain tree; survivors are already in that order.
     """
     if s.rank != 2:
         raise ValueError("stability verdicts are defined for rank-two series")
@@ -104,57 +130,30 @@ def check_stable(s: LimitSeries) -> StabilityReport:
         raise ValueError(why)
     if not check_semistable(s):
         raise ValueError("check_stable requires a component-wise semistable series")
-    # the forced image of a direction at each node that forces one
-    forced: dict[int, dict[str, str]] = {}
-    for idx, node in enumerate(s.nodes):
-        if node.forced_pairs:
-            if why := forced_pairs_failure(node.forced_pairs):
-                raise ValueError(f"node {idx + 1}: {why}")
-            forced[idx] = dict(node.forced_pairs)
-
-    survivors: list[DestabilizingChain] = []
+    for n, node in enumerate(s.nodes, start=1):
+        if node.forced_pairs and (why := forced_pairs_failure(node.forced_pairs)):
+            raise ValueError(f"node {n}: {why}")
+    # live chains: (token emitted at Q of the last component, selections, statuses)
+    live = [
+        (FREE_TOKEN if sel == FLEX else sel, (sel,), ()) for sel in _candidates(s.components[0])
+    ]
     killed: list[DestabilizingChain] = []
-
-    def extend(idx: int, token: str, selections: tuple[str, ...],
-               statuses: tuple[str, ...]) -> None:
-        # idx: 0-based node about to be crossed; token: direction emitted
-        # at Q of component idx+1
-        if idx == len(s.nodes):
-            survivors.append(DestabilizingChain(selections, statuses, None))
-            return
-        forced_of = forced.get(idx, {})
-        for sel in _candidates(s.components[idx + 1]):
-            # out: the token emitted at Q of the next component, or None
-            # when the chain dies at this node
-            if token == FREE_TOKEN:
-                status, out = FREE_TOKEN, (FREE_TOKEN if sel == FLEX else sel)
-            elif token in forced_of:
-                if sel == FLEX:
-                    status, out = "forced", FIXED_TOKEN
-                elif sel == forced_of[token]:
-                    status, out = "forced", sel
+    for n, (node, c) in enumerate(zip(s.nodes, s.components[1:]), start=1):
+        if not live:
+            break
+        forced_of, candidates, crossed = dict(node.forced_pairs), _candidates(c), []
+        for token, selections, statuses in live:
+            for sel in candidates:
+                status, out = _cross(token, sel, forced_of)
+                if out is None:
+                    killed.append(DestabilizingChain(selections + (sel,), statuses + (status,), n))
                 else:
-                    status, out = "constrained-away", None
-            # token has no forced image: a pencil absorbs it, a rigid target
-            # claimed by another forced pair is unreachable, and the generic
-            # gluing sends it past any other rigid target
-            elif sel == FLEX:
-                status, out = FREE_TOKEN, FIXED_TOKEN
-            elif sel in forced_of.values():
-                status, out = "constrained-away", None
-            else:
-                status, out = "generic-free", None
-            new_sel, new_statuses = selections + (sel,), statuses + (status,)
-            if out is None:
-                killed.append(DestabilizingChain(new_sel, new_statuses, idx + 1))
-            else:
-                extend(idx + 1, out, new_sel, new_statuses)
-
-    for sel in _candidates(s.components[0]):
-        extend(0, FREE_TOKEN if sel == FLEX else sel, (sel,), ())
-
+                    crossed.append((out, selections + (sel,), statuses + (status,)))
+        live = crossed
+    killed.sort(key=attrgetter("selections"))
+    survivors = tuple(DestabilizingChain(sel, statuses, None) for _, sel, statuses in live)
     verdict = VERDICT_SEMISTABLE if survivors else VERDICT_STABLE
-    return StabilityReport(verdict, tuple(survivors), tuple(killed))
+    return StabilityReport(verdict, survivors, tuple(killed))
 
 
 def external_stable_case(g: int, k: int) -> bool:

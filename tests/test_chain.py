@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -68,3 +70,24 @@ def test_bundle_invariants():
         Indecomposable(4, 3, 2)
     assert Indecomposable(12, 2, 4).degree == 12
     assert Split(SplitLineBundle(1, 2), SplitLineBundle(0, 4)).degree == 7
+
+
+# one constructor call per field, the field given by the argument
+_BUILD_WITH = {
+    "genus": lambda x: ChainCurve(x),
+    "length": lambda x: ChainCurve(5, x),
+    "p": lambda x: SplitLineBundle(x, 3),
+    "q": lambda x: SplitLineBundle(5, x),
+    "degree": lambda x: Indecomposable(x, 2, 4),
+    "marked_u": lambda x: Indecomposable(12, x, 4),
+    "marked_v": lambda x: Indecomposable(12, 2, x),
+}
+
+
+@pytest.mark.parametrize("value", [5.0, True, "5"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("field", list(_BUILD_WITH))
+def test_field_that_is_not_an_int_is_refused(field, value):
+    # a float or bool equal to an int would pass every check of a series
+    # and then be written to a file the parser refuses
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        _BUILD_WITH[field](value)

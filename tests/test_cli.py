@@ -351,6 +351,16 @@ class TestSearch:
         assert code == 0
         assert "prefix" in stdout
 
+    def test_search_max_keeps_the_count_and_the_first_solutions(self, capsys):
+        code, stdout, _ = run_cli(
+            capsys, "search", "--g", "5", "--k", "4", "--max", "3", "--show-solutions"
+        )
+        assert code == 0
+        report, *blocks = stdout.split("---\n")
+        assert report.splitlines()[0] == "combinatorial solutions: 65 (solution list truncated)"
+        assert stdout.splitlines().count("---") == len(blocks) == 3
+        _, stdout, _ = run_cli(capsys, "search", "--g", "5", "--k", "4", "--show-solutions")
+        assert blocks == stdout.split("---\n")[1:4]
 
     def test_search_show_solutions(self, capsys):
         code, stdout, _ = run_cli(capsys, "search", "--g", "5", "--k", "4", "--show-solutions")

@@ -473,8 +473,8 @@ def _reference_structure_failures(s):
     for i, c in enumerate(s.components, start=1):
         if len(c.table) != s.sections:
             failures.append(f"component {i}: {len(c.table)} rows, expected {s.sections}")
-        if c.moduli_freedom not in (0, 1):
-            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom}")
+        if type(c.moduli_freedom) is not int or c.moduli_freedom not in (0, 1):
+            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom!r}")
         if s.rank == 1 and not isinstance(c.bundle, SplitLineBundle):
             failures.append(f"component {i}: rank-1 series needs line bundles")
         if s.rank == 2 and isinstance(c.bundle, SplitLineBundle):
@@ -1395,6 +1395,20 @@ class TestEntryTypes:
                 ),
             )
         ]
+
+    @pytest.mark.parametrize("moduli", [True, 1.0, "1"])
+    def test_moduli_freedom_that_is_not_an_int_is_a_structure_failure(self, moduli):
+        # component 6 of construct(9, 4) is generic (moduli 1), so a value
+        # equal to 1 passes every other check; the file writer would write
+        # "moduli True", which the parser refuses
+        s = construct(9, 4)
+        c = s.components[5]
+        assert c.moduli_freedom == 1
+        bad = _with_component(s, 5, Component(c.bundle, c.table, moduli))
+        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
+        assert failing == {"structure": (f"component 6: moduli_freedom {moduli!r}",)}
+        with pytest.raises(ValueError, match="refusing unvalidated series"):
+            count_dimension(bad)
 
     @pytest.mark.parametrize(
         "matching", [(1, 2, 3.0, 4), (2, 1, 3.0, 4), (1, "2", 3, 4), (True, 2, 3, 4)]

@@ -3,13 +3,18 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellchain import (
     ChainCurve,
     Component,
+    DestabilizingChain,
+    Indecomposable,
     LimitSeries,
     NodeGluing,
     Split,
+    StabilityReport,
     SplitLineBundle,
     VanishingTable,
     canonical_limit_series,
@@ -138,3 +143,113 @@ def test_acceptance_grid_chains_pinned():
                 digest.update(repr((c.selections, c.node_status, c.killed_at)).encode())
     assert (killed, survivors) == (824, 1)
     assert digest.hexdigest()[:16] == "a00495049770f726"
+
+
+def _reference_check_stable(s):
+    """The depth-first chain walk ``check_stable`` replaced, kept as a reference.
+
+    It recurses once per node a chain crosses, so it serves only short
+    chains; the caller passes a rank-2, semistable series with one node
+    between each two components and well-formed forced pairs.
+    """
+    forced = {idx: dict(node.forced_pairs) for idx, node in enumerate(s.nodes)}
+    survivors, killed = [], []
+
+    def candidates(c):
+        if isinstance(c.bundle, Indecomposable):
+            return ["m"]
+        return ["*"] if c.is_pencil else ["1", "2"]
+
+    def extend(idx, token, selections, statuses):
+        if idx == len(s.nodes):
+            survivors.append(DestabilizingChain(selections, statuses, None))
+            return
+        forced_of = forced[idx]
+        for sel in candidates(s.components[idx + 1]):
+            if token == "free":
+                status, out = "free", ("free" if sel == "*" else sel)
+            elif token in forced_of:
+                if sel == "*":
+                    status, out = "forced", "fixed"
+                elif sel == forced_of[token]:
+                    status, out = "forced", sel
+                else:
+                    status, out = "constrained-away", None
+            elif sel == "*":
+                status, out = "free", "fixed"
+            elif sel in forced_of.values():
+                status, out = "constrained-away", None
+            else:
+                status, out = "generic-free", None
+            new_sel, new_statuses = selections + (sel,), statuses + (status,)
+            if out is None:
+                killed.append(DestabilizingChain(new_sel, new_statuses, idx + 1))
+            else:
+                extend(idx + 1, out, new_sel, new_statuses)
+
+    for sel in candidates(s.components[0]):
+        extend(0, "free" if sel == "*" else sel, (sel,), ())
+    verdict = "strictly-semistable" if survivors else "stable"
+    return StabilityReport(verdict, tuple(survivors), tuple(killed))
+
+
+_ONE_ROW = VanishingTable([(0, 0)])
+# one component of each kind the chain rule tells apart
+_KINDS = {
+    "distinct-split": Component(split(0, 2, 1, 1), _ONE_ROW),
+    "pencil": Component(split(1, 1, 1, 1), _ONE_ROW),
+    "generic-split": Component(split(0, 2, 2, 0), _ONE_ROW, 1),
+    "generic-equal-coefficients": Component(split(1, 1, 1, 1), _ONE_ROW, 1),
+    "indecomposable": Component(Indecomposable(2, 0, 0), _ONE_ROW),
+}
+_DIRECTIONS = ("1", "2", "m")
+# well-formed forced pairs: distinct directions on each side, at most two
+_FORCED_PAIRS = st.builds(
+    lambda left, right, n: tuple(zip(left[:n], right[:n])),
+    st.permutations(_DIRECTIONS),
+    st.permutations(_DIRECTIONS),
+    st.integers(0, 2),
+)
+
+
+def _rank_two_chain(components, forced_pairs):
+    return LimitSeries(
+        chain=ChainCurve(len(components)),
+        rank=2,
+        sections=1,
+        degree=2 * len(components),
+        twist=1,
+        components=tuple(components),
+        nodes=tuple(NodeGluing((1,), pairs) for pairs in forced_pairs),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(_KINDS)), min_size=1, max_size=12).flatmap(
+        lambda kinds: st.tuples(
+            st.just(kinds), st.lists(_FORCED_PAIRS, min_size=len(kinds) - 1, max_size=len(kinds) - 1)
+        )
+    )
+)
+def test_loop_matches_depth_first_reference(drawn):
+    # whole reports, order included: the verdict, every survivor and every
+    # killed chain with its statuses and the node that kills it
+    kinds, forced_pairs = drawn
+    s = _rank_two_chain([_KINDS[kind] for kind in kinds], forced_pairs)
+    assert check_stable(s) == _reference_check_stable(s)
+
+
+def test_a_chain_surviving_1500_components_is_not_a_recursion_error():
+    # O(P+Q) + O(2P) on every component and 1->1 forced at every node: the
+    # chain on the first summand survives, the other dies at node 1, and
+    # each node kills the survivor's turn to the second summand; depth-first
+    # order lists the deepest of those first
+    c = Component(split(1, 1, 2, 0), _ONE_ROW)
+    report = check_stable(_rank_two_chain([c] * 1500, [(("1", "1"),)] * 1499))
+    assert report.verdict == "strictly-semistable"
+    assert len(report.survivors) == 1 and len(report.killed) == 1501
+    (survivor,) = report.survivors
+    assert survivor.selections == ("1",) * 1500
+    assert survivor.node_status == ("forced",) * 1499
+    assert [c.killed_at for c in report.killed] == list(range(1499, 0, -1)) + [1, 1]
