@@ -177,7 +177,7 @@ def _sweep_cell(cell: tuple[int, int]) -> str:
         s = construct(g, k)
         try:
             ledger = count_dimension(s)
-        except ValueError:
+        except LedgerRefusal:
             pass  # count_dimension runs validate_all and refuses a failing series
         else:
             validated = True
@@ -202,6 +202,8 @@ def _sweep_cell(cell: tuple[int, int]) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError("--workers must be >= 1")
     if args.g_min > args.g_max or args.k_min > args.k_max:
         raise ValueError("empty sweep range")
     if args.k_min < 2:

@@ -426,6 +426,27 @@ class TestSweep:
         assert code == 0
         assert stdout.splitlines()[1].split(",")[6:] == ["false", "", "", ""]
 
+    def test_fault_in_a_cell_is_an_error_not_an_unvalidated_row(self, capsys, monkeypatch):
+        # only a ledger refusal reads validated=false; any other error is a
+        # defect of the program and ends the sweep
+        def faulty(series):
+            raise ValueError("fault in the validator")
+
+        monkeypatch.setattr("ellchain.cli.count_dimension", faulty)
+        code, stdout, stderr = run_cli(
+            capsys, "sweep", "--g-min", "9", "--g-max", "9", "--k-min", "4", "--k-max", "4"
+        )
+        assert (code, stdout, stderr) == (1, "", "error: fault in the validator\n")
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_is_refused(self, capsys, workers):
+        code, stdout, stderr = run_cli(
+            capsys,
+            "sweep", "--g-min", "5", "--g-max", "6", "--k-min", "2", "--k-max", "3",
+            "--workers", workers,
+        )
+        assert (code, stdout, stderr) == (1, "", "error: --workers must be >= 1\n")
+
     @pytest.mark.parametrize("cpus, sizes", [(64, [4]), (2, [2]), (1, []), (None, [])])
     def test_pool_bounded_by_cells_and_cpus(self, capsys, monkeypatch, cpus, sizes):
         # a pool forks all its workers up front: a 4-cell sweep asks for at

@@ -1,3 +1,6 @@
+import importlib
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -220,33 +223,87 @@ class TestDispatch:
 
 
 class TestNodeShortcut:
-    """``_assemble`` derives forced pairs only between two components that
-    can pin; every node it stores must equal the full derivation."""
+    """``_assemble`` takes the gluings between pinning components from a
+    table filled once per k and shares one unforced gluing everywhere
+    else; every node it stores must equal the full derivation."""
+
+    module = importlib.import_module("ellchain.construct")
 
     @staticmethod
-    def _series():
-        for g in range(3, 106):
-            for k in range(2, 17):
-                if g >= theorem_threshold(k):
-                    yield construct(g, k)
-        for g in range(2, 41):
-            yield canonical_limit_series(g)
+    def _cells():
+        cells = [
+            (g, k) for g in range(3, 106) for k in range(2, 17) if g >= theorem_threshold(k)
+        ]
+        cells += [(1, 2), (2, 2), (4, 4)]  # below the threshold, forced
+        for k in range(17, 32):
+            # the least host genus equals the threshold from k = 5 on; past
+            # k = 28 the genus 200 cannot host the pinned components
+            least = theorem_threshold(k)
+            cells += [(g, k) for g in sorted({least, max(200, least + 1)})]
+        return cells
 
-    def test_every_node_equals_the_full_derivation(self):
+    @staticmethod
+    def _check_nodes(s):
+        """Assert every node of ``s`` equals the full derivation; count the
+        nodes that touch a component pinning nothing and those with pairs."""
         quiet = forced = 0
-        for s in self._series():
-            identity = tuple(range(1, s.sections + 1))
-            for left, right, node in zip(s.components, s.components[1:], s.nodes):
-                assert node.matching == identity
-                derived = derive_forced_pairs(q_side(left), right, identity, s.twist)
-                assert node.forced_pairs == derived, (s.genus, s.sections)
-                if left.pins_nothing or right.pins_nothing:
-                    assert node.forced_pairs == ()
-                    quiet += 1
-                forced += bool(derived)
+        identity = tuple(range(1, s.sections + 1))
+        assert len(s.nodes) == s.genus - 1
+        for left, right, node in zip(s.components, s.components[1:], s.nodes):
+            assert node.matching == identity
+            derived = derive_forced_pairs(q_side(left), right, identity, s.twist)
+            assert node.forced_pairs == derived, (s.genus, s.sections)
+            if left.pins_nothing or right.pins_nothing:
+                assert node.forced_pairs == ()
+                quiet += 1
+            forced += bool(derived)
+        return quiet, forced
+
+    def test_every_node_equals_the_full_derivation(self, monkeypatch):
+        # each order starts from an empty table: filled at a large g it
+        # serves a small one, filled at a small g a large one
+        cells = self._cells()
+        orders = (
+            cells,
+            sorted(cells, key=lambda cell: -cell[0]),
+            random.Random(20).sample(cells, len(cells)),
+        )
+        quiet = forced = 0
+        for order in orders:
+            monkeypatch.setattr(self.module, "_PINNED_NODES", {})
+            for g, k in order:
+                q, f = self._check_nodes(construct(g, k, force=g < theorem_threshold(k)))
+                quiet, forced = quiet + q, forced + f
+        for g in range(2, 41):
+            q, f = self._check_nodes(canonical_limit_series(g))
+            assert f == 0
+            quiet += q
         # both branches run: most nodes touch a free component, and some
         # between pinned components carry pairs
         assert quiet > forced > 0
+
+    def test_forced_pairs_are_derived_once_per_k(self, monkeypatch):
+        monkeypatch.setattr(self.module, "_PINNED_NODES", {})
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return derive_forced_pairs(*args)
+
+        monkeypatch.setattr(self.module, "derive_forced_pairs", counted)
+        for k in (6, 7):
+            calls.clear()
+            chains = [construct(g, k) for g in range(20, 41)]
+            pinned = chains[0].components
+            between = sum(
+                not (left.pins_nothing or right.pins_nothing)
+                for left, right in zip(pinned, pinned[1:])
+            )
+            assert len(calls) == between == (8 if k == 6 else 12)
+        calls.clear()
+        for g in range(2, 41):
+            canonical_limit_series(g)
+        assert calls == []
 
     def test_what_pins_nothing(self):
         even, odd = construct(20, 6), construct(20, 7)
