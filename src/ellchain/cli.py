@@ -10,7 +10,17 @@ The sweep emits one CSV row per (g, k) cell with a nonnegative expected
 dimension, in grid order (g ascending, then k), with the fixed column
 order ``g,k,rho_K,rho_2g2,threshold_ok,corollary_excess,validated,
 ledger_total,ledger_matches,stability``.  Output is byte-stable for fixed
-inputs regardless of worker count.
+inputs regardless of worker count or of the calls made before in the
+process.
+
+The sweep certifies each k once per process, at the largest genus any
+call has asked for (``_Certificate``): it validates, prices and
+stability-checks that one series, and keeps prefix sums and minima of
+it.  By the shift identity of :mod:`ellchain.construct`, every lower
+genus from the threshold up is read off them in constant time.  A cell
+the certificate does not show to pass is priced from its own series
+(``_direct``).  ``construct``, ``verify`` and ``dim`` still check every
+line of the series they read or write.
 """
 
 from __future__ import annotations
@@ -19,9 +29,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
+from operator import sub
 
-from .chain import Split, SplitLineBundle
+from .chain import Indecomposable, Split, SplitLineBundle
 from .construct import ThresholdError, construct
 from .ledger import (
     LedgerRefusal,
@@ -37,8 +50,15 @@ from .search import (
     SearchSpace,
     enumerate_series,
 )
-from .series import LimitSeries, ParseError, parse_series, serialize_series, validate_all
-from .stability import check_stable, external_stable_case
+from .series import (
+    Component,
+    LimitSeries,
+    ParseError,
+    parse_series,
+    serialize_series,
+    validate_all,
+)
+from .stability import VERDICT_SEMISTABLE, VERDICT_STABLE, check_stable, external_stable_case
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -162,30 +182,141 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _sweep_cell(cell: tuple[int, int]) -> str:
-    g, k = cell
+def _direct(g: int, k: int) -> tuple[int, str] | None:
+    """Cell (g, k) priced from its own series: the ledger total and the stability.
+
+    ``None`` when ``count_dimension``, which runs ``validate_all``, refuses
+    the series.  The fallback of every cell a certificate does not show to
+    pass, and the reference the certificates are tested against.
+    """
+    s = construct(g, k)
+    try:
+        ledger = count_dimension(s)
+    except LedgerRefusal:
+        return None
+    return ledger.total, ("external" if external_stable_case(g, k) else check_stable(s).verdict)
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    """The cells of one k read off ``construct(top, k)``, checked once.
+
+    The first g components and g - 1 nodes of the top series are
+    S**(top - g) of ``construct(g, k)``, where S adds 1 to every v,
+    summand q and marked v and to the genus and twist, and 2 to every
+    degree (see :mod:`ellchain.construct`).  Every check of
+    ``validate_all`` compares quantities that S moves by the same amount,
+    and every check but the degree sum reads one component or one node.
+    So when the top series passes, the series of genus g passes unless
+    S**-(top - g) makes an entry negative or the twist nonpositive, or
+    its degree sum breaks condition (a); ``read`` checks those three.
+    Its ledger is the top ledger's items on nodes 1..g-1 and components
+    1..g plus the stability term 1, and its chains are the top series' chains cut after component
+    g: one survives exactly when a top chain survives or dies at a node
+    past g - 1.
+
+    ``passed`` is false when ``count_dimension`` refuses the top series;
+    the other fields are then empty and every cell is priced directly.
+    Lists of prefixes: ``least[i]`` is the least entry that S moves by
+    one (a v, a summand q, a marked v, an indecomposable's degree less
+    its marked pair) on components 1..i+1; ``degrees[i]`` and
+    ``moduli[i]`` sum the degrees and ``moduli - endo`` of components
+    1..i; ``gluing[n]`` sums the gluing parameters of nodes 1..n.
+    """
+
+    top: int
+    passed: bool = False
+    twist: int = 0
+    degree: int = 0
+    least: tuple[int, ...] = ()
+    degrees: tuple[int, ...] = ()
+    moduli: tuple[int, ...] = ()
+    gluing: tuple[int, ...] = ()
+    last_kill: int = 0
+    survivor: bool = False
+
+    def read(self, g: int, k: int) -> tuple[int, str] | None:
+        """Cell (g, k) as ``_direct`` prices it, or ``None`` when not shown to pass."""
+        shift = self.top - g
+        twist = self.twist - shift
+        if not (
+            self.passed
+            and self.least[g - 1] >= shift
+            and twist >= 1
+            and self.degrees[g] - 2 * g * shift - 2 * (g - 1) * twist == self.degree - 2 * shift
+        ):
+            return None
+        total = self.gluing[g - 1] + self.moduli[g] + 1
+        if external_stable_case(g, k):
+            return total, "external"
+        semistable = self.survivor or self.last_kill > g - 1
+        return total, VERDICT_SEMISTABLE if semistable else VERDICT_STABLE
+
+
+def _least_shifted(c: Component) -> int:
+    """The least entry of a validated rank-two component that S moves by one."""
+    b = c.bundle
+    v = c.table.rows[-1][1]  # v is nonincreasing down a validated table
+    if isinstance(b, Indecomposable):
+        return min(v, b.marked_v, b.degree - b.marked_u - b.marked_v)
+    return min(v, b.first.q, b.second.q)
+
+
+def _certify(k: int, top: int) -> _Certificate:
+    """Validate, price and stability-check ``construct(top, k)`` once, and keep the prefixes.
+
+    A ledger refusal refuses the certificate; any other error is a defect
+    and ends the sweep, as on the direct path.
+    """
+    s = construct(top, k)
+    try:
+        ledger = count_dimension(s)
+    except LedgerRefusal:
+        return _Certificate(top)
+    report = check_stable(s)
+    return _Certificate(
+        top,
+        passed=True,
+        twist=s.twist,
+        degree=s.degree,
+        least=tuple(accumulate(map(_least_shifted, s.components), min)),
+        degrees=(0, *accumulate(c.degree for c in s.components)),
+        moduli=(0, *accumulate(map(sub, ledger.moduli, ledger.endo_dims))),
+        gluing=(0, *accumulate(ledger.gluing_params)),
+        last_kill=max((chain.killed_at for chain in report.killed), default=0),
+        survivor=bool(report.survivors),
+    )
+
+
+# the certificate of each k, by k: made by the first sweep that reaches the
+# threshold of k, and made again at a larger top when a sweep asks for one
+_CERTIFICATES: dict[int, _Certificate] = {}
+
+
+def _certificate(k: int, top: int) -> _Certificate:
+    cert = _CERTIFICATES.get(k)
+    if cert is None or cert.top < top:
+        cert = _CERTIFICATES[k] = _certify(k, top)
+    return cert
+
+
+def _sweep_cell(cell: tuple[int, int, int]) -> str:
+    """The CSV row of cell (g, k) in a sweep whose largest genus is ``top``."""
+    g, k, top = cell
     rho_k = rho_canonical(g, k)
     rho_plain = rho_general(2, 2 * g - 2, g, k)
     lo, hi = corollary_range(k)
     threshold_ok = g >= theorem_threshold(k)
     excess = lo <= g < hi
-    validated = False
-    ledger_total = ""
-    ledger_matches = ""
-    stability = ""
+    priced = None
     if threshold_ok:
-        s = construct(g, k)
-        try:
-            ledger = count_dimension(s)
-        except LedgerRefusal:
-            pass  # count_dimension runs validate_all and refuses a failing series
-        else:
-            validated = True
-            ledger_total = str(ledger.total)
-            ledger_matches = "true" if ledger.total == rho_k else "false"
-            stability = (
-                "external" if external_stable_case(g, k) else check_stable(s).verdict
-            )
+        priced = _certificate(k, top).read(g, k) or _direct(g, k)
+    if priced is None:
+        validated, ledger_total, ledger_matches, stability = "false", "", "", ""
+    else:
+        total, stability = priced
+        validated, ledger_total = "true", str(total)
+        ledger_matches = "true" if total == rho_k else "false"
     fields = [
         str(g),
         str(k),
@@ -193,7 +324,7 @@ def _sweep_cell(cell: tuple[int, int]) -> str:
         str(rho_plain),
         "true" if threshold_ok else "false",
         "true" if excess else "false",
-        "true" if validated else "false",
+        validated,
         ledger_total,
         ledger_matches,
         stability,
@@ -208,8 +339,10 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     if args.k_min < 2:
         raise ValueError("sweep needs k >= 2")
+    # every cell carries the call's largest genus, so each process reads
+    # its rows off certificates of at least that genus
     cells = [
-        (g, k)
+        (g, k, args.g_max)
         for g in range(args.g_min, args.g_max + 1)
         for k in range(args.k_min, args.k_max + 1)
         if rho_canonical(g, k) >= 0

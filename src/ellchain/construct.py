@@ -35,6 +35,18 @@ compares ``v + u'`` with the twist: ``g`` enters both sides of each with
 the same coefficient.  So the gluings of the prefix are derived once per
 ``k`` and process, from the components of the first series built with
 that ``k``, and every later series with ``k`` sections reuses them.
+
+The rows and the tail follow the same rule, which makes the shift
+identity.  On every component, pinning or free, each row is
+``(u, g - c)`` and each summand ``(p, g - c')`` with ``u``, ``p``, ``c``
+and ``c'`` free of ``g``; the indecomposable's marked pair is
+``(u, g - c)`` too.  Let S add 1 to every row's ``v``, every summand's
+``q`` and the marked ``v``, 2 to the indecomposable's degree, and 1 to the
+genus and twist.  Then ``construct(g + 1, k)`` is S of ``construct(g, k)``
+followed by one more free tail component and one unforced node, and
+``construct(G, k)`` cut to its first ``g`` components and ``g - 1`` nodes
+is S applied ``G - g`` times to ``construct(g, k)``.  ``sweep`` reads every
+genus of ``k`` off one series by this (see :mod:`ellchain.cli`).
 """
 
 from __future__ import annotations

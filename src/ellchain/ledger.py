@@ -23,6 +23,7 @@ independent cross-checks in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .series import LimitSeries, validate_all
 
@@ -53,13 +54,15 @@ def theorem_threshold(k: int) -> int:
     return 5 if k1 == 2 else 3
 
 
+@cache
 def corollary_range(k: int) -> tuple[int, int]:
     """Half-open genus interval on which rho_K exceeds the unrestricted rho.
 
     Over this interval the canonical-determinant component certifies a
     component of the plain degree-(2g-2) locus of larger-than-expected
     dimension.  The returned interval is verified internally against the
-    two rho formulas before being handed out.
+    two rho formulas before being handed out, once per ``k`` and process:
+    the interval is cached, and a refusal is raised again on every call.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")

@@ -1,10 +1,17 @@
-"""Shared test utilities: series surgery for mutation testing, a stand-in pool."""
+"""Shared test utilities: series surgery for mutation testing, the shift S, a stand-in pool."""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from ellchain import Component, LimitSeries, VanishingTable
+from ellchain import (
+    Component,
+    Indecomposable,
+    LimitSeries,
+    Split,
+    SplitLineBundle,
+    VanishingTable,
+)
 
 
 def mutate_entry(
@@ -47,6 +54,24 @@ BAD_FORCED_PAIRS = {
         "more than two forced direction pairs: [('1', '2'), ('2', '1'), ('m', 'm')]",
     ),
 }
+
+
+def shifted(c: Component, n: int = 1) -> Component:
+    """S**n of one rank-two component.
+
+    S adds 1 to every row's v, every summand's q and an indecomposable's
+    marked v, and 2 to an indecomposable's degree; it keeps every u, p and
+    marked u.
+    """
+    b = c.bundle
+    if isinstance(b, Indecomposable):
+        bundle = Indecomposable(b.degree + 2 * n, b.marked_u, b.marked_v + n)
+    else:
+        bundle = Split(
+            SplitLineBundle(b.first.p, b.first.q + n), SplitLineBundle(b.second.p, b.second.q + n)
+        )
+    rows = VanishingTable([(u, v + n) for u, v in c.table.rows])
+    return Component(bundle, rows, c.moduli_freedom)
 
 
 def with_forced_pairs(s: LimitSeries, node_index: int, pairs) -> LimitSeries:

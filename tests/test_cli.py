@@ -1,7 +1,9 @@
 import hashlib
+import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -13,6 +15,7 @@ from ellchain import (
     serialize_series,
     theorem_threshold,
 )
+from ellchain import cli
 from ellchain.cli import build_parser, main
 from helpers import mutate_entry, recording_pool
 
@@ -415,8 +418,9 @@ class TestSweep:
         )
 
     def test_unvalidated_cell_has_no_ledger(self, capsys, monkeypatch):
-        # count_dimension is the sweep's only validate_all; a series it
-        # refuses must read validated=false with empty ledger columns
+        # a series count_dimension refuses must read validated=false with
+        # empty ledger columns; the certificate of k = 4 is refused too, so
+        # the cell is priced directly
         monkeypatch.setattr(
             "ellchain.cli.construct", lambda g, k: mutate_entry(construct(g, k), 4, 0, "v", -1)
         )
@@ -437,6 +441,79 @@ class TestSweep:
             capsys, "sweep", "--g-min", "9", "--g-max", "9", "--k-min", "4", "--k-max", "4"
         )
         assert (code, stdout, stderr) == (1, "", "error: fault in the validator\n")
+
+    @staticmethod
+    def _rows(capsys, g_min, g_max, k_max):
+        code, stdout, _ = run_cli(
+            capsys,
+            "sweep", "--g-min", str(g_min), "--g-max", str(g_max), "--k-min", "2",
+            "--k-max", str(k_max),
+        )
+        assert code == 0
+        return stdout.splitlines()[1:]
+
+    def test_call_order_does_not_move_rows(self, capsys):
+        # single-genus calls in any order, and bands whose top rises, which
+        # makes each certificate again, print the rows of one full-grid call
+        genera = range(3, 41)
+        full = self._rows(capsys, 3, 40, 12)
+        shuffled = random.Random(21).sample(genera, len(genera))
+        for order in (genera, genera[::-1], shuffled):
+            cli._CERTIFICATES.clear()
+            by_genus = {g: self._rows(capsys, g, g, 12) for g in order}
+            assert [row for g in genera for row in by_genus[g]] == full
+        assert {cert.top for cert in cli._CERTIFICATES.values()} == {40}
+        cli._CERTIFICATES.clear()
+        tops, rows = [], set()
+        for g_min, g_max in ((3, 9), (10, 20), (3, 15), (21, 40)):
+            rows.update(self._rows(capsys, g_min, g_max, 12))
+            tops.append(cli._CERTIFICATES[4].top)
+        assert tops == [9, 20, 20, 40]
+        assert rows == set(full)
+
+    def test_benchmark_grid_matches_the_direct_path(self, capsys, monkeypatch):
+        # every row of the benchmark grid, read off the certificates, equals
+        # the row of its cell priced from its own series
+        argv = ("sweep", "--g-min", "3", "--g-max", "105", "--k-min", "2", "--k-max", "16")
+        direct = []
+        original = cli._direct
+
+        def counted(g, k):
+            direct.append((g, k))
+            return original(g, k)
+
+        monkeypatch.setattr(cli, "_direct", counted)
+        _, certified, _ = run_cli(capsys, *argv)
+        assert direct == []
+        # a refused certificate sends every cell to the direct path
+        cli._CERTIFICATES.clear()
+        monkeypatch.setattr(cli, "_certify", lambda k, top: cli._Certificate(top))
+        _, priced, _ = run_cli(capsys, *argv)
+        validated = [row.split(",")[6] for row in certified.splitlines()[1:]].count("true")
+        assert len(direct) == validated == 1208
+        assert certified == priced
+        assert hashlib.sha256(priced.encode()).hexdigest() == (
+            "0c66854b1d8ef005e1f002bc0cdbbea3c2a2af4f6f94ad45be7d6007ac67735e"
+        )
+
+    def test_certificate_reads_only_what_it_shows(self):
+        cert = cli._certify(7, 30)
+        assert cert.passed and cert.top == 30
+        for g in range(13, 31):
+            assert cert.read(g, 7) == cli._direct(g, 7)
+        # an entry that S**-(top - g) makes negative, a broken degree sum and
+        # a refused top series each leave the cell to the direct path
+        low = replace(cert, least=cert.least[:19] + (8,) * 11)
+        assert [g for g in range(13, 31) if low.read(g, 7) is None] == list(range(20, 22))
+        assert replace(cert, degree=cert.degree + 2).read(20, 7) is None
+        assert cli._Certificate(30).read(20, 7) is None
+        # a chain of the top series that dies past node g - 1 survives at g
+        late = replace(cert, last_kill=17)
+        assert [late.read(g, 7)[1] for g in (16, 17, 18)] == [
+            "strictly-semistable", "strictly-semistable", "stable"
+        ]
+        assert replace(cert, survivor=True).read(30, 7)[1] == "strictly-semistable"
+        assert cli._certify(3, 9).read(3, 3) == cli._direct(3, 3) == (0, "external")
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_refused(self, capsys, workers):

@@ -1,8 +1,9 @@
 import importlib
 import random
+from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellchain import (
@@ -23,6 +24,7 @@ from ellchain import (
     theorem_threshold,
     validate_all,
 )
+from helpers import mutate_entry, shifted
 
 
 class TestLayerDecomposition:
@@ -311,3 +313,97 @@ class TestNodeShortcut:
         assert [c.pins_nothing for c in even.components] == [False] * 9 + [True] * 11
         assert [c.pins_nothing for c in odd.components] == [False] * 13 + [True] * 7
         assert isinstance(odd.components[12].bundle, Indecomposable)
+
+
+def _failing(s):
+    return [c.name for c in validate_all(s).failures()]
+
+
+# cells whose interior components are mutated: a few genera from each threshold
+_MUTATED_CELLS = [
+    (g, k) for k in range(2, 13) for g in range(theorem_threshold(k), theorem_threshold(k) + 6)
+]
+
+
+class TestShiftIdentity:
+    """``construct(g + 1, k)`` is S of ``construct(g, k)`` plus one tail
+    component and one unforced node, where S adds 1 to every v, summand q
+    and marked v and to the genus and twist, and 2 to every degree.  The
+    sweep's certificates read every genus off the top one by this, and by
+    S keeping the failing checks of ``validate_all``."""
+
+    module = importlib.import_module("ellchain.construct")
+
+    def _built(self, g, k):
+        # every construction derives its own gluings
+        self.module._PINNED_NODES.clear()
+        return construct(g, k)
+
+    def _assert_restricts(self, top, s):
+        n = top.genus - s.genus
+        assert top.components[: s.genus] == tuple(shifted(c, n) for c in s.components)
+        assert top.nodes[: s.genus - 1] == s.nodes
+        assert (top.twist - n, top.degree - 2 * n) == (s.twist, s.degree)
+
+    def test_each_step_adds_one_component(self, monkeypatch):
+        # every consecutive pair up to genus 61; by induction, every pair
+        # g < G <= 61, since S commutes with cutting the chain
+        monkeypatch.setattr(self.module, "_PINNED_NODES", {})
+        for k in range(2, 32):
+            low = theorem_threshold(k)
+            chain = [self._built(g, k) for g in range(low, 62)]
+            for s, up in zip(chain, chain[1:]):
+                self._assert_restricts(up, s)
+                assert up.nodes[-1].forced_pairs == ()
+                assert up.components[-1].is_generic
+
+    def test_top_series_restricts_to_each_lower_genus(self, monkeypatch):
+        # from k = 29 on the threshold is above 200
+        monkeypatch.setattr(self.module, "_PINNED_NODES", {})
+        rng = random.Random(21)
+        pairs = 0
+        for k in range(2, 29):
+            low = theorem_threshold(k)
+            for top_genus in sorted({200, rng.randrange(low + 1, 200)}):
+                top, lower = self._built(top_genus, k), range(low, top_genus)
+                for g in sorted({low, top_genus - 1, *rng.sample(lower, min(3, len(lower)))}):
+                    self._assert_restricts(top, self._built(g, k))
+                    pairs += 1
+        assert pairs > 150
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.data())
+    def test_shift_keeps_the_failing_checks_of_interior_mutants(self, data):
+        g, k = data.draw(st.sampled_from(_MUTATED_CELLS))
+        x = mutate_entry(
+            construct(g, k),
+            data.draw(st.integers(0, g - 2)),  # interior: the last component meets the new node
+            data.draw(st.integers(0, k - 1)),
+            data.draw(st.sampled_from("uv")),
+            data.draw(st.sampled_from((-1, 1))),
+        )
+        assume(all(min(c.table.us + c.table.vs) >= 0 for c in x.components))
+        up = construct(g + 1, k)
+        y = replace(up, components=tuple(map(shifted, x.components)) + up.components[g:])
+        assert _failing(x) == _failing(y)
+
+    def test_shift_keeps_the_failing_checks_of_every_interior_mutant(self):
+        failed = compared = 0
+        for g, k in ((9, 4), (13, 7), (16, 8)):
+            s, up = construct(g, k), construct(g + 1, k)
+            for ci in range(g - 1):
+                for ri in range(k):
+                    for which in "uv":
+                        for delta in (-1, 1):
+                            x = mutate_entry(s, ci, ri, which, delta)
+                            if min(min(c.table.us + c.table.vs) for c in x.components) < 0:
+                                continue
+                            y = replace(
+                                up,
+                                components=tuple(map(shifted, x.components)) + up.components[g:],
+                            )
+                            assert _failing(x) == _failing(y), (g, k, ci, ri, which, delta)
+                            failed += bool(_failing(x))
+                            compared += 1
+        # every mutant breaks some check, so the reports compared name failures
+        assert failed == compared > 900

@@ -70,6 +70,23 @@ class TestCorollaryRange:
         assert usable == [5]
 
 
+    def test_range_is_cached_and_refusals_are_not(self, monkeypatch):
+        corollary_range.cache_clear()
+        assert corollary_range(7) == corollary_range(7) == (13, 21)
+        assert corollary_range.cache_info().hits == 1
+        # an internal defect and a bad k raise on every call
+        corollary_range.cache_clear()
+        monkeypatch.setattr("ellchain.ledger.rho_canonical", lambda g, k: 0)
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="internal defect: no excess at g=13, k=7"):
+                corollary_range(7)
+            with pytest.raises(ValueError):
+                corollary_range(1)
+        assert corollary_range.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert corollary_range(7) == (13, 21)
+
+
 class TestCountDimension:
     def test_even_5_4_itemization(self):
         led = count_dimension(construct_even(5, 4))
