@@ -206,14 +206,16 @@ class _Certificate:
     summand q and marked v and to the genus and twist, and 2 to every
     degree (see :mod:`ellchain.construct`).  Every check of
     ``validate_all`` compares quantities that S moves by the same amount,
-    and every check but the degree sum reads one component or one node.
+    and every check but the degree sum reads one component or one node:
+    ``component_failures`` and ``node_failures`` decide them, and only
+    ``series_failures`` reads the header, the counts and the degree sum.
     So when the top series passes, the series of genus g passes unless
     S**-(top - g) makes an entry negative or the twist nonpositive, or
     its degree sum breaks condition (a); ``read`` checks those three.
     Its ledger is the top ledger's items on nodes 1..g-1 and components
-    1..g plus the stability term 1, and its chains are the top series' chains cut after component
-    g: one survives exactly when a top chain survives or dies at a node
-    past g - 1.
+    1..g plus the stability term 1, and its chains are the top series'
+    chains cut after component g: one survives exactly when a top chain
+    survives or dies at a node past g - 1.
 
     ``passed`` is false when ``count_dimension`` refuses the top series;
     the other fields are then empty and every cell is priced directly.

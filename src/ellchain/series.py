@@ -34,11 +34,13 @@ appear twice.  This module encodes that calculus exactly:
   ``canonical_form`` and ``check_stable`` all apply it;
 * ``validate_all`` is the one validator, of eight checks: structure and
   entry types, monotonicity, multiplicity, admissibility, the degree sum,
-  the node condition, determinacy and the canonical determinant.  It
-  decides each check by a few passes over whole-series columns (every
-  ``u``, every ``v``, every summand coefficient) and explains only a check
-  that the passes do not show to pass: that check's explainer decides it
-  again row by row and names each failure with the numbers it compared;
+  the node condition, determinacy and the canonical determinant.  A few
+  passes over whole-series columns (every ``u``, every ``v``, every
+  summand coefficient) decide a passing series.  Any other series is
+  explained by the units, which decide every check again and name each
+  failure with the numbers they compared: ``component_failures`` reads
+  one component, ``node_failures`` one node and its two sides, and
+  ``series_failures`` the header, the counts and the degree sum;
 * ``parse_series`` has each component record read the run of row records
   below it, and each integer field of a record by one ``map(int, ...)``;
   the per-token checks run only on the way to a ``ParseError``;
@@ -157,13 +159,16 @@ def matching_failure(matching: tuple[int, ...], identity: tuple[int, ...]) -> st
 def forced_pairs_failure(pairs: tuple[tuple[str, str], ...]) -> str | None:
     """Why ``pairs`` cannot be one node's forced direction pairs, or ``None``.
 
-    The one home of the forced-pair rule: each pair is a tuple of two
-    direction tokens from ``1``, ``2``, ``m``; no direction is forced twice
-    on either side (the first pair that forces one again is named with the
-    earlier pair); there are at most two pairs.  Each pair's shape is
-    checked before its tokens are compared, so a malformed pair fails and
-    never crashes.
+    The one home of the forced-pair rule: the pairs are a tuple; each pair
+    is a tuple of two direction tokens from ``1``, ``2``, ``m``; no
+    direction is forced twice on either side (the first pair that forces
+    one again is named with the earlier pair); there are at most two pairs.
+    The container's type and each pair's shape are checked before any
+    token is compared, so malformed pairs fail and never crash.  Callers
+    apply it to every value but ``()``.
     """
+    if not isinstance(pairs, tuple):
+        return f"forced pairs {pairs!r} are not a tuple"
     for j, pair in enumerate(pairs):
         if not (
             isinstance(pair, tuple)
@@ -398,7 +403,7 @@ def derive_forced_pairs(
         dr = right_p[t2 - 1]
         if dr is not None and (dl, dr) not in pairs:
             pairs.append((dl, dr))
-    if pairs and (why := forced_pairs_failure(pairs)):
+    if pairs and (why := forced_pairs_failure(tuple(pairs))):
         raise ValueError(why)
     return tuple(sorted(pairs))
 
@@ -443,139 +448,138 @@ def _int_columns(rows) -> tuple[tuple, tuple] | None:
     return (us, vs) if _INT.issuperset(map(type, us + vs)) else None
 
 
-def _explain_structure(s: LimitSeries) -> list[str]:
-    """The series' shape and entries, component by component, then the forced pairs.
+# a unit's item, (check, message), and a table's columns from _int_columns
+Failure = tuple[str, str]
+Columns = tuple[tuple, tuple] | None
 
-    A component with an entry whose type is not ``int`` is named row by
-    row, and its numbers are not read.  A header field whose type is not
-    ``int`` is named, and nothing else is read.
+
+def series_failures(s: LimitSeries) -> list[Failure]:
+    """The checks' whole-series part, as ``(check, message)`` items.
+
+    Structure's header and count lines, and condition (a): the only lines
+    that read the whole chain.  A header field whose type is not ``int``
+    is named, and nothing else is read.
     """
-    k, rank, length = s.sections, s.rank, s.chain.length
-    header = (("rank", rank), ("sections", k), ("degree", s.degree), ("twist", s.twist))
+    k, rank, twist, length = s.sections, s.rank, s.twist, s.chain.length
+    header = (("rank", rank), ("sections", k), ("degree", s.degree), ("twist", twist))
     failures = [
-        f"{name} {value!r} is not an int" for name, value in header if type(value) is not int
+        ("structure", f"{name} {value!r} is not an int")
+        for name, value in header
+        if type(value) is not int
     ]
     if failures:
         return failures
-    if s.twist < 1:
-        failures.append(f"twist {s.twist} must be a positive integer")
+    m = len(s.components)
+    if twist < 1:
+        failures.append(("structure", f"twist {twist} must be a positive integer"))
     if rank not in (1, 2):
-        failures.append(f"rank {rank} unsupported")
+        failures.append(("structure", f"rank {rank} unsupported"))
     if k < 1:
-        failures.append(f"sections {k} must be a positive integer")
-    if len(s.components) != length:
-        failures.append(f"{len(s.components)} components on a chain of length {length}")
+        failures.append(("structure", f"sections {k} must be a positive integer"))
+    if m != length:
+        failures.append(("structure", f"{m} components on a chain of length {length}"))
     if len(s.nodes) != length - 1:
-        failures.append(f"{len(s.nodes)} nodes on a chain of length {length}")
-    for i, c in enumerate(s.components, start=1):
-        bundle, rows = c.bundle, c.table.rows
-        if len(rows) != k:
-            failures.append(f"component {i}: {len(rows)} rows, expected {k}")
-        if type(c.moduli_freedom) is not int or c.moduli_freedom not in (0, 1):
-            failures.append(f"component {i}: moduli_freedom {c.moduli_freedom!r}")
-        line = isinstance(bundle, SplitLineBundle)
-        if rank == 1 and not line:
-            failures.append(f"component {i}: rank-1 series needs line bundles")
-        if rank == 2 and line:
-            failures.append(f"component {i}: rank-2 series needs rank-two bundles")
-        if isinstance(bundle, Indecomposable) and c.moduli_freedom:
-            failures.append(f"component {i}: indecomposable bundles are never generic")
-        if _int_columns(rows) is None:
-            failures.extend(
-                f"component {i} row {j}: non-integer vanishing ({u!r},{v!r})"
-                for j, (u, v) in enumerate(rows, start=1)
-                if type(u) is not int or type(v) is not int
-            )
-        else:
-            failures.extend(
-                f"component {i} row {j}: negative vanishing ({u},{v})"
-                for j, (u, v) in enumerate(rows, start=1)
-                if u < 0 or v < 0
-            )
-    for n, node in enumerate(s.nodes, start=1):
-        if node.forced_pairs and (why := forced_pairs_failure(node.forced_pairs)):
-            failures.append(f"node {n}: {why}")
+        failures.append(("structure", f"{len(s.nodes)} nodes on a chain of length {length}"))
+    total = sum(c.degree for c in s.components)
+    if total - rank * (m - 1) * twist != s.degree:
+        why = f"sum(d_i) - r*(M-1)*a = {total} - {rank}*{m - 1}*{twist} != {s.degree}"
+        failures.append(("degree-condition", why))
     return failures
 
 
-def _explain_monotonicity(s: LimitSeries) -> list[str]:
+def component_failures(
+    i: int, c: Component, columns: Columns, rank: int, k: int, twist: int, g: int
+) -> list[Failure]:
+    """Component ``i``'s failures, as ``(check, message)`` items in report order.
+
+    Structure's per-component part, monotonicity, multiplicity,
+    admissibility, determinacy and the canonical determinant read this
+    component alone, with the header's ``rank``, ``k`` and ``twist`` and
+    the genus ``g``.  ``columns`` is ``_int_columns`` of its rows; when it
+    is ``None``, each row with an entry whose type is not ``int`` is named,
+    and no row's numbers are read.
+    """
+    bundle, rows, moduli = c.bundle, c.table.rows, c.moduli_freedom
+    at = f"component {i}:"
     failures = []
-    for i, columns in enumerate(map(_int_columns, map(_ROWS, s.components)), start=1):
-        if columns is None:
-            continue
+    if len(rows) != k:
+        failures.append(("structure", f"{at} {len(rows)} rows, expected {k}"))
+    if type(moduli) is not int or moduli not in (0, 1):
+        failures.append(("structure", f"{at} moduli_freedom {moduli!r}"))
+    line = isinstance(bundle, SplitLineBundle)
+    if rank == 1 and not line:
+        failures.append(("structure", f"{at} rank-1 series needs line bundles"))
+    if rank == 2 and line:
+        failures.append(("structure", f"{at} rank-2 series needs rank-two bundles"))
+    if isinstance(bundle, Indecomposable) and moduli:
+        failures.append(("structure", f"{at} indecomposable bundles are never generic"))
+    if columns is None:
+        failures.extend(
+            ("structure", f"component {i} row {j}: non-integer vanishing ({u!r},{v!r})")
+            for j, (u, v) in enumerate(rows, start=1)
+            if type(u) is not int or type(v) is not int
+        )
+    else:
+        failures.extend(
+            ("structure", f"component {i} row {j}: negative vanishing ({u},{v})")
+            for j, (u, v) in enumerate(rows, start=1)
+            if u < 0 or v < 0
+        )
         us, vs = columns
         if sorted(us) != list(us):
-            failures.append(f"component {i}: u not nondecreasing {us}")
+            failures.append(("monotonicity", f"{at} u not nondecreasing {us}"))
         if sorted(vs, reverse=True) != list(vs):
-            failures.append(f"component {i}: v not nonincreasing {vs}")
+            failures.append(("monotonicity", f"{at} v not nonincreasing {vs}"))
+        allows = f"(rank {rank} allows {rank})"
+        failures.extend(
+            ("multiplicity", f"{at} {label}-value {value} occurs {n} times {allows}")
+            for label, values in zip("uv", columns)
+            for value, n in sorted(Counter(values).items())
+            if n > rank
+        )
+        failures.extend(
+            ("admissibility", f"{at} {why}")
+            for why in admissibility_failures(bundle, c.table, c.is_generic)
+        )
+    if why := _determinacy_failure(bundle, twist):
+        failures.append(("determinacy", f"{at} {why}"))
+    if why := _canonical_failure(bundle, i, g):
+        failures.append(("canonical-determinant", f"{at} {why}"))
     return failures
 
 
-def _explain_multiplicity(s: LimitSeries) -> list[str]:
-    rank = s.rank
-    failures = []
-    for i, columns in enumerate(map(_int_columns, map(_ROWS, s.components)), start=1):
-        if columns is None:
-            continue
-        for label, values in zip("uv", columns):
-            failures.extend(
-                f"component {i}: {label}-value {value} occurs {count} times "
-                f"(rank {rank} allows {rank})"
-                for value, count in sorted(Counter(values).items())
-                if count > rank
-            )
-    return failures
+def node_failures(
+    n: int, node: NodeGluing, sides: list[Columns], k: int, twist: int, identity: tuple[int, ...]
+) -> list[Failure]:
+    """Node ``n``'s failures, as ``(check, message)`` items in report order.
 
-
-def _explain_admissibility(s: LimitSeries) -> list[str]:
-    return [
-        f"component {i}: {msg}"
-        for i, c in enumerate(s.components, start=1)
-        if _int_columns(c.table.rows) is not None
-        for msg in admissibility_failures(c.bundle, c.table, c.is_generic)
-    ]
-
-
-def _explain_degree(s: LimitSeries) -> list[str]:
-    """Condition (a)."""
-    total = 0
-    for c in s.components:
-        total += c.degree
-    m = len(s.components)
-    if total - s.rank * (m - 1) * s.twist == s.degree:
-        return []
-    return [f"sum(d_i) - r*(M-1)*a = {total} - {s.rank}*{m - 1}*{s.twist} != {s.degree}"]
-
-
-def _explain_node_condition(s: LimitSeries) -> list[str]:
-    """Condition (b).
-
-    A node fails outright when ``matching_failure`` refuses its matching,
-    or it touches a component with an entry that is not an ``int`` or a
-    short or missing table; else each matched row pair below the twist is
-    named.
+    The forced-pair shape (structure) and condition (b).  ``sides`` is
+    ``_int_columns`` of the components on its two sides, those that exist,
+    and ``identity`` is ``1..k``.  The node condition fails outright when
+    ``matching_failure`` refuses the matching, or a side has an entry that
+    is not an ``int`` or a short or missing table; else each matched row
+    pair below the twist is named.
     """
-    columns = list(map(_int_columns, map(_ROWS, s.components)))
+    at = f"node {n}:"
     failures = []
-    k, twist = s.sections, s.twist
-    identity = tuple(range(1, k + 1))
-    for n, node in enumerate(s.nodes, start=1):
-        matching = node.matching
-        if why := matching_failure(matching, identity):
-            failures.append(f"node {n}: {why}")
-            continue
-        sides = columns[n - 1 : n + 1]
-        if None in sides:
-            failures.append(f"node {n}: components {n} and {n + 1} need integer rows")
-            continue
-        if len(sides) < 2 or min(len(sides[0][0]), len(sides[1][0])) < k:
-            failures.append(f"node {n}: matching needs {k} rows on components {n} and {n + 1}")
-            continue
+    if why := forced_pairs_failure(node.forced_pairs):
+        failures.append(("structure", f"{at} {why}"))
+    matching = node.matching
+    if why := matching_failure(matching, identity):
+        failures.append(("node-condition", f"{at} {why}"))
+    elif None in sides:
+        failures.append(("node-condition", f"{at} components {n} and {n + 1} need integer rows"))
+    elif len(sides) < 2 or min(len(sides[0][0]), len(sides[1][0])) < k:
+        why = f"matching needs {k} rows on components {n} and {n + 1}"
+        failures.append(("node-condition", f"{at} {why}"))
+    else:
         vs, us = sides[0][1], sides[1][0]
         matched_us = us[:k] if matching == identity else [us[t2 - 1] for t2 in matching]
-        for t, (t2, v, u) in enumerate(zip(matching, vs, matched_us), start=1):
-            if v + u < twist:
-                failures.append(f"node {n}: rows {t}->{t2} have v+u = {v}+{u} < twist {twist}")
+        failures.extend(
+            ("node-condition", f"{at} rows {t}->{t2} have v+u = {v}+{u} < twist {twist}")
+            for t, (t2, v, u) in enumerate(zip(matching, vs, matched_us), start=1)
+            if v + u < twist
+        )
     return failures
 
 
@@ -594,14 +598,6 @@ def _determinacy_failure(bundle: BundleLike, twist: int) -> str | None:
         return f"indecomposable degree {bundle.degree} > 2*twist {2 * twist}"
     degree = max(b.degree for b in (bundle.summands if isinstance(bundle, Split) else (bundle,)))
     return None if degree <= twist else f"summand degree {degree} > twist {twist}"
-
-
-def _explain_determinacy(s: LimitSeries) -> list[str]:
-    return [
-        f"component {i}: {why}"
-        for i, c in enumerate(s.components, start=1)
-        if (why := _determinacy_failure(c.bundle, s.twist))
-    ]
 
 
 def _canonical_failure(bundle: BundleLike, i: int, g: int) -> str | None:
@@ -624,32 +620,15 @@ def _canonical_failure(bundle: BundleLike, i: int, g: int) -> str | None:
     return f"determinant ({got[0]},{got[1]}) != canonical ({want[0]},{want[1]})"
 
 
-def _explain_canonical(s: LimitSeries) -> list[str]:
-    return [
-        f"component {i}: {why}"
-        for i, c in enumerate(s.components, start=1)
-        if (why := _canonical_failure(c.bundle, i, s.genus))
-    ]
-
-
-# each check's name and its explainer, which decides it row by row and
-# names every failure with the numbers it compared
-_CHECKS = (
-    ("structure", _explain_structure),
-    ("monotonicity", _explain_monotonicity),
-    ("multiplicity", _explain_multiplicity),
-    ("admissibility", _explain_admissibility),
-    ("degree-condition", _explain_degree),
-    ("node-condition", _explain_node_condition),
-    ("determinacy", _explain_determinacy),
-    ("canonical-determinant", _explain_canonical),
-)
-_UNDECIDED = (False,) * len(_CHECKS)
-# a header field that is not an int fails structure, and no other check
-# reads the series
-_HEADER_UNREAD = (False,) + (True,) * (len(_CHECKS) - 1)
-# a passing check's result carries nothing of the series, so one serves all
-_PASSED = tuple(CheckResult(name, True) for name, _ in _CHECKS)
+# the checks in report order; a passing check's result carries nothing of
+# the series, so one serves all
+_PASSED = {
+    name: CheckResult(name, True)
+    for name in (
+        "structure", "monotonicity", "multiplicity", "admissibility", "degree-condition",
+        "node-condition", "determinacy", "canonical-determinant",
+    )
+}
 
 _ROWS = attrgetter("table.rows")
 _BUNDLE = attrgetter("bundle")
@@ -662,28 +641,27 @@ _U = itemgetter(0)
 _V = itemgetter(1)
 
 
-def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
-    """Each check's verdict from whole-series column passes, in ``_CHECKS`` order.
+def _columns_pass(s: LimitSeries) -> bool:
+    """Whether whole-series column passes show that ``s`` passes every check.
 
-    ``True`` is a pass.  ``False`` says only that the passes did not show
-    one, and sends the check to its explainer.  The rows are unpacked once
-    into a ``u`` and a ``v`` column and the coefficients into four, and
-    each check is a few C-level passes over them: entry types by one
+    ``False`` says only that the passes did not show it, and sends the
+    series to the units, which decide every check.  The rows are unpacked
+    once into a ``u`` and a ``v`` column and the coefficients into four,
+    and each check is a few C-level passes over them: entry types by one
     ``map(type, ...)``, monotonicity and multiplicity by comparing each
     row with the one ``m`` and ``rank * m`` on, the node condition of
     identity matchings by one ``min``, admissibility by row sums against
     the summand degrees (only a row off both generic sums is looked at
     by itself), and the degree sum, determinacy and the canonical
     determinant by coefficient columns against expected ones.  The passes
-    read only a series whose tables are all ``sections`` rows of ``int``
-    entries, whose bundles are the rank's kinds (their constructors take
-    only ``int`` fields), and whose nodes and components fit the genus;
-    every check of any other series is explained, except that a header
-    field that is not an ``int`` is explained at structure alone.
+    read only a series whose header fields are ``int``, whose tables are
+    all ``sections`` rows of ``int`` entries, whose bundles are the rank's
+    kinds (their constructors take only ``int`` fields), and whose nodes
+    and components fit the genus; any other series is sent to the units.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     if not _INT.issuperset(map(type, (k, rank, twist, s.degree))):
-        return _HEADER_UNREAD
+        return False
     components, nodes = s.components, s.nodes
     m = len(components)
     tables = list(map(_ROWS, components))
@@ -698,7 +676,7 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
         and {*map(len, tables)} == {k}
         and kinds <= ({SplitLineBundle} if rank == 1 else {Split, Indecomposable})
     ):
-        return _UNDECIDED
+        return False
     # an indecomposable bundle has no summand columns: a free split stands
     # in for it there, and the component is checked on its own
     indec = []
@@ -717,11 +695,14 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
     u_rows = list(map(_U, _chain.from_iterable(zip(*tables))))
     v_rows = list(map(_V, _chain.from_iterable(zip(*tables))))
     if not _INT.issuperset(map(type, _chain(u_rows, v_rows))):
-        return _UNDECIDED
+        return False
 
+    # structure, with every forced-pair value but () put to the rule, then
+    # monotonicity and multiplicity: in a sorted column a value occurs more
+    # than rank times exactly when it equals the value rank rows on
     moduli = list(map(_MODULI, components))
     forced = list(map(_FORCED, nodes))
-    structure = (
+    if not (
         twist >= 1
         and m == s.chain.length
         and min(u_rows) >= 0
@@ -729,18 +710,13 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
         and _INT.issuperset(map(type, moduli))
         and moduli.count(0) + moduli.count(1) == m
         and not any(moduli[i] for i in indec)
-        and all(forced_pairs_failure(pairs) is None for pairs in compress(forced, forced))
-    )
-    monotone = all(map(le, u_rows, islice(u_rows, m, None))) and all(
-        map(ge, v_rows, islice(v_rows, m, None))
-    )
-    # in a sorted column a value occurs more than rank times exactly when it
-    # equals the value rank rows on
-    multiplicity = (
-        monotone
+        and not any(map(forced_pairs_failure, compress(forced, map(ne, forced, repeat(())))))
+        and all(map(le, u_rows, islice(u_rows, m, None)))
+        and all(map(ge, v_rows, islice(v_rows, m, None)))
         and not any(map(eq, u_rows, islice(u_rows, rank * m, None)))
         and not any(map(eq, v_rows, islice(v_rows, rank * m, None)))
-    )
+    ):
+        return False
 
     d1 = list(map(add, p1, q1))
     d2 = d1 if rank == 1 else list(map(add, p2, q2))
@@ -760,74 +736,90 @@ def _column_verdicts(s: LimitSeries) -> tuple[bool, ...]:
             map(v_rows.__getitem__, off_at),
         )
     )
-    admissible = all(
-        i in indec
-        or (
-            moduli[i] != 1
-            and n <= ((p1[i], q1[i]) == (u, v)) + (rank == 2 and (p2[i], q2[i]) == (u, v))
+    if not (
+        all(
+            i in indec
+            or (
+                moduli[i] != 1
+                and n <= ((p1[i], q1[i]) == (u, v)) + (rank == 2 and (p2[i], q2[i]) == (u, v))
+            )
+            for (i, u, v), n in uses.items()
         )
-        for (i, u, v), n in uses.items()
-    ) and not any(
-        admissibility_failures(c.bundle, c.table) for c in map(components.__getitem__, indec)
-    )
+        and not any(
+            admissibility_failures(c.bundle, c.table) for c in map(components.__getitem__, indec)
+        )
+    ):
+        return False
 
     degrees = d1 if rank == 1 else list(map(add, d1, d2))
     for i, b in zip(indec, held):
         degrees[i] = b.degree
-    degree = sum(degrees) - rank * (m - 1) * twist == s.degree
+    if sum(degrees) - rank * (m - 1) * twist != s.degree:
+        return False
 
     identity = tuple(range(1, k + 1))
     matchings = list(map(_MATCHING, nodes))
     # an identity matching pairs row j of each component with row j of the
     # next, one on, leaving out the last component's pairs with the first
-    # one's next row; any other matching is left to the explainer's
-    # per-node loop
+    # one's next row; any other matching is left to the units
     paired = cycle((True,) * (m - 1) + (False,))
-    node = (
+    if not (
         matchings.count(identity) == m - 1
         and _INT.issuperset(map(type, _chain.from_iterable(matchings)))
         and min(compress(map(add, v_rows, islice(u_rows, 1, None)), paired), default=twist)
         >= twist
-    )
+    ):
+        return False
 
-    determinate = (
+    # determinacy, then the canonical determinant: component i's canonical
+    # restriction is (2i - 2, 2g - 2i)
+    det_p, det_q = (p1, q1) if rank == 1 else (list(map(add, p1, p2)), map(add, q1, q2))
+    return (
         max(d1) <= twist
         and max(d2) <= twist
         and all(_determinacy_failure(b, twist) is None for b in held)
-    )
-    # component i's canonical restriction is (2i - 2, 2g - 2i)
-    det_p, det_q = (p1, q1) if rank == 1 else (list(map(add, p1, p2)), map(add, q1, q2))
-    canonical = (
-        all(map(eq, det_p, range(0, 2 * m, 2)))
+        and all(map(eq, det_p, range(0, 2 * m, 2)))
         and all(map(eq, map(sub, repeat(2 * g - 2), det_p), det_q))
         and all(_canonical_failure(b, i + 1, g) is None for i, b in zip(indec, held))
     )
-    return (structure, monotone, multiplicity, admissible, degree, node, determinate, canonical)
 
 
 def validate_all(s: LimitSeries) -> ValidationReport:
     """Decide every check on ``s`` and collect a per-check report.
 
-    This is the one validator.  ``_column_verdicts`` decides each check by
-    passes over whole-series columns; only a check they do not show to
-    pass goes to its explainer in ``_CHECKS``, which decides it again row
-    by row and names every failure with the numbers it compared, so the
-    report is the same either way.  A component with an entry whose type
-    is not ``int`` is a structure failure, and its numbers are not read.
-    So is a ``rank``, ``sections``, ``degree`` or ``twist`` whose type is
-    not ``int``; then no other check reads the series, and each passes.
+    This is the one validator.  ``_columns_pass`` decides a passing series
+    by passes over whole-series columns.  Any other series is explained in
+    one walk over the units, which decide every check and name each
+    failure with the numbers they compared: ``series_failures``, then
+    ``component_failures`` of each component and ``node_failures`` of each
+    node, their items grouped by check.  The column passes only shortcut
+    the units, so the report is the same either way.  A component with an
+    entry whose type is not ``int`` is a structure failure, and its numbers
+    are not read.  So is a ``rank``, ``sections``, ``degree`` or ``twist``
+    whose type is not ``int``; then nothing but the header is read, and
+    every other check passes.
     """
-    checks = []
-    for (name, explain), passed, result in zip(_CHECKS, _column_verdicts(s), _PASSED):
-        if not passed and (diagnostics := tuple(explain(s))):
-            result = CheckResult(name, False, diagnostics)
-        checks.append(result)
     flags = tuple(
         f"component {i}: indecomposable; determinant checked on degree only, "
         f"determinacy by the degree <= 2*twist criterion"
         for i, c in enumerate(s.components, start=1)
         if isinstance(c.bundle, Indecomposable)
     )
+    if _columns_pass(s):
+        return ValidationReport(tuple(_PASSED.values()), flags)
+    k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
+    failures = series_failures(s)
+    if _INT.issuperset(map(type, (k, rank, twist, s.degree))):
+        columns = list(map(_int_columns, map(_ROWS, s.components)))
+        for i, (c, cols) in enumerate(zip(s.components, columns), start=1):
+            failures += component_failures(i, c, cols, rank, k, twist, g)
+        identity = tuple(range(1, k + 1))
+        for n, node in enumerate(s.nodes, start=1):
+            failures += node_failures(n, node, columns[n - 1 : n + 1], k, twist, identity)
+    found: dict[str, list[str]] = {name: [] for name in _PASSED}
+    for check, message in failures:
+        found[check].append(message)
+    checks = (CheckResult(name, False, tuple(d)) if d else _PASSED[name] for name, d in found.items())
     return ValidationReport(tuple(checks), flags)
 
 

@@ -131,7 +131,7 @@ def check_stable(s: LimitSeries) -> StabilityReport:
     if not check_semistable(s):
         raise ValueError("check_stable requires a component-wise semistable series")
     for n, node in enumerate(s.nodes, start=1):
-        if node.forced_pairs and (why := forced_pairs_failure(node.forced_pairs)):
+        if why := forced_pairs_failure(node.forced_pairs):
             raise ValueError(f"node {n}: {why}")
     # live chains: (token emitted at Q of the last component, selections, statuses)
     live = [

@@ -24,6 +24,9 @@ from ellchain import (
     construct,
     construct_even,
     construct_odd,
+    LedgerRefusal,
+    canonical_form,
+    check_stable,
     count_dimension,
     derive_forced_pairs,
     enumerate_series,
@@ -43,9 +46,13 @@ from ellchain.series import (
     FORMAT_HEADER,
     FORMAT_VERSION,
     CheckResult,
+    _int_columns,
     _pinned_directions,
     admissibility_failures,
+    component_failures,
     forced_pairs_failure,
+    node_failures,
+    series_failures,
 )
 from helpers import BAD_FORCED_PAIRS, mutate_entry, with_forced_pairs
 
@@ -269,6 +276,23 @@ class TestForcedPairsRule:
         assert failing == {"structure": (f"node 1: {why}",)}
         with pytest.raises(ValueError, match="refusing unvalidated series"):
             count_dimension(bad)
+
+    @pytest.mark.parametrize(
+        "pairs", [None, 0, False, [("1", "2")]], ids=["none", "zero", "false", "list"]
+    )
+    def test_pairs_that_are_not_a_tuple_are_refused(self, pairs):
+        # a falsy value must reach the rule too: one that skipped it passed
+        # validation and then crashed the ledger and the stability check
+        why = f"forced pairs {pairs!r} are not a tuple"
+        assert forced_pairs_failure(pairs) == why
+        bad = with_forced_pairs(construct(5, 4), 0, pairs)
+        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
+        assert failing == {"structure": (f"node 1: {why}",)}
+        with pytest.raises(LedgerRefusal, match="refusing unvalidated series"):
+            count_dimension(bad)
+        for refuse in (check_stable, canonical_form, canonical_key):
+            with pytest.raises(ValueError, match=re.escape(f"node 1: {why}")):
+                refuse(bad)
 
 
 def _reference_pinned_direction(component, row_index, side):
@@ -693,9 +717,9 @@ def corpus():
 
 
 class TestValidateAllDifferential:
-    """``validate_all`` (column passes, and explainers for the checks they do
-    not pass) and the per-component pinning rule, against the per-check and
-    per-row reference code."""
+    """``validate_all`` (column passes, and the per-component and per-node
+    units for a series they do not pass) and the per-component pinning
+    rule, against the per-check and per-row reference code."""
 
     @staticmethod
     def _same_directions(c):
@@ -735,7 +759,8 @@ class TestValidateAllDifferential:
 
     def test_bundle_and_twist_mutants(self, corpus):
         # the degree sum, determinacy and the canonical determinant, decided
-        # in the walk, against the reference's per-check passes
+        # by the column passes and the units, against the reference's
+        # per-check passes
         rng = random.Random(10)
         failing = set()
         for _ in range(2000):
@@ -768,6 +793,52 @@ class TestValidateAllDifferential:
         assert len(options) > 250
         for c in options:
             self._same_directions(c)
+
+
+class TestUnitLocality:
+    """Each unit of ``validate_all`` reads its own component or node: an edit
+    to component i's table fails only component i's unit and the units of
+    nodes i - 1 and i, and the report is the units' items grouped by check."""
+
+    @staticmethod
+    def _units(s):
+        """Each unit's items on ``s``: the whole-series part, then every
+        component's, then every node's."""
+        k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
+        columns = [_int_columns(c.table.rows) for c in s.components]
+        identity = tuple(range(1, k + 1))
+        units = {"series": series_failures(s)}
+        for i, (c, cols) in enumerate(zip(s.components, columns), start=1):
+            units["component", i] = component_failures(i, c, cols, rank, k, twist, g)
+        for n, node in enumerate(s.nodes, start=1):
+            units["node", n] = node_failures(n, node, columns[n - 1 : n + 1], k, twist, identity)
+        return units
+
+    def test_every_unit_passes_the_corpus(self, corpus):
+        for s in corpus:
+            assert [items for items in self._units(s).values() if items] == []
+
+    def test_entry_mutants_fail_only_their_neighbourhood(self, corpus):
+        rng = random.Random(11)
+        failing = set()
+        for _ in range(3000):
+            s = rng.choice(corpus)
+            i = rng.randrange(len(s.components))
+            row = rng.randrange(len(s.components[i].table))
+            bad = mutate_entry(s, i, row, rng.choice("uv"), rng.choice((-1, 1)))
+            units = self._units(bad)
+            assert units["series"] == []
+            near = {("component", i + 1), ("node", i), ("node", i + 1)}
+            assert {unit for unit, items in units.items() if items} <= near
+            grouped = {}
+            for check, message in (item for items in units.values() for item in items):
+                grouped.setdefault(check, []).append(message)
+            report = validate_all(bad)
+            assert {c.name: list(c.diagnostics) for c in report.failures()} == grouped
+            failing.update(grouped)
+        assert failing >= {
+            "structure", "monotonicity", "multiplicity", "admissibility", "node-condition"
+        }
 
 
 class TestTableLength:
