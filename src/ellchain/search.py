@@ -45,9 +45,11 @@ the way down are already in canonical form, so a leaf's key is its text
 as it stands: each transfer edge renders its component block and the node
 line into it once, with the renderers ``serialize_series`` is assembled
 from, and a key is the series head followed by the blocks and the lines on
-its path.  A full-chain leaf is also built as a series, and one that fails
-``validate_all`` is an oracle defect and raises; a prefix leaf builds no
-series.
+its path.  In a full-chain search each kept edge is also checked once by
+the validator's units, ``component_failures`` of its component and
+``node_failures`` of its node, and each leaf by ``series_failures`` alone:
+a failing unit is an oracle defect and raises.  A prefix search builds no
+series and runs no unit.
 The search runs in one process with one memo, and its reports are
 reproducible bit for bit; they claim combinatorial solutions only.
 """
@@ -57,27 +59,32 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import chain as _chain
 
 from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction
 from .series import (
     DIR_FIRST,
     DIR_SECOND,
     Component,
+    Failure,
     LimitSeries,
     NodeGluing,
     VanishingTable,
     QSide,
+    _int_columns,
     component_block,
+    component_failures,
     derive_forced_pairs,
     forced_pairs_failure,
     free_split,
     matching_failure,
     node_count_failure,
+    node_failures,
     node_line,
     q_side,
     serialize_series,
+    series_failures,
     series_head,
-    validate_all,
 )
 
 DEFAULT_CAP_RANK2 = 8
@@ -248,7 +255,12 @@ def _table_options(
     number of capacity prunes made on the way.
 
     ``min_vsum`` prunes row prefixes that cannot reach the required total
-    vanishing at Q (subsequent rows never exceed the current ``v``).
+    vanishing at Q (subsequent rows never exceed the current ``v``).  A
+    distinguished rank-2 row is walked only at a ``u`` whose rows ``emit``
+    can keep (a first slot in the box ``ds - canon[1] <= u <= canon[0]``, a
+    second at ``canon[0] - u1``), or whose subtree can still count a prune:
+    the deficit never rises along a path, so a row that leaves none can
+    lead to no prune, and skipping it keeps the count exact.
     """
     k, rank = space.k, space.rank
     ds = space.a  # every summand's degree equals the twist in the ansatz
@@ -260,6 +272,7 @@ def _table_options(
     pruned = 0
     # rows after the current one carry at most v - t//rank at position t
     decay = [sum(t // rank for t in range(1, rem)) for rem in range(k + 1)]
+    box = (ds - canon[1], canon[0])  # a lone rank-2 slot's u with cp, cq >= 0
 
     def emit():
         slots = [(u, v) for u, v in rows if u + v == ds]
@@ -312,7 +325,21 @@ def _table_options(
                 if vmin > 0:
                     pruned += 1
                 continue
-            for u in range(lo, hi + 1):
+            us = range(lo, hi + 1)
+            # the live u, then the u > cut, whose child keeps a positive
+            # deficit; with cut < lo that is every u
+            if extra and rank == 2 and (cut := s - min_vsum + vsum - decay[remaining - 1]) >= lo:
+                live_lo, live_hi = box
+                if slots_used:
+                    for p, q in rows:
+                        if p + q == ds:
+                            break
+                    live_lo = live_hi = canon[0] - p
+                us = _chain(
+                    range(max(lo, min(live_lo, cut + 1)), min(hi, live_hi) + 1),
+                    range(max(lo, cut + 1, live_hi + 1), hi + 1),
+                )
+            for u in us:
                 v = s - u
                 # sorted rows keep equal values adjacent, so multiplicity
                 # checks only look at the last two entries
@@ -338,7 +365,9 @@ class _State:
     as (component, gluing at the node into it, the component's block, the
     node's line, child state).  The two texts are rendered once per edge,
     by the renderers ``serialize_series`` is assembled from, so a leaf's
-    key is a concatenation of the texts on its path.
+    key is a concatenation of the texts on its path.  In a full-chain
+    search the component and the node of each kept edge have passed their
+    units, once, however many leaves lie below.
     """
 
     count: int
@@ -389,6 +418,7 @@ class _Transfer:
         options, pruned = _table_options(space, idx, lbs, min_vsum)
         count = expanded = conflicts = 0
         edges = []
+        guard = space.prefix_length is None
         for comp in options:
             if slow and any(v + u < space.a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
                 continue
@@ -406,6 +436,8 @@ class _Transfer:
             conflicts += child.direction_conflict
             if child.count:
                 node = NodeGluing(self.identity, forced)
+                if guard:
+                    self._guard(self.edge_failures(idx, comp, left_q, node))
                 edges.append(
                     (comp, node, component_block(idx, comp), node_line(idx - 1, node), child)
                 )
@@ -416,25 +448,45 @@ class _Transfer:
         # no other path reaches this state, so it stays out of the memo and
         # its edges are freed once the caller has read its totals
         root = self._expand(2, q_side(first)) if self.space.length > 1 else _LEAF
+        # a first option that leads nowhere is never checked: on rank 1 it
+        # may have a non-canonical bundle
+        if root.count and self.space.prefix_length is None:
+            self._guard(self.edge_failures(1, first))
         solutions: list[str] = []
         self._collect(root, (first,), (), component_block(1, first), "", solutions)
         return root, solutions
+
+    def edge_failures(self, idx: int, comp: Component, left_q=(), node=None) -> list[Failure]:
+        """The unit items of component ``idx`` and, given ``left_q``, the
+        ``q_side`` of the component before it, of ``node`` into it."""
+        rank, k, _, twist = self.params
+        columns = _int_columns(comp.table.rows)
+        failures = component_failures(idx, comp, columns, rank, k, twist, self.space.g)
+        if node is not None:
+            # the left side's v column is all of it a node unit reads
+            sides = [(None, tuple(v for v, _ in left_q)), columns]
+            failures += node_failures(idx - 1, node, sides, k, twist, self.identity)
+        return failures
+
+    def _guard(self, failures: list[Failure]) -> None:
+        """Raise naming each failing check: the search made a configuration it must not."""
+        if failures:
+            raise RuntimeError(
+                "oracle defect: enumerated configuration fails validation: "
+                + "; ".join(dict.fromkeys(check for check, _ in failures))
+            )
 
     def _collect(self, state: _State, comps, nodes, comps_text: str, nodes_text: str, out):
         """Append the key of every leaf below ``state`` to ``out``.
 
         ``comps_text`` and ``nodes_text`` are the component blocks and node
-        lines on the path so far; a full-chain leaf is also built as a
-        series and must pass ``validate_all``.
+        lines on the path so far.  Every edge on the path has passed its
+        units, so a full-chain leaf is built as a series only for the
+        whole-series unit, ``series_failures``.
         """
         if state is _LEAF:
             if self.space.prefix_length is None:
-                report = validate_all(LimitSeries(self.chain, *self.params, comps, nodes))
-                if not report.all_passed:
-                    raise RuntimeError(
-                        "oracle defect: enumerated configuration fails validation: "
-                        + "; ".join(c.name for c in report.failures())
-                    )
+                self._guard(series_failures(LimitSeries(self.chain, *self.params, comps, nodes)))
             out.append(self.head + comps_text + nodes_text)
             return
         for comp, node, comp_text, node_text, child in state.edges:

@@ -555,7 +555,8 @@ def node_failures(
 
     The forced-pair shape (structure) and condition (b).  ``sides`` is
     ``_int_columns`` of the components on its two sides, those that exist,
-    and ``identity`` is ``1..k``.  The node condition fails outright when
+    and ``identity`` is ``1..k``; of the left side only the ``v`` column is
+    read.  The node condition fails outright when
     ``matching_failure`` refuses the matching, or a side has an entry that
     is not an ``int`` or a short or missing table; else each matched row
     pair below the twist is named.
@@ -569,7 +570,7 @@ def node_failures(
         failures.append(("node-condition", f"{at} {why}"))
     elif None in sides:
         failures.append(("node-condition", f"{at} components {n} and {n + 1} need integer rows"))
-    elif len(sides) < 2 or min(len(sides[0][0]), len(sides[1][0])) < k:
+    elif len(sides) < 2 or min(len(sides[0][1]), len(sides[1][0])) < k:
         why = f"matching needs {k} rows on components {n} and {n + 1}"
         failures.append(("node-condition", f"{at} {why}"))
     else:

@@ -7,12 +7,17 @@ import pytest
 from ellchain import search
 from ellchain.cli import main
 from ellchain import (
+    Component,
     LimitSeries,
     SearchCapError,
     SearchSpace,
+    Split,
+    SplitLineBundle,
+    VanishingTable,
     canonical_form,
     canonical_key,
     canonical_limit_series,
+    canonical_restriction,
     construct,
     construct_even,
     construct_odd,
@@ -24,7 +29,7 @@ from ellchain import (
     serialize_series,
     validate_all,
 )
-from ellchain.series import component_block, node_line, series_head
+from ellchain.series import component_block, free_split, node_line, series_failures, series_head
 from helpers import BAD_FORCED_PAIRS, with_forced_pairs
 
 
@@ -379,18 +384,85 @@ def test_rank_one_above_k_equals_g_accepted():
     assert enumerate_series(SearchSpace(3, 1, 4)).count == 0
 
 
-def test_oracle_defect_guard_fires():
-    # enumerate_series refuses rank 1 with k < g; driven directly, the
-    # transfer step reaches (4, 1, 3) leaves that fail the
-    # canonical-determinant check, and the full-chain guard must raise
-    space = SearchSpace(4, 1, 3)
+def _run_firsts(transfer):
+    """Drive ``transfer`` over every first component, bypassing ``enumerate_series``'s refusals."""
+    space = transfer.space
     firsts, _ = search._table_options(
         space, 1, (0,) * space.k, search._min_vsum_needed(space, 1)
     )
-    transfer = search._Transfer(space, False)
-    with pytest.raises(RuntimeError, match="oracle defect"):
-        for first in firsts:
-            transfer.run(first)
+    return [transfer.run(first) for first in firsts]
+
+
+def test_oracle_defect_guard_fires():
+    # enumerate_series refuses rank 1 with k < g; driven directly, the
+    # transfer step reaches (4, 1, 3) components that fail the
+    # canonical-determinant check, and the full-chain guard must raise
+    with pytest.raises(RuntimeError, match="oracle defect: .*canonical-determinant"):
+        _run_firsts(search._Transfer(SearchSpace(4, 1, 3), False))
+
+
+@pytest.mark.parametrize(
+    "corrupt, check",
+    [
+        (lambda m, f: (m[:1] + m[:-1], f), "node-condition: node 4: matching .* not a bijection"),
+        (lambda m, f: (m, (("1", "2"), ("1", "2"))), "structure: node 4: forced pair 1->2 listed twice"),
+    ],
+    ids=["matching", "forced-pairs"],
+)
+def test_oracle_defect_guard_fires_on_a_node(monkeypatch, corrupt, check):
+    # the first gluing the step keeps is node 4, into the last component
+    # of (5, 2, 4); corrupted, the node's unit must fail it
+    class CorruptFirstGluing(search.NodeGluing):
+        made = 0
+
+        def __init__(self, matching, forced_pairs):
+            if not CorruptFirstGluing.made:
+                matching, forced_pairs = corrupt(matching, forced_pairs)
+            CorruptFirstGluing.made += 1
+            super().__init__(matching, forced_pairs)
+
+    monkeypatch.setattr(search, "NodeGluing", CorruptFirstGluing)
+    transfer = search._Transfer(SearchSpace(5, 2, 4), False)
+    failures = []
+    monkeypatch.setattr(transfer, "_guard", lambda items: failures.extend(items))
+    _run_firsts(transfer)
+    assert re.fullmatch(check, ": ".join(failures[0]))
+    name = check.split(":")[0]
+    monkeypatch.setattr(CorruptFirstGluing, "made", 0)
+    with pytest.raises(RuntimeError, match=f"^oracle defect: .*: {name}$"):
+        _run_firsts(search._Transfer(SearchSpace(5, 2, 4), False))
+
+
+class _WrongDegreeTransfer(search._Transfer):
+    """The transfer step with a degree one off in its series parameters."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        rank, k, d, a = self.params
+        self.params = (rank, k, d + 1, a)
+
+
+def test_oracle_defect_guard_fires_on_the_series(monkeypatch):
+    # no component or node reads the degree; only the leaf's series unit
+    # sees the sum fail
+    with pytest.raises(RuntimeError, match="^oracle defect: .*: degree-condition$"):
+        _run_with(monkeypatch, _WrongDegreeTransfer, SearchSpace(5, 2, 4), False)
+
+
+def test_prefix_search_builds_no_series_and_runs_no_unit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a unit ran on a prefix search")
+
+    class HeadOnly(LimitSeries):
+        def __init__(self, chain, *args):
+            assert not args[-2], "a prefix leaf was built as a series"
+            super().__init__(chain, *args)
+
+    for unit in ("component_failures", "node_failures", "series_failures"):
+        monkeypatch.setattr(search, unit, refuse)
+    monkeypatch.setattr(search, "LimitSeries", HeadOnly)
+    report = enumerate_series(SearchSpace(6, 2, 4, prefix_length=3))
+    assert (report.count, _digest(report)) == (6534, "2ca4a5885225ef4c")
 
 
 class _ComponentKeyedTransfer(search._Transfer):
@@ -508,3 +580,169 @@ def test_serialize_is_head_blocks_and_node_lines(series):
     blocks = [component_block(i, c) for i, c in enumerate(series.components, start=1)]
     lines = [node_line(n, node) for n, node in enumerate(series.nodes, start=1)]
     assert serialize_series(series) == series_head(series) + "".join(blocks) + "".join(lines)
+
+
+class _LeafValidatedTransfer(search._Transfer):
+    """The transfer step with no guard that raises: every full-chain leaf
+    is checked by ``validate_all`` instead, as before the guard moved to
+    the edges.  ``verdicts`` holds, per leaf, the edge guard's verdict on
+    its path (``edge_failures`` of each component and the node into it,
+    then ``series_failures``) and ``validate_all``'s."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.verdicts = []
+
+    def _guard(self, failures):
+        pass
+
+    def _collect(self, state, comps, nodes, comps_text, nodes_text, out):
+        if state is search._LEAF and self.space.prefix_length is None:
+            leaf = LimitSeries(self.chain, *self.params, comps, nodes)
+            units = [self.edge_failures(1, comps[0])]
+            units += [
+                self.edge_failures(i, comps[i - 1], q_side(comps[i - 2]), nodes[i - 2])
+                for i in range(2, len(comps) + 1)
+            ]
+            units.append(series_failures(leaf))
+            self.verdicts.append((not any(units), validate_all(leaf).all_passed))
+        super()._collect(state, comps, nodes, comps_text, nodes_text, out)
+
+
+# the benchmark's oracle_dense cells, as (g, k, prefix) at rank 2
+_DENSE = [
+    SearchSpace(g, 2, k, prefix_length=p)
+    for g, k, p in (
+        (4, 2, None), (4, 3, None), (5, 3, None), (5, 4, None), (6, 4, None), (7, 5, None),
+        (6, 3, 2), (7, 3, 2), (8, 3, 2), (7, 4, 2), (8, 4, 2), (6, 4, 3),
+    )
+]
+_FULL_CHAIN = {SearchSpace(g, r, k) for g, r, k, prefix, _ in GOLDEN if prefix is None}
+_FULL_CHAIN |= {space for space in _DENSE if space.prefix_length is None}
+
+
+@pytest.mark.parametrize(
+    "space,slow",
+    [(space, False) for space in sorted(_FULL_CHAIN, key=str)] + [(SearchSpace(4, 2, 2), True)],
+    ids=str,
+)
+def test_edge_guard_agrees_with_whole_leaf_check(monkeypatch, space, slow):
+    # the guard checks each kept component and node once, not once per
+    # leaf; on every leaf its verdict must be validate_all's, and the
+    # search must report what the whole-leaf check lets through
+    ours, _ = _run_with(monkeypatch, search._Transfer, space, slow)
+    checked, transfer = _run_with(monkeypatch, _LeafValidatedTransfer, space, slow)
+    assert ours == checked
+    assert len(transfer.verdicts) == ours.count > 0
+    assert set(transfer.verdicts) == {(True, True)}
+
+
+def test_edge_guard_agrees_on_failing_leaves():
+    # (4, 1, 3) leaves fail the canonical determinant: the guard must say
+    # so on exactly the leaves validate_all fails
+    transfer = _LeafValidatedTransfer(SearchSpace(4, 1, 3), False)
+    _run_firsts(transfer)
+    verdicts = transfer.verdicts
+    assert {a for a, _ in verdicts} == {True, False}
+    assert all(a == b for a, b in verdicts)
+
+
+def _reference_table_options(space, i, lbs, min_vsum):
+    """``search._table_options`` as it was before it skipped any ``u``: every
+    row the bounds allow is walked, and ``emit`` throws away the rows whose
+    slots cannot form a canonical bundle."""
+    k, rank = space.k, space.rank
+    ds = space.a
+    canon = canonical_restriction(i, space.g)
+    out = []
+    rows = []
+    if k * (ds - 1) + rank - sum(lbs) < min_vsum:
+        return out, 1
+    pruned = 0
+    decay = [sum(t // rank for t in range(1, rem)) for rem in range(k + 1)]
+
+    def emit():
+        slots = [(u, v) for u, v in rows if u + v == ds]
+        if len(slots) == 2:
+            (p1, q1), (p2, q2) = slots
+            if (p1 + p2, q1 + q2) != canon:
+                return
+            bundle = Split(SplitLineBundle(p1, q1), SplitLineBundle(p2, q2))
+            moduli = 0
+        elif len(slots) == 1:
+            (p, q) = slots[0]
+            if rank == 1:
+                bundle = SplitLineBundle(p, q)
+            else:
+                cp, cq = canon[0] - p, canon[1] - q
+                if cp < 0 or cq < 0:
+                    return
+                pair = sorted([(p, q), (cp, cq)])
+                bundle = Split(SplitLineBundle(*pair[0]), SplitLineBundle(*pair[1]))
+            moduli = 0
+        else:
+            bundle = SplitLineBundle(*canon) if rank == 1 else free_split(i, space.g)
+            moduli = 1
+        out.append(Component(bundle, VanishingTable(rows), moduli))
+
+    def rec(j, slots_used, vsum):
+        nonlocal pruned
+        if j == k:
+            emit()
+            return
+        remaining = k - j
+        prev_v = rows[-1][1] if rows else None
+        base_lo = lbs[j]
+        if rows:
+            base_lo = max(base_lo, rows[-1][0] + (1 if rank == 1 else 0))
+        deficit = min_vsum - vsum + decay[remaining]
+        vmin = -(-deficit // remaining) if deficit > 0 else 0
+        for extra in (0, 1):
+            if extra and slots_used >= rank:
+                continue
+            s = ds - 1 + extra
+            lo = base_lo
+            if prev_v is not None and s - prev_v > lo:
+                lo = s - prev_v
+            hi = s - vmin
+            if hi < lo:
+                if vmin > 0:
+                    pruned += 1
+                continue
+            for u in range(lo, hi + 1):
+                v = s - u
+                if len(rows) >= 2 and rows[-1][0] == u and rows[-2][0] == u:
+                    continue
+                if prev_v is not None and v == prev_v:
+                    if rank == 1 or (len(rows) >= 2 and rows[-2][1] == v):
+                        continue
+                rows.append((u, v))
+                rec(j + 1, slots_used + extra, vsum + v)
+                rows.pop()
+
+    rec(0, 0, 0)
+    return out, pruned
+
+
+_ASKED = {SearchSpace(g, r, k, prefix_length=p): cap for g, r, k, p, cap in GOLDEN}
+_ASKED |= {space: None for space in _DENSE if space not in _ASKED}
+
+
+@pytest.mark.parametrize("space,cap", _ASKED.items(), ids=str)
+def test_table_options_skip_only_rows_emit_drops(monkeypatch, space, cap):
+    # every (index, lower bounds, required v-sum) the search asks for, and
+    # every index unpruned as slow mode asks: the same options in the same
+    # order, and the same capacity prunes, as walking every row
+    asked = []
+    shipped = search._table_options
+
+    def recording(space, i, lbs, min_vsum):
+        asked.append((i, lbs, min_vsum))
+        return shipped(space, i, lbs, min_vsum)
+
+    monkeypatch.setattr(search, "_table_options", recording)
+    enumerate_series(space, cap=cap)
+    if space.rank == 2:
+        asked += [(i, (0,) * space.k, 0) for i in range(1, space.length + 1)]
+    for args in dict.fromkeys(asked):
+        assert shipped(space, *args) == _reference_table_options(space, *args), args
