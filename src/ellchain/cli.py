@@ -10,8 +10,7 @@ The sweep emits one CSV row per (g, k) cell with a nonnegative expected
 dimension, in grid order (g ascending, then k), with the fixed column
 order ``g,k,rho_K,rho_2g2,threshold_ok,corollary_excess,validated,
 ledger_total,ledger_matches,stability``.  Output is byte-stable for fixed
-inputs regardless of worker count or of the calls made before in the
-process.
+inputs regardless of the calls made before in the process.
 
 The sweep certifies each k once per process, at the largest genus any
 call has asked for (``_Certificate``): it validates, prices and
@@ -26,9 +25,7 @@ line of the series they read or write.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -302,9 +299,8 @@ def _certificate(k: int, top: int) -> _Certificate:
     return cert
 
 
-def _sweep_cell(cell: tuple[int, int, int]) -> str:
+def _sweep_cell(g: int, k: int, top: int) -> str:
     """The CSV row of cell (g, k) in a sweep whose largest genus is ``top``."""
-    g, k, top = cell
     rho_k = rho_canonical(g, k)
     rho_plain = rho_general(2, 2 * g - 2, g, k)
     lo, hi = corollary_range(k)
@@ -341,22 +337,12 @@ def cmd_sweep(args) -> int:
         raise ValueError("empty sweep range")
     if args.k_min < 2:
         raise ValueError("sweep needs k >= 2")
-    # every cell carries the call's largest genus, so each process reads
-    # its rows off certificates of at least that genus
-    cells = [
-        (g, k, args.g_max)
+    rows = [
+        _sweep_cell(g, k, args.g_max)
         for g in range(args.g_min, args.g_max + 1)
         for k in range(args.k_min, args.k_max + 1)
         if rho_canonical(g, k) >= 0
     ]
-    # the pool forks all its workers up front, so never ask for more than
-    # there are cells or CPUs
-    workers = min(args.workers, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(cell) for cell in cells]
     _write("\n".join([CSV_COLUMNS] + rows) + "\n", args.out, f" ({len(rows)} rows)")
     return EXIT_OK
 
@@ -398,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2, choices=(1, 2))
     p.add_argument("--max", type=int, default=None, help="store at most this many solutions")
     p.add_argument("--prefix", type=int, default=None, help="enumerate only the first N components")
-    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect on the search")
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.add_argument(
         "--cap",
         type=int,
@@ -414,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-min", type=int, required=True)
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--out", help="CSV path (stdout if omitted)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p.set_defaults(func=cmd_sweep)
     return parser
 

@@ -26,15 +26,13 @@ has no forced pairs, so it stores one shared unforced gluing.
 
 The components that can pin form a prefix of the rank-two chain: the
 even components ``i <= k1**2`` and, for odd ``k``, the transitions and the
-indecomposable.  Their gluings do not depend on ``g``.  On that prefix
-every row is ``(u, g - c)`` and every summand ``(p, g - c')`` with ``u``,
-``p``, ``c`` and ``c'`` free of ``g``; the indecomposable's degree is
-``2g - 2`` and the twist ``g - 1``.  The pinning rule compares ``u + v``
-with ``p + q`` and ``2(mu + mv)`` with the degree, and the node condition
-compares ``v + u'`` with the twist: ``g`` enters both sides of each with
-the same coefficient.  So the gluings of the prefix are derived once per
-``k`` and process, from the components of the first series built with
-that ``k``, and every later series with ``k`` sections reuses them.
+indecomposable.  On that prefix every row is ``(u, g - c)`` and every
+summand ``(p, g - c')`` with ``u``, ``p``, ``c`` and ``c'`` free of ``g``;
+the indecomposable's degree is ``2g - 2`` and the twist ``g - 1``.  The
+pinning rule compares ``u + v`` with ``p + q`` and ``2(mu + mv)`` with the
+degree, and the node condition compares ``v + u'`` with the twist: ``g``
+enters both sides of each with the same coefficient.  So the gluings of
+the prefix do not depend on ``g``, which the shift identity below needs.
 
 The rows and the tail follow the same rule, which makes the shift
 identity.  On every component, pinning or free, each row is
@@ -278,32 +276,23 @@ def construct(g: int, k: int, force: bool = False) -> LimitSeries:
     return construct_even(g, k, force) if k % 2 == 0 else construct_odd(g, k, force)
 
 
-# the gluings between consecutive pinning components of the rank-two
-# series with k sections, by k; filled by the first series built with k
-_PINNED_NODES: dict[int, tuple[NodeGluing, ...]] = {}
-
-
 def _assemble(g, rank, k, d, a, components) -> LimitSeries:
     """The series of ``components``, glued by the identity at every node.
 
-    A rank-two series takes the gluings between its pinning components,
-    a prefix of the chain, from the table for ``k``.  The first series
-    with ``k`` sections fills it by deriving each of their forced pairs,
-    which do not depend on ``g`` (see the module docstring).  Every other
-    node, and every node of a rank-one series, touches a component that
-    pins nothing and shares one unforced gluing, which is what the
-    derivation returns there.
+    A rank-two series derives the forced pairs of each node between two
+    pinning components, a prefix of the chain.  Every other node, and
+    every node of a rank-one series, touches a component that pins
+    nothing and shares one unforced gluing, which is what the derivation
+    returns there.
     """
     identity = tuple(range(1, k + 1))
     pinned = ()
     if rank == 2:
-        pinned = _PINNED_NODES.get(k)
-        if pinned is None:
-            prefix = tuple(takewhile(lambda c: not c.pins_nothing, components))
-            pinned = _PINNED_NODES[k] = tuple(
-                NodeGluing(identity, derive_forced_pairs(q_side(left), right, identity, a))
-                for left, right in zip(prefix, prefix[1:])
-            )
+        prefix = tuple(takewhile(lambda c: not c.pins_nothing, components))
+        pinned = tuple(
+            NodeGluing(identity, derive_forced_pairs(q_side(left), right, identity, a))
+            for left, right in zip(prefix, prefix[1:])
+        )
     nodes = pinned + (NodeGluing(identity),) * (len(components) - 1 - len(pinned))
     return LimitSeries(
         chain=ChainCurve(g),

@@ -654,11 +654,13 @@ def _columns_pass(s: LimitSeries) -> bool:
     identity matchings by one ``min``, admissibility by row sums against
     the summand degrees (only a row off both generic sums is looked at
     by itself), and the degree sum, determinacy and the canonical
-    determinant by coefficient columns against expected ones.  The passes
-    read only a series whose header fields are ``int``, whose tables are
-    all ``sections`` rows of ``int`` entries, whose bundles are the rank's
-    kinds (their constructors take only ``int`` fields), and whose nodes
-    and components fit the genus; any other series is sent to the units.
+    determinant by coefficient columns against expected ones.  An
+    indecomposable component has no summand columns and is decided by its
+    own unit, ``component_failures``.  The passes read only a series whose
+    header fields are ``int``, whose tables are all ``sections`` rows of
+    ``int`` entries, whose bundles are the rank's kinds (their
+    constructors take only ``int`` fields), and whose nodes and components
+    fit the genus; any other series is sent to the units.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     if not _INT.issuperset(map(type, (k, rank, twist, s.degree))):
@@ -678,11 +680,17 @@ def _columns_pass(s: LimitSeries) -> bool:
         and kinds <= ({SplitLineBundle} if rank == 1 else {Split, Indecomposable})
     ):
         return False
-    # an indecomposable bundle has no summand columns: a free split stands
-    # in for it there, and the component is checked on its own
+    # an indecomposable bundle has no summand columns: its component is
+    # decided by its own unit, and a free split stands in for it in the
+    # columns
     indec = []
     if Indecomposable in kinds:
         indec = [i for i, t in enumerate(types) if t is Indecomposable]
+        if any(
+            component_failures(i + 1, components[i], _int_columns(tables[i]), rank, k, twist, g)
+            for i in indec
+        ):
+            return False
     held = [bundles[i] for i in indec]
     for i in indec:
         bundles[i] = free_split(i + 1, g)
@@ -710,7 +718,6 @@ def _columns_pass(s: LimitSeries) -> bool:
         and min(v_rows) >= 0
         and _INT.issuperset(map(type, moduli))
         and moduli.count(0) + moduli.count(1) == m
-        and not any(moduli[i] for i in indec)
         and not any(map(forced_pairs_failure, compress(forced, map(ne, forced, repeat(())))))
         and all(map(le, u_rows, islice(u_rows, m, None)))
         and all(map(ge, v_rows, islice(v_rows, m, None)))
@@ -728,7 +735,7 @@ def _columns_pass(s: LimitSeries) -> bool:
         off = map(and_, off, map(ne, map(add, u_rows, v_rows), cycle(generic2)))
     # a row off both generic sums d_s - 1 must be the coefficients of a
     # summand of a component that is not generic, each summand taking at
-    # most one such row; an indecomposable component has its own rule
+    # most one such row; an indecomposable component's unit passed its rows
     off_at = list(compress(range(m * k), off))
     uses = Counter(
         zip(
@@ -737,18 +744,13 @@ def _columns_pass(s: LimitSeries) -> bool:
             map(v_rows.__getitem__, off_at),
         )
     )
-    if not (
-        all(
-            i in indec
-            or (
-                moduli[i] != 1
-                and n <= ((p1[i], q1[i]) == (u, v)) + (rank == 2 and (p2[i], q2[i]) == (u, v))
-            )
-            for (i, u, v), n in uses.items()
+    if not all(
+        i in indec
+        or (
+            moduli[i] != 1
+            and n <= ((p1[i], q1[i]) == (u, v)) + (rank == 2 and (p2[i], q2[i]) == (u, v))
         )
-        and not any(
-            admissibility_failures(c.bundle, c.table) for c in map(components.__getitem__, indec)
-        )
+        for (i, u, v), n in uses.items()
     ):
         return False
 
@@ -778,10 +780,8 @@ def _columns_pass(s: LimitSeries) -> bool:
     return (
         max(d1) <= twist
         and max(d2) <= twist
-        and all(_determinacy_failure(b, twist) is None for b in held)
         and all(map(eq, det_p, range(0, 2 * m, 2)))
         and all(map(eq, map(sub, repeat(2 * g - 2), det_p), det_q))
-        and all(_canonical_failure(b, i + 1, g) is None for i, b in zip(indec, held))
     )
 
 

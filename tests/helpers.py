@@ -1,4 +1,4 @@
-"""Shared test utilities: series surgery for mutation testing, the shift S, a stand-in pool."""
+"""Shared test utilities: series surgery for mutation testing and the shift S."""
 
 from __future__ import annotations
 
@@ -88,25 +88,3 @@ def all_entries(s: LimitSeries):
             yield ci, ri, "u"
             yield ci, ri, "v"
 
-
-def recording_pool(sizes: list):
-    """A ``ProcessPoolExecutor`` stand-in that maps in process.
-
-    Each pool appends its ``max_workers`` to ``sizes``, so a test can check
-    how many processes a real pool would have forked without forking any.
-    """
-
-    class Pool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    return Pool

@@ -146,7 +146,7 @@ def test_criterion_6_stability():
 def test_criterion_7_determinism(tmp_path, capsys):
     with criterion(7, "bit-identical sweeps and search counts"):
         sweeps = []
-        for tag, workers in (("a", 1), ("b", 1), ("c", 2)):
+        for tag, workers in (("a", 1), ("b", 1), ("c", 2), ("d", 64)):
             path = tmp_path / f"sweep_{tag}.csv"
             code = cli_main(
                 [
@@ -160,7 +160,7 @@ def test_criterion_7_determinism(tmp_path, capsys):
             assert code == 0
             sweeps.append(path.read_bytes())
         capsys.readouterr()
-        assert sweeps[0] == sweeps[1] == sweeps[2]
+        assert sweeps[0] == sweeps[1] == sweeps[2] == sweeps[3]
         # the search runs in one process: repeated runs must agree
         runs = [enumerate_series(SearchSpace(5, 2, 4)) for _ in range(3)]
         assert runs[0].count == runs[1].count == runs[2].count

@@ -17,7 +17,7 @@ from ellchain import (
 )
 from ellchain import cli
 from ellchain.cli import build_parser, main
-from helpers import mutate_entry, recording_pool
+from helpers import mutate_entry
 
 
 def run_cli(capsys, *argv):
@@ -523,21 +523,6 @@ class TestSweep:
             "--workers", workers,
         )
         assert (code, stdout, stderr) == (1, "", "error: --workers must be >= 1\n")
-
-    @pytest.mark.parametrize("cpus, sizes", [(64, [4]), (2, [2]), (1, []), (None, [])])
-    def test_pool_bounded_by_cells_and_cpus(self, capsys, monkeypatch, cpus, sizes):
-        # a pool forks all its workers up front: a 4-cell sweep asks for at
-        # most 4, never for more than the CPUs, and runs serially at 1
-        argv = ("sweep", "--g-min", "5", "--g-max", "6", "--k-min", "2", "--k-max", "3")
-        _, serial, _ = run_cli(capsys, *argv)
-        recorded = []
-        monkeypatch.setattr("ellchain.cli.ProcessPoolExecutor", recording_pool(recorded))
-        monkeypatch.setattr("ellchain.cli.os.cpu_count", lambda: cpus)
-        code, pooled, _ = run_cli(capsys, *argv, "--workers", "64")
-        assert code == 0
-        assert recorded == sizes
-        assert len(serial.splitlines()) == 5
-        assert pooled == serial
 
     def test_usage_error_exit_1(self, capsys, tmp_path):
         code, _, _ = run_cli(

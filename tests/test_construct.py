@@ -225,9 +225,9 @@ class TestDispatch:
 
 
 class TestNodeShortcut:
-    """``_assemble`` takes the gluings between pinning components from a
-    table filled once per k and shares one unforced gluing everywhere
-    else; every node it stores must equal the full derivation."""
+    """``_assemble`` derives the gluings between pinning components and
+    shares one unforced gluing everywhere else; every node it stores must
+    equal the full derivation."""
 
     module = importlib.import_module("ellchain.construct")
 
@@ -261,21 +261,11 @@ class TestNodeShortcut:
             forced += bool(derived)
         return quiet, forced
 
-    def test_every_node_equals_the_full_derivation(self, monkeypatch):
-        # each order starts from an empty table: filled at a large g it
-        # serves a small one, filled at a small g a large one
-        cells = self._cells()
-        orders = (
-            cells,
-            sorted(cells, key=lambda cell: -cell[0]),
-            random.Random(20).sample(cells, len(cells)),
-        )
+    def test_every_node_equals_the_full_derivation(self):
         quiet = forced = 0
-        for order in orders:
-            monkeypatch.setattr(self.module, "_PINNED_NODES", {})
-            for g, k in order:
-                q, f = self._check_nodes(construct(g, k, force=g < theorem_threshold(k)))
-                quiet, forced = quiet + q, forced + f
+        for g, k in self._cells():
+            q, f = self._check_nodes(construct(g, k, force=g < theorem_threshold(k)))
+            quiet, forced = quiet + q, forced + f
         for g in range(2, 41):
             q, f = self._check_nodes(canonical_limit_series(g))
             assert f == 0
@@ -284,8 +274,9 @@ class TestNodeShortcut:
         # between pinned components carry pairs
         assert quiet > forced > 0
 
-    def test_forced_pairs_are_derived_once_per_k(self, monkeypatch):
-        monkeypatch.setattr(self.module, "_PINNED_NODES", {})
+    def test_forced_pairs_are_derived_once_per_construction(self, monkeypatch):
+        # each rank-two construction derives the pairs of each node between
+        # two pinning components once, in chain order, and of no other node
         calls = []
 
         def counted(*args):
@@ -293,15 +284,17 @@ class TestNodeShortcut:
             return derive_forced_pairs(*args)
 
         monkeypatch.setattr(self.module, "derive_forced_pairs", counted)
-        for k in (6, 7):
-            calls.clear()
-            chains = [construct(g, k) for g in range(20, 41)]
-            pinned = chains[0].components
-            between = sum(
-                not (left.pins_nothing or right.pins_nothing)
-                for left, right in zip(pinned, pinned[1:])
-            )
-            assert len(calls) == between == (8 if k == 6 else 12)
+        for k, between in ((6, 8), (7, 12)):
+            for g in range(20, 41):
+                calls.clear()
+                s = construct(g, k)
+                rights = [
+                    right
+                    for left, right in zip(s.components, s.components[1:])
+                    if not (left.pins_nothing or right.pins_nothing)
+                ]
+                assert len(rights) == between
+                assert [call[1] for call in calls] == rights, (g, k)
         calls.clear()
         for g in range(2, 41):
             canonical_limit_series(g)
@@ -332,42 +325,33 @@ class TestShiftIdentity:
     sweep's certificates read every genus off the top one by this, and by
     S keeping the failing checks of ``validate_all``."""
 
-    module = importlib.import_module("ellchain.construct")
-
-    def _built(self, g, k):
-        # every construction derives its own gluings
-        self.module._PINNED_NODES.clear()
-        return construct(g, k)
-
     def _assert_restricts(self, top, s):
         n = top.genus - s.genus
         assert top.components[: s.genus] == tuple(shifted(c, n) for c in s.components)
         assert top.nodes[: s.genus - 1] == s.nodes
         assert (top.twist - n, top.degree - 2 * n) == (s.twist, s.degree)
 
-    def test_each_step_adds_one_component(self, monkeypatch):
+    def test_each_step_adds_one_component(self):
         # every consecutive pair up to genus 61; by induction, every pair
         # g < G <= 61, since S commutes with cutting the chain
-        monkeypatch.setattr(self.module, "_PINNED_NODES", {})
         for k in range(2, 32):
             low = theorem_threshold(k)
-            chain = [self._built(g, k) for g in range(low, 62)]
+            chain = [construct(g, k) for g in range(low, 62)]
             for s, up in zip(chain, chain[1:]):
                 self._assert_restricts(up, s)
                 assert up.nodes[-1].forced_pairs == ()
                 assert up.components[-1].is_generic
 
-    def test_top_series_restricts_to_each_lower_genus(self, monkeypatch):
+    def test_top_series_restricts_to_each_lower_genus(self):
         # from k = 29 on the threshold is above 200
-        monkeypatch.setattr(self.module, "_PINNED_NODES", {})
         rng = random.Random(21)
         pairs = 0
         for k in range(2, 29):
             low = theorem_threshold(k)
             for top_genus in sorted({200, rng.randrange(low + 1, 200)}):
-                top, lower = self._built(top_genus, k), range(low, top_genus)
+                top, lower = construct(top_genus, k), range(low, top_genus)
                 for g in sorted({low, top_genus - 1, *rng.sample(lower, min(3, len(lower)))}):
-                    self._assert_restricts(top, self._built(g, k))
+                    self._assert_restricts(top, construct(g, k))
                     pairs += 1
         assert pairs > 150
 

@@ -203,6 +203,16 @@ class TestValidateAll:
             report = validate_all(s)
             assert report.all_passed, [c.name for c in report.failures()]
 
+    def test_column_passes_decide_every_odd_construction(self):
+        # the units would give the same reports, so a fast path that stopped
+        # firing on the indecomposable component would show only here
+        cells = [
+            (g, k) for k in range(3, 32, 2) for g in range(theorem_threshold(k), 120)
+        ]
+        assert len(cells) == 750
+        for g, k in cells:
+            assert series_module._columns_pass(construct(g, k)), (g, k)
+
     def test_indecomposable_flagged(self):
         report = validate_all(construct_odd(7, 3))
         assert any("indecomposable" in f for f in report.flags)

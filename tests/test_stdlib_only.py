@@ -1,6 +1,8 @@
 """The package stays dependency-free: it imports the standard library only."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,21 @@ def test_imports_are_stdlib_or_relative(path):
         if name is not None and name not in sys.stdlib_module_names
     ]
     assert not outside
+
+
+def test_cli_starts_without_process_pools():
+    # the package runs in one process: starting the CLI loads no module of
+    # multiprocessing or concurrent
+    code = (
+        "import sys, ellchain, ellchain.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        check=True,
+    )
+    assert proc.stdout == "[]\n"
