@@ -34,23 +34,28 @@ Every check is local between neighbouring components, and a step reads
 only ``q_side`` of the previous component: each row's ``v`` (lower
 bounds, post-hoc check) and the direction it pins at Q (forced pairs).
 So what can follow a partial configuration depends only on the state
-``(index, q_side(previous))``, derived once per component reached.  The
-search is a memoized transfer step over these states: each state's
-table options and forced-direction checks are computed once, and a state reached along
-another path adds its cached totals.  The reported counters (tables
-expanded, prunes) are still the sums over the full depth-first search
-tree, as if every path were expanded anew.  Solutions are read off by a
-walk over the memoized states.  The components and forced pairs found on
-the way down are already in canonical form, so a leaf's key is its text
-as it stands: each transfer edge renders its component block and the node
-line into it once, with the renderers ``serialize_series`` is assembled
-from, and a key is the series head followed by the blocks and the lines on
-its path.  In a full-chain search each kept edge is also checked once by
-the validator's units, ``component_failures`` of its component and
-``node_failures`` of its node, and each leaf by ``series_failures`` alone:
-a failing unit is an oracle defect and raises.  A prefix search builds no
-series and runs no unit.
-The search runs in one process with one memo, and its reports are
+``(index, q_side(previous))``.  The search is a memoized transfer step
+over these states: each state's table options and forced-direction
+checks are computed once, and a state reached along another path adds
+its cached totals.  The reported counters (tables expanded, prunes) are
+still the sums over the full depth-first search tree, as if every path
+were expanded anew.  Many states offer the same table, so options are
+interned per search by ``(index, rows)``: one ``Component`` per distinct
+table, whose ``q_side``, component block and component unit are derived
+once, however many states offer it.  Solutions are read off by a walk
+over the memoized states.  The components and forced pairs found on the
+way down are already in canonical form, so a leaf's key is its text as
+it stands: the blocks of the options and the node lines on its path,
+under the series head, each line rendered once per (node, forced pairs),
+with the renderers ``serialize_series`` is assembled from.  In a
+full-chain search each kept edge is also checked by the validator's
+units, ``node_failures`` of its node on the edge and
+``component_failures`` of its component once per option, and each leaf
+by ``series_failures`` alone: a failing unit is an oracle defect and
+raises.  A prefix search builds no series, runs no unit and carries no
+components down to its leaves.
+The search runs in one process with one memo and one intern table,
+both dropped when it returns, and its reports are
 reproducible bit for bit; they claim combinatorial solutions only.
 """
 
@@ -248,11 +253,48 @@ def _min_vsum_needed(space: SearchSpace, i: int) -> int:
     return terminal - (space.length - i) * (space.rank - space.k)
 
 
+class _Option:
+    """One distinct table option of a search: component ``idx``, and what
+    the search derives from it, each at most once.
+
+    ``q`` (its ``q_side``) and ``block`` (its ``component_block``) are
+    derived on first use; ``failures`` and ``columns`` (its
+    ``component_failures`` items and ``_int_columns``) are set by the
+    first edge guard that reads them.
+    """
+
+    __slots__ = ("idx", "comp", "_q", "_block", "failures", "columns")
+
+    def __init__(self, idx: int, comp: Component):
+        self.idx, self.comp = idx, comp
+        self._q = self._block = self.failures = self.columns = None
+
+    @property
+    def q(self) -> QSide:
+        if self._q is None:
+            self._q = q_side(self.comp)
+        return self._q
+
+    @property
+    def block(self) -> str:
+        if self._block is None:
+            self._block = component_block(self.idx, self.comp)
+        return self._block
+
+
 def _table_options(
-    space: SearchSpace, i: int, lbs: tuple[int, ...], min_vsum: int
-) -> tuple[list[Component], int]:
+    space: SearchSpace,
+    i: int,
+    lbs: tuple[int, ...],
+    min_vsum: int,
+    interned: dict[tuple, _Option],
+) -> tuple[list[_Option], int]:
     """All admissible components at position ``i``, rows sorted, and the
     number of capacity prunes made on the way.
+
+    Each option is looked up in ``interned`` by ``(i, *rows)`` and built,
+    with its bundle, table and ``Component``, only on a miss; so one search
+    passing one dict builds one ``_Option`` per distinct table.
 
     ``min_vsum`` prunes row prefixes that cannot reach the required total
     vanishing at Q (subsequent rows never exceed the current ``v``).  A
@@ -265,7 +307,7 @@ def _table_options(
     k, rank = space.k, space.rank
     ds = space.a  # every summand's degree equals the twist in the ansatz
     canon = canonical_restriction(i, space.g)
-    out: list[Component] = []
+    out: list[_Option] = []
     rows: list[tuple[int, int]] = []
     if k * (ds - 1) + rank - sum(lbs) < min_vsum:
         return out, 1
@@ -275,6 +317,11 @@ def _table_options(
     box = (ds - canon[1], canon[0])  # a lone rank-2 slot's u with cp, cq >= 0
 
     def emit():
+        key = (i, *rows)
+        found = interned.get(key)
+        if found is not None:
+            out.append(found)
+            return
         slots = [(u, v) for u, v in rows if u + v == ds]
         if len(slots) == 2:
             (p1, q1), (p2, q2) = slots
@@ -299,7 +346,8 @@ def _table_options(
             else:
                 bundle = free_split(i, space.g)
             moduli = 1
-        out.append(Component(bundle, VanishingTable(rows), moduli))
+        found = interned[key] = _Option(i, Component(bundle, VanishingTable(rows), moduli))
+        out.append(found)
 
     def rec(j: int, slots_used: int, vsum: int):
         nonlocal pruned
@@ -362,19 +410,21 @@ class _State:
 
     The counters are the sums a depth-first walk of that subtree would
     make.  ``edges`` keeps only the children that lead to a solution, each
-    as (component, gluing at the node into it, the component's block, the
-    node's line, child state).  The two texts are rendered once per edge,
-    by the renderers ``serialize_series`` is assembled from, so a leaf's
-    key is a concatenation of the texts on its path.  In a full-chain
-    search the component and the node of each kept edge have passed their
-    units, once, however many leaves lie below.
+    as (option, gluing at the node into it, the node's line, child state).
+    The option carries its component's block and the line is shared by
+    every edge with the same node index and forced pairs; both are
+    rendered once per search, by the renderers ``serialize_series`` is
+    assembled from, so a leaf's key is a concatenation of the texts on its
+    path.  In a full-chain search the component and the node of each kept
+    edge have passed their units, however many leaves lie below; the
+    component's unit runs once per option.
     """
 
     count: int
     expanded: int
     pruned_capacity: int
     direction_conflict: int
-    edges: tuple[tuple[Component, NodeGluing, str, str, "_State"], ...] = ()
+    edges: tuple[tuple[_Option, NodeGluing, str, "_State"], ...] = ()
 
 
 _LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
@@ -386,8 +436,11 @@ class _Transfer:
     ``memo`` maps (component index, ``q_side`` of the previous component)
     to the totals of the subtree below it, so each state is expanded once.
     The key is exact by construction: ``_expand`` is handed the key and
-    nothing else.  ``head`` is the text every leaf key starts with: the
-    series head, under the ``prefix N`` line in a prefix search.
+    nothing else.  ``options`` interns the table options by
+    ``(index, *rows)`` and ``gluings`` each kept node, with its line, by
+    ``(index, forced pairs)``; all three live and die with the search.
+    ``head`` is the text every leaf key starts with: the series head,
+    under the ``prefix N`` line in a prefix search.
     """
 
     def __init__(self, space: SearchSpace, slow: bool):
@@ -400,12 +453,14 @@ class _Transfer:
             LimitSeries(self.chain, *self.params, (), ())
         )
         self.memo: dict[tuple[int, QSide], _State] = {}
+        self.options: dict[tuple, _Option] = {}
+        self.gluings: dict[tuple[int, tuple], tuple[NodeGluing, str]] = {}
 
-    def state(self, idx: int, prev: Component) -> _State:
+    def state(self, idx: int, prev: _Option) -> _State:
         if idx > self.space.length:
             return _LEAF
         # derived only past the leaf check: last-level options never pay for it
-        key = (idx, q_side(prev))
+        key = (idx, prev.q)
         found = self.memo.get(key)
         if found is None:
             found = self.memo[key] = self._expand(*key)
@@ -415,11 +470,12 @@ class _Transfer:
         space, slow = self.space, self.slow
         lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v, _ in left_q)
         min_vsum = 0 if slow else _min_vsum_needed(space, idx)
-        options, pruned = _table_options(space, idx, lbs, min_vsum)
+        options, pruned = _table_options(space, idx, lbs, min_vsum, self.options)
         count = expanded = conflicts = 0
         edges = []
         guard = space.prefix_length is None
-        for comp in options:
+        for opt in options:
+            comp = opt.comp
             if slow and any(v + u < space.a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
                 continue
             # a configuration whose pinned directions cannot be matched by
@@ -429,44 +485,63 @@ class _Transfer:
             except ValueError:
                 conflicts += 1
                 continue
-            child = self.state(idx + 1, comp)
+            child = self.state(idx + 1, opt)
             count += child.count
             expanded += 1 + child.expanded
             pruned += child.pruned_capacity
             conflicts += child.direction_conflict
             if child.count:
-                node = NodeGluing(self.identity, forced)
+                gluing = self.gluings.get((idx, forced))
+                if gluing is None:
+                    node = NodeGluing(self.identity, forced)
+                    gluing = self.gluings[idx, forced] = (node, node_line(idx - 1, node))
                 if guard:
-                    self._guard(self.edge_failures(idx, comp, left_q, node))
-                edges.append(
-                    (comp, node, component_block(idx, comp), node_line(idx - 1, node), child)
-                )
+                    self._guard(self.edge_failures(opt, left_q, gluing[0]))
+                edges.append((opt, *gluing, child))
         return _State(count, expanded, pruned, conflicts, tuple(edges))
 
-    def run(self, first: Component) -> tuple[_State, list[str]]:
+    def first_options(self) -> list[_Option]:
+        """The options for the first component, interned with every other."""
+        space = self.space
+        min_vsum = 0 if self.slow else _min_vsum_needed(space, 1)
+        # the depth-first counters this search reproduces never counted
+        # capacity prunes among first components, so that count is dropped
+        return _table_options(space, 1, (0,) * space.k, min_vsum, self.options)[0]
+
+    def run(self, first: _Option) -> tuple[_State, list[str]]:
         """The subtree totals and the solution keys below first component ``first``."""
         # no other path reaches this state, so it stays out of the memo and
         # its edges are freed once the caller has read its totals
-        root = self._expand(2, q_side(first)) if self.space.length > 1 else _LEAF
-        # a first option that leads nowhere is never checked: on rank 1 it
-        # may have a non-canonical bundle
-        if root.count and self.space.prefix_length is None:
-            self._guard(self.edge_failures(1, first))
+        root = self._expand(2, first.q) if self.space.length > 1 else _LEAF
         solutions: list[str] = []
-        self._collect(root, (first,), (), component_block(1, first), "", solutions)
+        if not root.count:
+            # a first option that leads nowhere is never checked or
+            # rendered: on rank 1 it may have a non-canonical bundle
+            return root, solutions
+        if self.space.prefix_length is None:
+            self._guard(self.edge_failures(first))
+            self._collect(root, first.block, "", solutions, (first.comp,), ())
+        else:
+            self._collect(root, first.block, "", solutions)
         return root, solutions
 
-    def edge_failures(self, idx: int, comp: Component, left_q=(), node=None) -> list[Failure]:
-        """The unit items of component ``idx`` and, given ``left_q``, the
-        ``q_side`` of the component before it, of ``node`` into it."""
+    def edge_failures(self, opt: _Option, left_q=(), node=None) -> list[Failure]:
+        """The unit items of option ``opt``'s component and, given ``left_q``,
+        the ``q_side`` of the component before it, of ``node`` into it.
+
+        The component's unit runs once per option; its items are kept on it.
+        """
         rank, k, _, twist = self.params
-        columns = _int_columns(comp.table.rows)
-        failures = component_failures(idx, comp, columns, rank, k, twist, self.space.g)
-        if node is not None:
-            # the left side's v column is all of it a node unit reads
-            sides = [(None, tuple(v for v, _ in left_q)), columns]
-            failures += node_failures(idx - 1, node, sides, k, twist, self.identity)
-        return failures
+        if opt.failures is None:
+            opt.columns = _int_columns(opt.comp.table.rows)
+            opt.failures = tuple(
+                component_failures(opt.idx, opt.comp, opt.columns, rank, k, twist, self.space.g)
+            )
+        if node is None:
+            return list(opt.failures)
+        # the left side's v column is all of it a node unit reads
+        sides = [(None, tuple(v for v, _ in left_q)), opt.columns]
+        return [*opt.failures, *node_failures(opt.idx - 1, node, sides, k, twist, self.identity)]
 
     def _guard(self, failures: list[Failure]) -> None:
         """Raise naming each failing check: the search made a configuration it must not."""
@@ -476,28 +551,32 @@ class _Transfer:
                 + "; ".join(dict.fromkeys(check for check, _ in failures))
             )
 
-    def _collect(self, state: _State, comps, nodes, comps_text: str, nodes_text: str, out):
+    def _collect(self, state: _State, comps_text: str, nodes_text: str, out, comps=None, nodes=()):
         """Append the key of every leaf below ``state`` to ``out``.
 
         ``comps_text`` and ``nodes_text`` are the component blocks and node
-        lines on the path so far.  Every edge on the path has passed its
-        units, so a full-chain leaf is built as a series only for the
-        whole-series unit, ``series_failures``.
+        lines on the path so far.  Only a full-chain search passes the
+        components and nodes on the path: every edge on it has passed its
+        units, so its leaf is built as a series only for the whole-series
+        unit, ``series_failures``.
         """
         if state is _LEAF:
-            if self.space.prefix_length is None:
+            if comps is not None:
                 self._guard(series_failures(LimitSeries(self.chain, *self.params, comps, nodes)))
             out.append(self.head + comps_text + nodes_text)
             return
-        for comp, node, comp_text, node_text, child in state.edges:
-            self._collect(
-                child,
-                comps + (comp,),
-                nodes + (node,),
-                comps_text + comp_text,
-                nodes_text + node_text,
-                out,
-            )
+        for opt, node, line, child in state.edges:
+            if comps is None:
+                self._collect(child, comps_text + opt.block, nodes_text + line, out)
+            else:
+                self._collect(
+                    child,
+                    comps_text + opt.block,
+                    nodes_text + line,
+                    out,
+                    comps + (opt.comp,),
+                    nodes + (node,),
+                )
 
 
 def enumerate_series(
@@ -536,14 +615,10 @@ def enumerate_series(
     if space.rank == 1 and space.prefix_length is not None:
         raise ValueError("rank-1 search takes no prefix: prefix leaves are never validated")
     start = time.perf_counter()
-    min_vsum = 0 if disable_pruning else _min_vsum_needed(space, 1)
-    # the depth-first counters this search reproduces never counted capacity
-    # prunes among first components, so that count is dropped here
-    first_options, _ = _table_options(space, 1, (0,) * space.k, min_vsum)
     transfer = _Transfer(space, disable_pruning)
     count = expanded = pruned_capacity = conflicts = 0
     solutions: list[str] = []
-    for first in first_options:
+    for first in transfer.first_options():
         root, keys = transfer.run(first)
         count += root.count
         expanded += 1 + root.expanded

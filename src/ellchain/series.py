@@ -500,52 +500,62 @@ def component_failures(
     and no row's numbers are read.
     """
     bundle, rows, moduli = c.bundle, c.table.rows, c.moduli_freedom
-    at = f"component {i}:"
+    # each item's message after "component i", which is put on at the end,
+    # so a component that passes builds no message text
     failures = []
     if len(rows) != k:
-        failures.append(("structure", f"{at} {len(rows)} rows, expected {k}"))
+        failures.append(("structure", f": {len(rows)} rows, expected {k}"))
     if type(moduli) is not int or moduli not in (0, 1):
-        failures.append(("structure", f"{at} moduli_freedom {moduli!r}"))
+        failures.append(("structure", f": moduli_freedom {moduli!r}"))
     line = isinstance(bundle, SplitLineBundle)
     if rank == 1 and not line:
-        failures.append(("structure", f"{at} rank-1 series needs line bundles"))
+        failures.append(("structure", ": rank-1 series needs line bundles"))
     if rank == 2 and line:
-        failures.append(("structure", f"{at} rank-2 series needs rank-two bundles"))
+        failures.append(("structure", ": rank-2 series needs rank-two bundles"))
     if isinstance(bundle, Indecomposable) and moduli:
-        failures.append(("structure", f"{at} indecomposable bundles are never generic"))
+        failures.append(("structure", ": indecomposable bundles are never generic"))
     if columns is None:
         failures.extend(
-            ("structure", f"component {i} row {j}: non-integer vanishing ({u!r},{v!r})")
+            ("structure", f" row {j}: non-integer vanishing ({u!r},{v!r})")
             for j, (u, v) in enumerate(rows, start=1)
             if type(u) is not int or type(v) is not int
         )
     else:
         failures.extend(
-            ("structure", f"component {i} row {j}: negative vanishing ({u},{v})")
+            ("structure", f" row {j}: negative vanishing ({u},{v})")
             for j, (u, v) in enumerate(rows, start=1)
             if u < 0 or v < 0
         )
         us, vs = columns
-        if sorted(us) != list(us):
-            failures.append(("monotonicity", f"{at} u not nondecreasing {us}"))
-        if sorted(vs, reverse=True) != list(vs):
-            failures.append(("monotonicity", f"{at} v not nonincreasing {vs}"))
-        allows = f"(rank {rank} allows {rank})"
+        sorted_us, sorted_vs = sorted(us), sorted(vs)
+        if sorted_us != list(us):
+            failures.append(("monotonicity", f": u not nondecreasing {us}"))
+        if sorted_vs[::-1] != list(vs):
+            failures.append(("monotonicity", f": v not nonincreasing {vs}"))
+        # in a sorted column a value occurs more than rank times exactly
+        # when it equals the value rank places on; the counts are taken
+        # only then
+        if (
+            rank < 1
+            or any(map(eq, sorted_us, sorted_us[rank:]))
+            or any(map(eq, sorted_vs, sorted_vs[rank:]))
+        ):
+            allows = f"(rank {rank} allows {rank})"
+            failures.extend(
+                ("multiplicity", f": {label}-value {value} occurs {n} times {allows}")
+                for label, values in zip("uv", columns)
+                for value, n in sorted(Counter(values).items())
+                if n > rank
+            )
         failures.extend(
-            ("multiplicity", f"{at} {label}-value {value} occurs {n} times {allows}")
-            for label, values in zip("uv", columns)
-            for value, n in sorted(Counter(values).items())
-            if n > rank
-        )
-        failures.extend(
-            ("admissibility", f"{at} {why}")
+            ("admissibility", f": {why}")
             for why in admissibility_failures(bundle, c.table, c.is_generic)
         )
     if why := _determinacy_failure(bundle, twist):
-        failures.append(("determinacy", f"{at} {why}"))
+        failures.append(("determinacy", f": {why}"))
     if why := _canonical_failure(bundle, i, g):
-        failures.append(("canonical-determinant", f"{at} {why}"))
-    return failures
+        failures.append(("canonical-determinant", f": {why}"))
+    return [(check, f"component {i}{why}") for check, why in failures]
 
 
 def node_failures(

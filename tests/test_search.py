@@ -302,14 +302,14 @@ class TestSearchMechanics:
         # and 1 at P, which one fiber isomorphism cannot do
         space = SearchSpace(4, 2, 2)
         left_q = ((2, "1"), (1, "1"))
-        options, _ = search._table_options(space, 2, (1, 2), search._min_vsum_needed(space, 2))
-        (clash,) = [c for c in options if c.table.rows == ((1, 1), (2, 1))]
+        options, _ = search._table_options(space, 2, (1, 2), search._min_vsum_needed(space, 2), {})
+        (clash,) = [o.comp for o in options if o.comp.table.rows == ((1, 1), (2, 1))]
         with pytest.raises(ValueError, match="1->2 conflicts with 1->1"):
             derive_forced_pairs(left_q, clash, (1, 2), space.a)
         state = search._Transfer(space, False)._expand(2, left_q)
         assert state.direction_conflict == 1
         assert state.count > 0
-        assert clash not in [comp for comp, *_ in state.edges]
+        assert clash not in [opt.comp for opt, *_ in state.edges]
 
 
 # Counters and solution hashes of the depth-first search the memoized
@@ -386,11 +386,7 @@ def test_rank_one_above_k_equals_g_accepted():
 
 def _run_firsts(transfer):
     """Drive ``transfer`` over every first component, bypassing ``enumerate_series``'s refusals."""
-    space = transfer.space
-    firsts, _ = search._table_options(
-        space, 1, (0,) * space.k, search._min_vsum_needed(space, 1)
-    )
-    return [transfer.run(first) for first in firsts]
+    return [transfer.run(first) for first in transfer.first_options()]
 
 
 def test_oracle_defect_guard_fires():
@@ -471,10 +467,10 @@ class _ComponentKeyedTransfer(search._Transfer):
     def state(self, idx, prev):
         if idx > self.space.length:
             return search._LEAF
-        key = (idx, prev)
+        key = (idx, prev.comp)
         found = self.memo.get(key)
         if found is None:
-            found = self.memo[key] = self._expand(idx, q_side(prev))
+            found = self.memo[key] = self._expand(idx, q_side(prev.comp))
         return found
 
 
@@ -486,7 +482,7 @@ class _MemoFreeTransfer(search._Transfer):
     def state(self, idx, prev):
         if idx > self.space.length:
             return search._LEAF
-        return self._expand(idx, q_side(prev))
+        return self._expand(idx, q_side(prev.comp))
 
     def _expand(self, idx, left_q):
         self.expansions += 1
@@ -534,20 +530,29 @@ def test_memo_key_matches_whole_component_key(monkeypatch, space, slow):
         assert len(shipped.memo) < fresh.expansions
 
 
+def _leaves(state, comps, nodes):
+    """The components and nodes of each leaf below ``state``, in key order."""
+    if state is search._LEAF:
+        yield comps, nodes
+        return
+    for opt, node, _, child in state.edges:
+        yield from _leaves(child, comps + (opt.comp,), nodes + (node,))
+
+
 class _SeriesKeyedTransfer(search._Transfer):
     """The transfer step that rebuilds every leaf and keys it with
     ``serialize_series``, ignoring the per-edge texts."""
 
-    def _collect(self, state, comps, nodes, comps_text, nodes_text, out):
-        if state is search._LEAF:
-            prefix = self.space.prefix_length
+    def run(self, first):
+        root, _ = super().run(first)
+        prefix = self.space.prefix_length
+        keys = []
+        for comps, nodes in _leaves(root, (first.comp,), ()):
             leaf = LimitSeries(self.chain, *self.params, comps, nodes)
             if prefix is None:
                 assert validate_all(leaf).all_passed
-            out.append(("" if prefix is None else f"prefix {prefix}\n") + serialize_series(leaf))
-            return
-        for comp, node, _, _, child in state.edges:
-            self._collect(child, comps + (comp,), nodes + (node,), "", "", out)
+            keys.append(("" if prefix is None else f"prefix {prefix}\n") + serialize_series(leaf))
+        return root, keys
 
 
 @pytest.mark.parametrize(
@@ -587,7 +592,8 @@ class _LeafValidatedTransfer(search._Transfer):
     is checked by ``validate_all`` instead, as before the guard moved to
     the edges.  ``verdicts`` holds, per leaf, the edge guard's verdict on
     its path (``edge_failures`` of each component and the node into it,
-    then ``series_failures``) and ``validate_all``'s."""
+    each on a fresh option, then ``series_failures``) and
+    ``validate_all``'s."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -596,17 +602,21 @@ class _LeafValidatedTransfer(search._Transfer):
     def _guard(self, failures):
         pass
 
-    def _collect(self, state, comps, nodes, comps_text, nodes_text, out):
-        if state is search._LEAF and self.space.prefix_length is None:
-            leaf = LimitSeries(self.chain, *self.params, comps, nodes)
-            units = [self.edge_failures(1, comps[0])]
-            units += [
-                self.edge_failures(i, comps[i - 1], q_side(comps[i - 2]), nodes[i - 2])
-                for i in range(2, len(comps) + 1)
-            ]
-            units.append(series_failures(leaf))
-            self.verdicts.append((not any(units), validate_all(leaf).all_passed))
-        super()._collect(state, comps, nodes, comps_text, nodes_text, out)
+    def run(self, first):
+        root, keys = super().run(first)
+        if self.space.prefix_length is None:
+            for comps, nodes in _leaves(root, (first.comp,), ()):
+                leaf = LimitSeries(self.chain, *self.params, comps, nodes)
+                units = [self.edge_failures(search._Option(1, comps[0]))]
+                units += [
+                    self.edge_failures(
+                        search._Option(i, comps[i - 1]), q_side(comps[i - 2]), nodes[i - 2]
+                    )
+                    for i in range(2, len(comps) + 1)
+                ]
+                units.append(series_failures(leaf))
+                self.verdicts.append((not any(units), validate_all(leaf).all_passed))
+        return root, keys
 
 
 # the benchmark's oracle_dense cells, as (g, k, prefix) at rank 2
@@ -732,17 +742,91 @@ _ASKED |= {space: None for space in _DENSE if space not in _ASKED}
 def test_table_options_skip_only_rows_emit_drops(monkeypatch, space, cap):
     # every (index, lower bounds, required v-sum) the search asks for, and
     # every index unpruned as slow mode asks: the same options in the same
-    # order, and the same capacity prunes, as walking every row
-    asked = []
+    # order, and the same capacity prunes, as walking every row; the calls
+    # the search made are compared as they returned, from its intern table
+    asked = {}
     shipped = search._table_options
 
-    def recording(space, i, lbs, min_vsum):
-        asked.append((i, lbs, min_vsum))
-        return shipped(space, i, lbs, min_vsum)
+    def recording(space, i, lbs, min_vsum, interned):
+        options, pruned = shipped(space, i, lbs, min_vsum, interned)
+        asked.setdefault((i, lbs, min_vsum), []).append(([o.comp for o in options], pruned))
+        return options, pruned
 
     monkeypatch.setattr(search, "_table_options", recording)
     enumerate_series(space, cap=cap)
     if space.rank == 2:
-        asked += [(i, (0,) * space.k, 0) for i in range(1, space.length + 1)]
-    for args in dict.fromkeys(asked):
-        assert shipped(space, *args) == _reference_table_options(space, *args), args
+        for i in range(1, space.length + 1):
+            recording(space, i, (0,) * space.k, 0, {})
+    for args, returned in asked.items():
+        reference = _reference_table_options(space, *args)
+        for options, pruned in returned:
+            assert (options, pruned) == reference, args
+
+
+def test_one_component_per_distinct_table(monkeypatch):
+    # (8, 2, 4) prefix 2 returns 13,780 options over 624 distinct
+    # (index, rows) pairs; the search builds one Component per pair
+    made, returned = [], []
+    shipped = search._table_options
+
+    def counting(*args):
+        made.append(Component(*args))
+        return made[-1]
+
+    def recording(*args):
+        options, pruned = shipped(*args)
+        returned.extend((o.idx, o.comp.table.rows) for o in options)
+        return options, pruned
+
+    monkeypatch.setattr(search, "Component", counting)
+    monkeypatch.setattr(search, "_table_options", recording)
+    report, transfer = _run_with(monkeypatch, search._Transfer, SearchSpace(8, 2, 4, 2), False)
+    assert report.count == len(report.solutions) == 13529
+    assert len(returned) == 13780
+    assert len(made) == len(set(returned)) == len(transfer.options) == 624
+
+
+@pytest.mark.parametrize("space", [SearchSpace(6, 2, 4), SearchSpace(6, 2, 4, 3)], ids=str)
+def test_each_derived_value_once_per_search(monkeypatch, space):
+    # q_side, the component block and the component unit once per option,
+    # and the node line once per (node, forced pairs), however many edges
+    # and leaves share them
+    seen = {name: [] for name in ("q_side", "component_block", "component_failures", "node_line")}
+
+    def recorded(name, key):
+        shipped = getattr(search, name)
+
+        def wrapper(*args):
+            seen[name].append(key(*args))
+            return shipped(*args)
+
+        monkeypatch.setattr(search, name, wrapper)
+
+    recorded("q_side", lambda c: id(c))
+    recorded("component_block", lambda i, c: (i, id(c)))
+    recorded("component_failures", lambda i, c, *_: (i, id(c)))
+    recorded("node_line", lambda n, node: (n, node.forced_pairs))
+    report, transfer = _run_with(monkeypatch, search._Transfer, space, False)
+    golden = GOLDEN[space.g, space.rank, space.k, space.prefix_length, None]
+    assert (report.count, _digest(report)) == (golden[0], golden[4])
+    for name, keys in seen.items():
+        assert len(keys) == len(set(keys)), name
+    assert seen["q_side"] and seen["component_block"] and seen["node_line"]
+    assert bool(seen["component_failures"]) == (space.prefix_length is None)
+
+
+def test_searches_share_no_state():
+    # one intern table per search: rank 1 at g = 4 and rank 2 at g = 7
+    # share k = 4 and the twist 6, so their tables share (index, rows)
+    # keys with other bundles; run in either order, each search reports
+    # what it reports alone: the counters and solution hashes it had
+    # before options were interned
+    spaces = [SearchSpace(4, 1, 4), SearchSpace(7, 2, 4, 2)]
+
+    def reports(order):
+        return {s: replace(enumerate_series(s), wall_time=0.0) for s in order}
+
+    forward = reports(spaces)
+    assert forward == reports(spaces[::-1])
+    got = [(r.count, r.nodes_expanded, r.pruned[0][1], _digest(r)) for r in forward.values()]
+    assert got == [(1, 8, 32, "bbe082aef82cfce4"), (4716, 4864, 174, "b02b8d0da1b86fb9")]

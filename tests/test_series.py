@@ -797,9 +797,10 @@ class TestValidateAllDifferential:
     @pytest.mark.parametrize("g, r, k", [(5, 2, 4), (6, 2, 3), (6, 1, 6)])
     def test_table_options(self, g, r, k):
         space = SearchSpace(g, r, k)
-        options = [
-            c for i in range(1, g + 1) for c in _table_options(space, i, (0,) * k, -(10**9))[0]
-        ]
+        interned = {}
+        for i in range(1, g + 1):
+            _table_options(space, i, (0,) * k, -(10**9), interned)
+        options = [o.comp for o in interned.values()]
         assert len(options) > 250
         for c in options:
             self._same_directions(c)
