@@ -167,15 +167,17 @@ def cmd_dim(args) -> int:
 def cmd_search(args) -> int:
     try:
         space = SearchSpace(args.g, args.r, args.k, prefix_length=args.prefix)
-        report = enumerate_series(space, limit=args.max, cap=args.cap)
+        report = enumerate_series(
+            space, limit=args.max, cap=args.cap, count_only=not args.show_solutions
+        )
     except RecursionError:  # the transfer step recurses once per component
         raise ValueError(f"search at g={args.g}, k={args.k} is too deep") from None
     for line in report.summary_lines():
         print(line)
-    if args.show_solutions:
-        for key in report.solutions:
-            print("---")
-            sys.stdout.write(key)
+    write = sys.stdout.write
+    for key in report.solutions:  # none unless --show-solutions
+        write("---\n")
+        write(key)
     return EXIT_OK
 
 

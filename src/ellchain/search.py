@@ -35,27 +35,32 @@ only ``q_side`` of the previous component: each row's ``v`` (lower
 bounds, post-hoc check) and the direction it pins at Q (forced pairs).
 So what can follow a partial configuration depends only on the state
 ``(index, q_side(previous))``.  The search is a memoized transfer step
-over these states: each state's table options and forced-direction
-checks are computed once, and a state reached along another path adds
-its cached totals.  The reported counters (tables expanded, prunes) are
-still the sums over the full depth-first search tree, as if every path
-were expanded anew.  Many states offer the same table, so options are
+over these states: each state is expanded once, and a state reached
+along another path adds its cached totals.  The reported counters
+(tables expanded, prunes) are still the sums over the full depth-first
+search tree, as if every path were expanded anew.  A state's table walk
+reads only its index and the lower bounds the previous ``v`` column
+sets, so each (index, bounds) is walked once per search, however many
+states share it.  Many walks offer the same table, so options are
 interned per search by ``(index, rows)``: one ``Component`` per distinct
 table, whose ``q_side``, component block and component unit are derived
-once, however many states offer it.  Solutions are read off by a walk
-over the memoized states.  The components and forced pairs found on the
-way down are already in canonical form, so a leaf's key is its text as
-it stands: the blocks of the options and the node lines on its path,
-under the series head, each line rendered once per (node, forced pairs),
-with the renderers ``serialize_series`` is assembled from.  In a
-full-chain search each kept edge is also checked by the validator's
-units, ``node_failures`` of its node on the edge and
-``component_failures`` of its component once per option, and each leaf
-by ``series_failures`` alone: a failing unit is an oracle defect and
-raises.  A prefix search builds no series, runs no unit and carries no
-components down to its leaves.
-The search runs in one process with one memo and one intern table,
-both dropped when it returns, and its reports are
+once, however many states offer it.  A state at the last component
+takes every option that passes as a leaf, with no state to look up.
+Solutions are read off by a walk over the memoized states, which keys
+the leaves below a last-component state in one pass, and is skipped
+when only the count is asked for.  The components and forced pairs
+found on the way down are already in canonical form, so a leaf's key is
+its text as it stands: the blocks of the options and the node lines on
+its path, under the series head, each line rendered once per (node,
+forced pairs), with the renderers ``serialize_series`` is assembled
+from.  In a full-chain search each kept edge is also checked by the
+validator's units, ``node_failures`` of its node on the edge and
+``component_failures`` of its component once per option, and the first
+leaf found by ``series_failures``, whose verdict is every leaf's (see
+``_Transfer``): a failing unit is an oracle defect and raises.  A prefix
+search builds no series and runs no unit.
+The search runs in one process with one memo, one walk table and one
+intern table, all dropped when it returns, and its reports are
 reproducible bit for bit; they claim combinatorial solutions only.
 """
 
@@ -401,6 +406,7 @@ def _table_options(
                 rows.pop()
 
     rec(0, 0, 0)
+    rec = None  # rec reaches itself through its closure: free it, and emit, now
     return out, pruned
 
 
@@ -415,9 +421,10 @@ class _State:
     every edge with the same node index and forced pairs; both are
     rendered once per search, by the renderers ``serialize_series`` is
     assembled from, so a leaf's key is a concatenation of the texts on its
-    path.  In a full-chain search the component and the node of each kept
-    edge have passed their units, however many leaves lie below; the
-    component's unit runs once per option.
+    path.  A state at the last component has ``_LEAF`` as every child, and
+    no other state has any.  In a full-chain search the component and the
+    node of each kept edge have passed their units, however many leaves
+    lie below; the component's unit runs once per option.
     """
 
     count: int
@@ -436,16 +443,28 @@ class _Transfer:
     ``memo`` maps (component index, ``q_side`` of the previous component)
     to the totals of the subtree below it, so each state is expanded once.
     The key is exact by construction: ``_expand`` is handed the key and
-    nothing else.  ``options`` interns the table options by
-    ``(index, *rows)`` and ``gluings`` each kept node, with its line, by
-    ``(index, forced pairs)``; all three live and die with the search.
-    ``head`` is the text every leaf key starts with: the series head,
-    under the ``prefix N`` line in a prefix search.
+    nothing else.  ``walks`` holds the table options and capacity prunes
+    of each (index, lower bounds): the required v-sum depends on the index
+    alone and slow mode is fixed per search, so states whose previous
+    components share a v column share one walk.  ``options`` interns the
+    table options by ``(index, *rows)`` and ``gluings`` each kept node,
+    with its line, by ``(index, forced pairs)``; all four live and die
+    with the search.  ``head`` is the text every leaf key starts with: the
+    series head, under the ``prefix N`` line in a prefix search.  With
+    ``collect`` false no key is built.
+
+    A full-chain search runs ``series_failures`` once, on the first leaf
+    it finds, and its verdict is every leaf's: that unit reads only the
+    header, which every leaf shares, the counts, which are ``length``
+    components and ``length - 1`` nodes on every leaf, and the degree sum,
+    in which every component that passed ``component_failures`` counts
+    ``2g - 2``, as its canonical-determinant check fixes its degree.
     """
 
-    def __init__(self, space: SearchSpace, slow: bool):
+    def __init__(self, space: SearchSpace, slow: bool, collect: bool = True):
         self.space = space
         self.slow = slow
+        self.collect = collect
         self.identity = tuple(range(1, space.k + 1))
         self.chain = ChainCurve(space.g, space.length)
         self.params = (space.rank, space.k, space.d, space.a)
@@ -453,13 +472,12 @@ class _Transfer:
             LimitSeries(self.chain, *self.params, (), ())
         )
         self.memo: dict[tuple[int, QSide], _State] = {}
+        self.walks: dict[tuple[int, tuple[int, ...]], tuple[list[_Option], int]] = {}
         self.options: dict[tuple, _Option] = {}
         self.gluings: dict[tuple[int, tuple], tuple[NodeGluing, str]] = {}
+        self.verdict_due = space.prefix_length is None
 
     def state(self, idx: int, prev: _Option) -> _State:
-        if idx > self.space.length:
-            return _LEAF
-        # derived only past the leaf check: last-level options never pay for it
         key = (idx, prev.q)
         found = self.memo.get(key)
         if found is None:
@@ -469,8 +487,12 @@ class _Transfer:
     def _expand(self, idx: int, left_q: QSide) -> _State:
         space, slow = self.space, self.slow
         lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v, _ in left_q)
-        min_vsum = 0 if slow else _min_vsum_needed(space, idx)
-        options, pruned = _table_options(space, idx, lbs, min_vsum, self.options)
+        walk = self.walks.get((idx, lbs))
+        if walk is None:
+            min_vsum = 0 if slow else _min_vsum_needed(space, idx)
+            walk = self.walks[idx, lbs] = _table_options(space, idx, lbs, min_vsum, self.options)
+        options, pruned = walk
+        last = idx == space.length  # every child is a leaf: no state to look up
         count = expanded = conflicts = 0
         edges = []
         guard = space.prefix_length is None
@@ -485,7 +507,7 @@ class _Transfer:
             except ValueError:
                 conflicts += 1
                 continue
-            child = self.state(idx + 1, opt)
+            child = _LEAF if last else self.state(idx + 1, opt)
             count += child.count
             expanded += 1 + child.expanded
             pruned += child.pruned_capacity
@@ -509,7 +531,8 @@ class _Transfer:
         return _table_options(space, 1, (0,) * space.k, min_vsum, self.options)[0]
 
     def run(self, first: _Option) -> tuple[_State, list[str]]:
-        """The subtree totals and the solution keys below first component ``first``."""
+        """The subtree totals and the solution keys below first component
+        ``first``; no keys when the search does not collect them."""
         # no other path reaches this state, so it stays out of the memo and
         # its edges are freed once the caller has read its totals
         root = self._expand(2, first.q) if self.space.length > 1 else _LEAF
@@ -520,10 +543,22 @@ class _Transfer:
             return root, solutions
         if self.space.prefix_length is None:
             self._guard(self.edge_failures(first))
-            self._collect(root, first.block, "", solutions, (first.comp,), ())
-        else:
+        if self.verdict_due:
+            self.verdict_due = False
+            self._guard(series_failures(self._first_leaf(first, root)))
+        if self.collect:
             self._collect(root, first.block, "", solutions)
         return root, solutions
+
+    def _first_leaf(self, first: _Option, root: _State) -> LimitSeries:
+        """The series of the first leaf below first component ``first``."""
+        comps, nodes = [first.comp], []
+        state = root
+        while state is not _LEAF:
+            opt, node, _, state = state.edges[0]
+            comps.append(opt.comp)
+            nodes.append(node)
+        return LimitSeries(self.chain, *self.params, tuple(comps), tuple(nodes))
 
     def edge_failures(self, opt: _Option, left_q=(), node=None) -> list[Failure]:
         """The unit items of option ``opt``'s component and, given ``left_q``,
@@ -551,32 +586,22 @@ class _Transfer:
                 + "; ".join(dict.fromkeys(check for check, _ in failures))
             )
 
-    def _collect(self, state: _State, comps_text: str, nodes_text: str, out, comps=None, nodes=()):
+    def _collect(self, state: _State, comps_text: str, nodes_text: str, out: list[str]) -> None:
         """Append the key of every leaf below ``state`` to ``out``.
 
         ``comps_text`` and ``nodes_text`` are the component blocks and node
-        lines on the path so far.  Only a full-chain search passes the
-        components and nodes on the path: every edge on it has passed its
-        units, so its leaf is built as a series only for the whole-series
-        unit, ``series_failures``.
+        lines on the path so far.  A state at the last component keys all
+        its leaves in one pass.
         """
-        if state is _LEAF:
-            if comps is not None:
-                self._guard(series_failures(LimitSeries(self.chain, *self.params, comps, nodes)))
+        edges = state.edges
+        if not edges:  # a one-component prefix: ``state`` is the leaf
             out.append(self.head + comps_text + nodes_text)
-            return
-        for opt, node, line, child in state.edges:
-            if comps is None:
+        elif edges[0][3] is _LEAF:
+            head = self.head + comps_text
+            out += [head + opt.block + nodes_text + line for opt, _, line, _ in edges]
+        else:
+            for opt, _, line, child in edges:
                 self._collect(child, comps_text + opt.block, nodes_text + line, out)
-            else:
-                self._collect(
-                    child,
-                    comps_text + opt.block,
-                    nodes_text + line,
-                    out,
-                    comps + (opt.comp,),
-                    nodes + (node,),
-                )
 
 
 def enumerate_series(
@@ -584,6 +609,7 @@ def enumerate_series(
     limit: int | None = None,
     disable_pruning: bool = False,
     cap: int | None = None,
+    count_only: bool = False,
 ) -> SearchReport:
     """Exhaustive enumeration of the ansatz by the memoized transfer step.
 
@@ -592,8 +618,10 @@ def enumerate_series(
     the whole tree would, memo hits included.
 
     ``limit`` truncates the stored solution list only; the count is always
-    exact.  ``disable_pruning`` replaces the lower-bound and capacity
-    prunes by post-hoc rejection (slow mode, for prune-soundness checks).
+    exact.  ``count_only`` builds no solution key and reports an empty
+    list, with the count, counters and truncation note of a listing run.
+    ``disable_pruning`` replaces the lower-bound and capacity prunes by
+    post-hoc rejection (slow mode, for prune-soundness checks).
     Raises ``SearchCapError`` above the genus cap, and ``ValueError`` for a
     negative ``limit``, or a rank-1 space with ``k < g`` or a prefix.
     """
@@ -615,7 +643,7 @@ def enumerate_series(
     if space.rank == 1 and space.prefix_length is not None:
         raise ValueError("rank-1 search takes no prefix: prefix leaves are never validated")
     start = time.perf_counter()
-    transfer = _Transfer(space, disable_pruning)
+    transfer = _Transfer(space, disable_pruning, not count_only)
     count = expanded = pruned_capacity = conflicts = 0
     solutions: list[str] = []
     for first in transfer.first_options():
@@ -626,7 +654,7 @@ def enumerate_series(
         conflicts += root.direction_conflict
         solutions += keys
     solutions.sort()
-    truncated = limit is not None and len(solutions) > limit
+    truncated = limit is not None and count > limit
     if truncated:
         solutions = solutions[:limit]
     return SearchReport(

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import re
 from dataclasses import replace
@@ -830,3 +831,175 @@ def test_searches_share_no_state():
     assert forward == reports(spaces[::-1])
     got = [(r.count, r.nodes_expanded, r.pruned[0][1], _digest(r)) for r in forward.values()]
     assert got == [(1, 8, 32, "bbe082aef82cfce4"), (4716, 4864, 174, "b02b8d0da1b86fb9")]
+
+
+class _LeafSeriesTransfer(search._Transfer):
+    """The transfer step that also builds the series of every leaf."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.leaves = []
+
+    def run(self, first):
+        root, keys = super().run(first)
+        if root.count:
+            self.leaves += [
+                LimitSeries(self.chain, *self.params, comps, nodes)
+                for comps, nodes in _leaves(root, (first.comp,), ())
+            ]
+        return root, keys
+
+
+class _WrongDegreeLeaves(_WrongDegreeTransfer, _LeafSeriesTransfer):
+    """The wrong-degree transfer step, every leaf built and no guard raising."""
+
+    def _guard(self, failures):
+        pass
+
+
+def _verdicts_and_leaves(monkeypatch, transfer_cls, space):
+    verdicts = []
+    shipped = search.series_failures
+
+    def recording(s):
+        verdicts.append(shipped(s))
+        return verdicts[-1]
+
+    monkeypatch.setattr(search, "series_failures", recording)
+    report, transfer = _run_with(monkeypatch, transfer_cls, space, False)
+    assert len(transfer.leaves) == report.count > 0
+    return verdicts, transfer.leaves
+
+
+@pytest.mark.parametrize("space", sorted(_FULL_CHAIN, key=str), ids=str)
+def test_one_series_verdict_is_every_leafs(monkeypatch, space):
+    # a full-chain search runs series_failures once, on its first leaf;
+    # each leaf's own run must give that verdict
+    verdicts, leaves = _verdicts_and_leaves(monkeypatch, _LeafSeriesTransfer, space)
+    assert verdicts == [[]]
+    assert all(series_failures(leaf) == [] for leaf in leaves)
+
+
+def test_one_failing_series_verdict_is_every_leafs(monkeypatch):
+    # with the degree one off, every leaf fails the degree sum, each with
+    # the message of the one leaf the search checks
+    verdicts, leaves = _verdicts_and_leaves(monkeypatch, _WrongDegreeLeaves, SearchSpace(5, 2, 4))
+    assert len(verdicts) == 1
+    assert [check for check, _ in verdicts[0]] == ["degree-condition"]
+    assert all(series_failures(leaf) == verdicts[0] for leaf in leaves)
+
+
+@pytest.mark.parametrize("space,cap", _ASKED.items(), ids=str)
+def test_count_only_search_reports_the_listing_counts(monkeypatch, space, cap):
+    # a keyless search builds no key and still reports the count, both
+    # counters and the truncation note of the listing run
+    listing = enumerate_series(space, cap=cap)
+    limited = enumerate_series(space, limit=3, cap=cap)
+
+    def refuse(*args):
+        raise AssertionError("a count-only search collected keys")
+
+    monkeypatch.setattr(search._Transfer, "_collect", refuse)
+    for report, limit in ((listing, None), (limited, 3)):
+        keyless = enumerate_series(space, limit=limit, cap=cap, count_only=True)
+        expected = replace(report, solutions=(), wall_time=0.0)
+        assert replace(keyless, wall_time=0.0) == expected
+    assert limited.truncated == (listing.count > 3)
+
+
+def test_search_collects_keys_only_to_show_them(monkeypatch, capsys):
+    collected = []
+    shipped = search._Transfer._collect
+
+    def recording(self, *args):
+        collected.append(args[0])
+        return shipped(self, *args)
+
+    monkeypatch.setattr(search._Transfer, "_collect", recording)
+    assert main(["search", "--g", "5", "--k", "4", "--max", "3"]) == 0
+    counted = capsys.readouterr().out
+    assert not collected
+    assert counted.startswith("combinatorial solutions: 65 (solution list truncated)\n")
+    assert main(["search", "--g", "5", "--k", "4", "--max", "3", "--show-solutions"]) == 0
+    listed = capsys.readouterr().out
+    assert collected
+    assert listed.startswith(counted.split("wall time")[0])
+    assert listed.count("---\n") == 3
+
+
+class _WalkHits(dict):
+    """A dict that records each key found by ``get``, with its value."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits = []
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        if found is not None:
+            self.hits.append((key, found))
+        return found
+
+
+class _WalkHitTransfer(search._Transfer):
+    """The transfer step that records every hit of its (index, bounds) memo."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.walks = _WalkHits()
+
+
+@pytest.mark.parametrize(
+    "space,slow",
+    [(space, False) for space in _ASKED] + [(SearchSpace(4, 2, 2), True)],
+    ids=str,
+)
+def test_each_walk_memo_hit_is_a_fresh_walk(monkeypatch, space, slow):
+    # every (index, lower bounds) the memo answers: the same tables in the
+    # same order, and the same capacity prunes, as a fresh walk with a
+    # fresh intern table
+    _, transfer = _run_with(monkeypatch, _WalkHitTransfer, space, slow)
+    for (idx, lbs), (options, pruned) in transfer.walks.hits:
+        min_vsum = 0 if slow else search._min_vsum_needed(space, idx)
+        fresh, fresh_pruned = search._table_options(space, idx, lbs, min_vsum, {})
+        assert [(o.idx, o.comp) for o in options] == [(o.idx, o.comp) for o in fresh]
+        assert pruned == fresh_pruned
+    if slow:
+        # slow mode bounds nothing: one walk per index past the first
+        assert len(transfer.walks) == space.length - 1 < len(transfer.walks.hits)
+
+
+def test_dense_cells_walk_each_index_and_bounds_once(monkeypatch):
+    # the oracle_dense cells ask 1,278 times for a table walk, 205 times
+    # for an (index, bounds) asked before: those are answered by the memo
+    calls = []
+    shipped = search._table_options
+
+    def recording(space, i, lbs, *args):
+        calls.append((space, i, lbs))
+        return shipped(space, i, lbs, *args)
+
+    monkeypatch.setattr(search, "_table_options", recording)
+    hits = 0
+    for space in _DENSE:
+        _, transfer = _run_with(monkeypatch, _WalkHitTransfer, space, False)
+        hits += len(transfer.walks.hits)
+    assert len(calls) == len(set(calls)) == 1278 - 205
+    assert hits == 205
+
+
+@pytest.mark.parametrize(
+    "space,cap",
+    [(SearchSpace(11, 1, 11), 11), (SearchSpace(5, 2, 4), None), (SearchSpace(6, 2, 4, 3), None)],
+    ids=str,
+)
+def test_search_leaves_no_cyclic_garbage(space, cap):
+    # a finished search is freed by reference counting alone: no table
+    # walk, state or option outlives it in a reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_series(space, cap=cap)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
