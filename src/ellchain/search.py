@@ -41,7 +41,10 @@ along another path adds its cached totals.  The reported counters
 search tree, as if every path were expanded anew.  A state's table walk
 reads only its index and the lower bounds the previous ``v`` column
 sets, so each (index, bounds) is walked once per search, however many
-states share it.  Many walks offer the same table, so options are
+states share it; it emits each table at its last row, with no call
+below it.  A state whose left side pins no row at Q forces no pair on
+any edge, so only states whose left side pins derive forced pairs.
+Many walks offer the same table, so options are
 interned per search by ``(index, rows)``: one ``Component`` per distinct
 table, whose ``q_side``, component block and component unit are derived
 once, however many states offer it.  A state at the last component
@@ -307,7 +310,10 @@ def _table_options(
     can keep (a first slot in the box ``ds - canon[1] <= u <= canon[0]``, a
     second at ``canon[0] - u1``), or whose subtree can still count a prune:
     the deficit never rises along a path, so a row that leaves none can
-    lead to no prune, and skipping it keeps the count exact.
+    lead to no prune, and skipping it keeps the count exact.  Each node of
+    the walk reads once the one ``u`` and the one ``v`` a row there may not
+    take, as a third equal value (a second ``v`` on rank 1), and the last
+    row emits each table it completes without a call below it.
     """
     k, rank = space.k, space.rank
     ds = space.a  # every summand's degree equals the twist in the ansatz
@@ -319,6 +325,7 @@ def _table_options(
     pruned = 0
     # rows after the current one carry at most v - t//rank at position t
     decay = [sum(t // rank for t in range(1, rem)) for rem in range(k + 1)]
+    step = 1 if rank == 1 else 0  # rank-1 rows have distinct u
     box = (ds - canon[1], canon[0])  # a lone rank-2 slot's u with cp, cq >= 0
 
     def emit():
@@ -356,14 +363,20 @@ def _table_options(
 
     def rec(j: int, slots_used: int, vsum: int):
         nonlocal pruned
-        if j == k:
-            emit()
-            return
         remaining = k - j
-        prev_v = rows[-1][1] if rows else None
+        last = remaining == 1  # each row here completes a table: emit it
         base_lo = lbs[j]
-        if rows:
-            base_lo = max(base_lo, rows[-1][0] + (1 if rank == 1 else 0))
+        # sorted rows keep equal values adjacent, so multiplicity checks
+        # only look at the last two rows: read once here, they leave one u
+        # and one v a row may not take (-1 for none, as no u or v is negative)
+        prev_v, tie_u, tie_v = ds, -1, -1  # a first row's v is at most ds
+        if j:
+            prev_u, prev_v = rows[-1]
+            if prev_u + step > base_lo:
+                base_lo = prev_u + step
+            qu, qv = rows[-2] if j >= 2 else (-1, -1)
+            tie_u = prev_u if qu == prev_u else -1
+            tie_v = prev_v if rank == 1 or qv == prev_v else -1
         deficit = min_vsum - vsum + decay[remaining]
         vmin = -(-deficit // remaining) if deficit > 0 else 0
         for extra in (0, 1):  # 0: generic branch, 1: distinguished row
@@ -371,7 +384,7 @@ def _table_options(
                 continue
             s = ds - 1 + extra
             lo = base_lo
-            if prev_v is not None and s - prev_v > lo:
+            if s - prev_v > lo:
                 lo = s - prev_v  # keeps v nonincreasing
             hi = s - vmin  # capacity: later rows can never exceed this v
             if hi < lo:
@@ -394,15 +407,13 @@ def _table_options(
                 )
             for u in us:
                 v = s - u
-                # sorted rows keep equal values adjacent, so multiplicity
-                # checks only look at the last two entries
-                if len(rows) >= 2 and rows[-1][0] == u and rows[-2][0] == u:
+                if u == tie_u or v == tie_v:
                     continue
-                if prev_v is not None and v == prev_v:
-                    if rank == 1 or (len(rows) >= 2 and rows[-2][1] == v):
-                        continue
                 rows.append((u, v))
-                rec(j + 1, slots_used + extra, vsum + v)
+                if last:
+                    emit()
+                else:
+                    rec(j + 1, slots_used + extra, vsum + v)
                 rows.pop()
 
     rec(0, 0, 0)
@@ -485,6 +496,9 @@ class _Transfer:
         return found
 
     def _expand(self, idx: int, left_q: QSide) -> _State:
+        """The totals below state ``(idx, left_q)``: every option of its
+        walk, with its forced pairs (derived only when ``left_q`` pins a
+        row at Q) and the state below it."""
         space, slow = self.space, self.slow
         lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v, _ in left_q)
         walk = self.walks.get((idx, lbs))
@@ -496,17 +510,22 @@ class _Transfer:
         count = expanded = conflicts = 0
         edges = []
         guard = space.prefix_length is None
+        # a row forces a pair only when it pins a direction at Q: with none
+        # pinned, every option's forced pairs are () and none can conflict
+        pins = any(d is not None for _, d in left_q)
+        forced = ()
         for opt in options:
             comp = opt.comp
             if slow and any(v + u < space.a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
                 continue
             # a configuration whose pinned directions cannot be matched by
             # any single fiber isomorphism is not realizable; reject it
-            try:
-                forced = derive_forced_pairs(left_q, comp, self.identity, space.a)
-            except ValueError:
-                conflicts += 1
-                continue
+            if pins:
+                try:
+                    forced = derive_forced_pairs(left_q, comp, self.identity, space.a)
+                except ValueError:
+                    conflicts += 1
+                    continue
             child = _LEAF if last else self.state(idx + 1, opt)
             count += child.count
             expanded += 1 + child.expanded

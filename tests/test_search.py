@@ -329,6 +329,10 @@ GOLDEN = {
     (12, 1, 12, None, 12): (1, 48928, 4040099, 0, "064df7afa907387d"),
     (5, 2, 3, None, None): (2521, 5272, 1947, 0, "0802fd14fea3c0e5"),
     (10, 2, 6, None, 10): (2588, 17375, 476459, 0, "5af1c9b8843aec8d"),
+    # walk shapes the rows above lack, read off the memoized search: a
+    # one-row table, whose first row is its last, and a one-component prefix
+    (5, 2, 1, None, None): (305, 587, 0, 0, "5305ef19a03c7439"),
+    (7, 2, 2, 1, None): (28, 28, 0, 0, "765dca1959557d8f"),
 }
 
 
@@ -1003,3 +1007,50 @@ def test_search_leaves_no_cyclic_garbage(space, cap):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class _PinlessStateTransfer(search._Transfer):
+    """The transfer step that records, for every state it expands whose
+    left side pins no row at Q, that left side and its table options."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pinless = []
+
+    def _expand(self, idx, left_q):
+        state = super()._expand(idx, left_q)
+        if all(d is None for _, d in left_q):
+            space = self.space
+            lbs = (0,) * space.k if self.slow else tuple(max(0, space.a - v) for v, _ in left_q)
+            self.pinless.append((left_q, self.walks[idx, lbs][0]))
+        return state
+
+
+@pytest.mark.parametrize("space", sorted(_FULL_CHAIN | set(_DENSE), key=str), ids=str)
+def test_a_pinless_left_side_forces_no_pair(monkeypatch, space):
+    # a state whose left side pins nothing at Q skips derive_forced_pairs:
+    # on every option of its walk that function returns () and raises no
+    # direction conflict, so the skip hides neither a pair nor a prune
+    _, transfer = _run_with(monkeypatch, _PinlessStateTransfer, space, False)
+    assert transfer.pinless
+    for left_q, options in transfer.pinless:
+        for opt in options:
+            assert derive_forced_pairs(left_q, opt.comp, transfer.identity, space.a) == ()
+
+
+def test_dense_cells_derive_forced_pairs_only_where_the_left_side_pins(monkeypatch):
+    # the oracle_dense cells cross 29,156 edges into a table option; on
+    # 26,259 of them the left side pins no row at Q, and those derive no
+    # forced pairs, so derive_forced_pairs runs 2,897 times
+    calls = []
+    shipped = search.derive_forced_pairs
+
+    def recording(left_q, *args):
+        calls.append(left_q)
+        return shipped(left_q, *args)
+
+    monkeypatch.setattr(search, "derive_forced_pairs", recording)
+    for space in _DENSE:
+        enumerate_series(space)
+    assert len(calls) == 2897
+    assert all(any(d is not None for _, d in left_q) for left_q in calls)
