@@ -36,9 +36,13 @@ bounds, post-hoc check) and the direction it pins at Q (forced pairs).
 So what can follow a partial configuration depends only on the state
 ``(index, q_side(previous))``.  The search is a memoized transfer step
 over these states: each state is expanded once, and a state reached
-along another path adds its cached totals.  The reported counters
+along another path adds its cached totals.  The root is the state of
+the first component, reached from a virtual left side whose ``v = a`` on
+every row bounds nothing and which pins nothing, so it is expanded as
+any other state.  The reported counters
 (tables expanded, prunes) are still the sums over the full depth-first
-search tree, as if every path were expanded anew.  A state's table walk
+search tree, as if every path were expanded anew; that tree never
+counted the capacity prunes of the root's walk.  A state's table walk
 reads only its index and the lower bounds the previous ``v`` column
 sets, so each (index, bounds) is walked once per search, however many
 states share it; it emits each table at its last row, with no call
@@ -433,16 +437,17 @@ class _State:
     rendered once per search, by the renderers ``serialize_series`` is
     assembled from, so a leaf's key is a concatenation of the texts on its
     path.  A state at the last component has ``_LEAF`` as every child, and
-    no other state has any.  In a full-chain search the component and the
-    node of each kept edge have passed their units, however many leaves
-    lie below; the component's unit runs once per option.
+    no other state has any; the root's edges carry no node and an empty
+    line.  In a full-chain search the component and the node of each kept
+    edge have passed their units, however many leaves lie below; the
+    component's unit runs once per option.
     """
 
     count: int
     expanded: int
     pruned_capacity: int
     direction_conflict: int
-    edges: tuple[tuple[_Option, NodeGluing, str, "_State"], ...] = ()
+    edges: tuple[tuple[_Option, NodeGluing | None, str, "_State"], ...] = ()
 
 
 _LEAF = _State(count=1, expanded=0, pruned_capacity=0, direction_conflict=0)
@@ -454,7 +459,9 @@ class _Transfer:
     ``memo`` maps (component index, ``q_side`` of the previous component)
     to the totals of the subtree below it, so each state is expanded once.
     The key is exact by construction: ``_expand`` is handed the key and
-    nothing else.  ``walks`` holds the table options and capacity prunes
+    nothing else.  The root, the first component's state, is expanded from
+    a virtual left side, and the prunes of its walk are not counted (see
+    ``run``).  ``walks`` holds the table options and capacity prunes
     of each (index, lower bounds): the required v-sum depends on the index
     alone and slow mode is fixed per search, so states whose previous
     components share a v column share one walk.  ``options`` interns the
@@ -465,7 +472,7 @@ class _Transfer:
     ``collect`` false no key is built.
 
     A full-chain search runs ``series_failures`` once, on the first leaf
-    it finds, and its verdict is every leaf's: that unit reads only the
+    below the root, and its verdict is every leaf's: that unit reads only the
     header, which every leaf shares, the counts, which are ``length``
     components and ``length - 1`` nodes on every leaf, and the degree sum,
     in which every component that passed ``component_failures`` counts
@@ -485,8 +492,7 @@ class _Transfer:
         self.memo: dict[tuple[int, QSide], _State] = {}
         self.walks: dict[tuple[int, tuple[int, ...]], tuple[list[_Option], int]] = {}
         self.options: dict[tuple, _Option] = {}
-        self.gluings: dict[tuple[int, tuple], tuple[NodeGluing, str]] = {}
-        self.verdict_due = space.prefix_length is None
+        self.gluings: dict[tuple[int, tuple], tuple[NodeGluing | None, str]] = {}
 
     def state(self, idx: int, prev: _Option) -> _State:
         key = (idx, prev.q)
@@ -531,6 +537,8 @@ class _Transfer:
             expanded += 1 + child.expanded
             pruned += child.pruned_capacity
             conflicts += child.direction_conflict
+            # an option that leads nowhere is never guarded or rendered: on
+            # rank 1 it may have a non-canonical bundle
             if child.count:
                 gluing = self.gluings.get((idx, forced))
                 if gluing is None:
@@ -541,47 +549,43 @@ class _Transfer:
                 edges.append((opt, *gluing, child))
         return _State(count, expanded, pruned, conflicts, tuple(edges))
 
-    def first_options(self) -> list[_Option]:
-        """The options for the first component, interned with every other."""
+    def run(self) -> tuple[_State, list[str]]:
+        """The root, the state of the first component, and the solution keys
+        below it; no keys when the search does not collect them."""
         space = self.space
+        lbs = (0,) * space.k
         min_vsum = 0 if self.slow else _min_vsum_needed(space, 1)
         # the depth-first counters this search reproduces never counted
-        # capacity prunes among first components, so that count is dropped
-        return _table_options(space, 1, (0,) * space.k, min_vsum, self.options)[0]
-
-    def run(self, first: _Option) -> tuple[_State, list[str]]:
-        """The subtree totals and the solution keys below first component
-        ``first``; no keys when the search does not collect them."""
-        # no other path reaches this state, so it stays out of the memo and
-        # its edges are freed once the caller has read its totals
-        root = self._expand(2, first.q) if self.space.length > 1 else _LEAF
+        # capacity prunes among first components, so the root's walk has none
+        self.walks[1, lbs] = (_table_options(space, 1, lbs, min_vsum, self.options)[0], 0)
+        # no node leads into the first component: its edges get no node line
+        self.gluings[1, ()] = (None, "")
+        # a virtual left side: v = a bounds no row and pins no direction
+        root = self._expand(1, ((space.a, None),) * space.k)
         solutions: list[str] = []
         if not root.count:
-            # a first option that leads nowhere is never checked or
-            # rendered: on rank 1 it may have a non-canonical bundle
             return root, solutions
-        if self.space.prefix_length is None:
-            self._guard(self.edge_failures(first))
-        if self.verdict_due:
-            self.verdict_due = False
-            self._guard(series_failures(self._first_leaf(first, root)))
+        if space.prefix_length is None:
+            self._guard(series_failures(self._first_leaf(root)))
         if self.collect:
-            self._collect(root, first.block, "", solutions)
+            self._collect(root, "", "", solutions)
         return root, solutions
 
-    def _first_leaf(self, first: _Option, root: _State) -> LimitSeries:
-        """The series of the first leaf below first component ``first``."""
-        comps, nodes = [first.comp], []
+    def _first_leaf(self, root: _State) -> LimitSeries:
+        """The series of the first leaf below the root."""
+        comps, nodes = [], []
         state = root
         while state is not _LEAF:
             opt, node, _, state = state.edges[0]
             comps.append(opt.comp)
             nodes.append(node)
-        return LimitSeries(self.chain, *self.params, tuple(comps), tuple(nodes))
+        # the root's edge carries no node
+        return LimitSeries(self.chain, *self.params, tuple(comps), tuple(nodes[1:]))
 
-    def edge_failures(self, opt: _Option, left_q=(), node=None) -> list[Failure]:
-        """The unit items of option ``opt``'s component and, given ``left_q``,
-        the ``q_side`` of the component before it, of ``node`` into it.
+    def edge_failures(self, opt: _Option, left_q: QSide, node: NodeGluing | None) -> list[Failure]:
+        """The unit items of option ``opt``'s component and of ``node`` into
+        it from a left side with ``q_side`` ``left_q``; no node leads into
+        the first component.
 
         The component's unit runs once per option; its items are kept on it.
         """
@@ -606,16 +610,14 @@ class _Transfer:
             )
 
     def _collect(self, state: _State, comps_text: str, nodes_text: str, out: list[str]) -> None:
-        """Append the key of every leaf below ``state`` to ``out``.
+        """Append to ``out`` the key of every leaf below ``state``, which has some.
 
         ``comps_text`` and ``nodes_text`` are the component blocks and node
         lines on the path so far.  A state at the last component keys all
         its leaves in one pass.
         """
         edges = state.edges
-        if not edges:  # a one-component prefix: ``state`` is the leaf
-            out.append(self.head + comps_text + nodes_text)
-        elif edges[0][3] is _LEAF:
+        if edges[0][3] is _LEAF:
             head = self.head + comps_text
             out += [head + opt.block + nodes_text + line for opt, _, line, _ in edges]
         else:
@@ -632,7 +634,8 @@ def enumerate_series(
 ) -> SearchReport:
     """Exhaustive enumeration of the ansatz by the memoized transfer step.
 
-    One memo in one process serves every first-component configuration.
+    One memo in one process serves the whole search; the count and the
+    counters are read off its root state.
     ``nodes_expanded`` and ``pruned`` count what a depth-first search of
     the whole tree would, memo hits included.
 
@@ -663,25 +666,20 @@ def enumerate_series(
         raise ValueError("rank-1 search takes no prefix: prefix leaves are never validated")
     start = time.perf_counter()
     transfer = _Transfer(space, disable_pruning, not count_only)
-    count = expanded = pruned_capacity = conflicts = 0
-    solutions: list[str] = []
-    for first in transfer.first_options():
-        root, keys = transfer.run(first)
-        count += root.count
-        expanded += 1 + root.expanded
-        pruned_capacity += root.pruned_capacity
-        conflicts += root.direction_conflict
-        solutions += keys
+    root, solutions = transfer.run()
     solutions.sort()
-    truncated = limit is not None and count > limit
+    truncated = limit is not None and root.count > limit
     if truncated:
         solutions = solutions[:limit]
     return SearchReport(
         space=space,
-        count=count,
+        count=root.count,
         solutions=tuple(solutions),
         truncated=truncated,
-        nodes_expanded=expanded,
-        pruned=(("capacity", pruned_capacity), ("direction-conflict", conflicts)),
+        nodes_expanded=root.expanded,
+        pruned=(
+            ("capacity", root.pruned_capacity),
+            ("direction-conflict", root.direction_conflict),
+        ),
         wall_time=time.perf_counter() - start,
     )

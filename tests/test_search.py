@@ -389,17 +389,12 @@ def test_rank_one_above_k_equals_g_accepted():
     assert enumerate_series(SearchSpace(3, 1, 4)).count == 0
 
 
-def _run_firsts(transfer):
-    """Drive ``transfer`` over every first component, bypassing ``enumerate_series``'s refusals."""
-    return [transfer.run(first) for first in transfer.first_options()]
-
-
 def test_oracle_defect_guard_fires():
     # enumerate_series refuses rank 1 with k < g; driven directly, the
     # transfer step reaches (4, 1, 3) components that fail the
     # canonical-determinant check, and the full-chain guard must raise
     with pytest.raises(RuntimeError, match="oracle defect: .*canonical-determinant"):
-        _run_firsts(search._Transfer(SearchSpace(4, 1, 3), False))
+        search._Transfer(SearchSpace(4, 1, 3), False).run()
 
 
 @pytest.mark.parametrize(
@@ -426,12 +421,12 @@ def test_oracle_defect_guard_fires_on_a_node(monkeypatch, corrupt, check):
     transfer = search._Transfer(SearchSpace(5, 2, 4), False)
     failures = []
     monkeypatch.setattr(transfer, "_guard", lambda items: failures.extend(items))
-    _run_firsts(transfer)
+    transfer.run()
     assert re.fullmatch(check, ": ".join(failures[0]))
     name = check.split(":")[0]
     monkeypatch.setattr(CorruptFirstGluing, "made", 0)
     with pytest.raises(RuntimeError, match=f"^oracle defect: .*: {name}$"):
-        _run_firsts(search._Transfer(SearchSpace(5, 2, 4), False))
+        search._Transfer(SearchSpace(5, 2, 4), False).run()
 
 
 class _WrongDegreeTransfer(search._Transfer):
@@ -470,8 +465,6 @@ class _ComponentKeyedTransfer(search._Transfer):
     """The transfer step keyed by the whole previous component."""
 
     def state(self, idx, prev):
-        if idx > self.space.length:
-            return search._LEAF
         key = (idx, prev.comp)
         found = self.memo.get(key)
         if found is None:
@@ -485,8 +478,6 @@ class _MemoFreeTransfer(search._Transfer):
     expansions = 0
 
     def state(self, idx, prev):
-        if idx > self.space.length:
-            return search._LEAF
         return self._expand(idx, q_side(prev.comp))
 
     def _expand(self, idx, left_q):
@@ -544,15 +535,22 @@ def _leaves(state, comps, nodes):
         yield from _leaves(child, comps + (opt.comp,), nodes + (node,))
 
 
+def _root_leaves(root):
+    """The components and nodes of each leaf below the root, in key order;
+    the root's edges carry no node, so each leaf's first is dropped."""
+    for comps, nodes in _leaves(root, (), ()):
+        yield comps, nodes[1:]
+
+
 class _SeriesKeyedTransfer(search._Transfer):
     """The transfer step that rebuilds every leaf and keys it with
     ``serialize_series``, ignoring the per-edge texts."""
 
-    def run(self, first):
-        root, _ = super().run(first)
+    def run(self):
+        root, _ = super().run()
         prefix = self.space.prefix_length
         keys = []
-        for comps, nodes in _leaves(root, (first.comp,), ()):
+        for comps, nodes in _root_leaves(root):
             leaf = LimitSeries(self.chain, *self.params, comps, nodes)
             if prefix is None:
                 assert validate_all(leaf).all_passed
@@ -607,12 +605,12 @@ class _LeafValidatedTransfer(search._Transfer):
     def _guard(self, failures):
         pass
 
-    def run(self, first):
-        root, keys = super().run(first)
+    def run(self):
+        root, keys = super().run()
         if self.space.prefix_length is None:
-            for comps, nodes in _leaves(root, (first.comp,), ()):
+            for comps, nodes in _root_leaves(root):
                 leaf = LimitSeries(self.chain, *self.params, comps, nodes)
-                units = [self.edge_failures(search._Option(1, comps[0]))]
+                units = [self.edge_failures(search._Option(1, comps[0]), (), None)]
                 units += [
                     self.edge_failures(
                         search._Option(i, comps[i - 1]), q_side(comps[i - 2]), nodes[i - 2]
@@ -656,7 +654,7 @@ def test_edge_guard_agrees_on_failing_leaves():
     # (4, 1, 3) leaves fail the canonical determinant: the guard must say
     # so on exactly the leaves validate_all fails
     transfer = _LeafValidatedTransfer(SearchSpace(4, 1, 3), False)
-    _run_firsts(transfer)
+    transfer.run()
     verdicts = transfer.verdicts
     assert {a for a, _ in verdicts} == {True, False}
     assert all(a == b for a, b in verdicts)
@@ -844,13 +842,12 @@ class _LeafSeriesTransfer(search._Transfer):
         super().__init__(*args)
         self.leaves = []
 
-    def run(self, first):
-        root, keys = super().run(first)
-        if root.count:
-            self.leaves += [
-                LimitSeries(self.chain, *self.params, comps, nodes)
-                for comps, nodes in _leaves(root, (first.comp,), ())
-            ]
+    def run(self):
+        root, keys = super().run()
+        self.leaves += [
+            LimitSeries(self.chain, *self.params, comps, nodes)
+            for comps, nodes in _root_leaves(root)
+        ]
         return root, keys
 
 
@@ -961,21 +958,25 @@ class _WalkHitTransfer(search._Transfer):
 def test_each_walk_memo_hit_is_a_fresh_walk(monkeypatch, space, slow):
     # every (index, lower bounds) the memo answers: the same tables in the
     # same order, and the same capacity prunes, as a fresh walk with a
-    # fresh intern table
+    # fresh intern table; the root's walk, seeded before the root is
+    # expanded, counts none, as the depth-first counters never did
     _, transfer = _run_with(monkeypatch, _WalkHitTransfer, space, slow)
+    assert transfer.walks.hits[0][0] == (1, (0,) * space.k)
     for (idx, lbs), (options, pruned) in transfer.walks.hits:
         min_vsum = 0 if slow else search._min_vsum_needed(space, idx)
         fresh, fresh_pruned = search._table_options(space, idx, lbs, min_vsum, {})
         assert [(o.idx, o.comp) for o in options] == [(o.idx, o.comp) for o in fresh]
-        assert pruned == fresh_pruned
+        assert pruned == (0 if idx == 1 else fresh_pruned)
     if slow:
-        # slow mode bounds nothing: one walk per index past the first
-        assert len(transfer.walks) == space.length - 1 < len(transfer.walks.hits)
+        # slow mode bounds nothing: one walk per index, the root's included
+        assert len(transfer.walks) == space.length < len(transfer.walks.hits)
 
 
 def test_dense_cells_walk_each_index_and_bounds_once(monkeypatch):
-    # the oracle_dense cells ask 1,278 times for a table walk, 205 times
-    # for an (index, bounds) asked before: those are answered by the memo
+    # the oracle_dense cells ask 1,290 times for a table walk, 217 times
+    # for an (index, bounds) walked before: those are answered by the memo.
+    # 12 of them, one per cell, are the root's walk, seeded before the root
+    # is expanded, so the cells still make 1,073 walks
     calls = []
     shipped = search._table_options
 
@@ -988,18 +989,25 @@ def test_dense_cells_walk_each_index_and_bounds_once(monkeypatch):
     for space in _DENSE:
         _, transfer = _run_with(monkeypatch, _WalkHitTransfer, space, False)
         hits += len(transfer.walks.hits)
-    assert len(calls) == len(set(calls)) == 1278 - 205
-    assert hits == 205
+    assert len(calls) == len(set(calls)) == 1290 - 217 == 1073
+    assert hits == 217
 
 
 @pytest.mark.parametrize(
     "space,cap",
-    [(SearchSpace(11, 1, 11), 11), (SearchSpace(5, 2, 4), None), (SearchSpace(6, 2, 4, 3), None)],
+    [
+        (SearchSpace(11, 1, 11), 11),
+        (SearchSpace(5, 2, 4), None),
+        (SearchSpace(6, 2, 4, 3), None),
+        (SearchSpace(8, 2, 4, 2), None),
+    ],
     ids=str,
 )
 def test_search_leaves_no_cyclic_garbage(space, cap):
     # a finished search is freed by reference counting alone: no table
-    # walk, state or option outlives it in a reference cycle
+    # walk, state or option outlives it in a reference cycle, not even
+    # the root of (8, 2, 4) prefix 2, which holds every last-level state
+    # until its keys are read
     gc.collect()
     gc.disable()
     try:
