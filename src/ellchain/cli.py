@@ -13,23 +13,20 @@ ledger_total,ledger_matches,stability``.  Output is byte-stable for fixed
 inputs regardless of the calls made before in the process.
 
 The sweep certifies each k once per process, at the largest genus any
-call has asked for (``_Certificate``): it validates, prices and
-stability-checks that one series, and keeps prefix sums and minima of
-it.  By the shift identity of :mod:`ellchain.construct`, every lower
-genus from the threshold up is read off them in constant time.  A cell
-the certificate does not show to pass is priced from its own series
-(``_direct``).  ``construct``, ``verify`` and ``dim`` still check every
-line of the series they read or write.
+call has asked for (``_certify``): it validates, prices and
+stability-checks that one series, and by the shift identity of
+:mod:`ellchain.construct` one pass over it prices the cell of every
+genus up to that top.  The certificate holds those cells, so a sweep
+cell is one lookup.  A cell the certificate does not show to pass is
+priced from its own series (``_direct``).  ``construct``, ``verify`` and
+``dim`` still check every line of the series they read or write.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
-from operator import sub
 
 from .chain import Indecomposable, Split, SplitLineBundle
 from .construct import ThresholdError, construct
@@ -196,9 +193,21 @@ def _direct(g: int, k: int) -> tuple[int, str] | None:
     return ledger.total, ("external" if external_stable_case(g, k) else check_stable(s).verdict)
 
 
-@dataclass(frozen=True)
-class _Certificate:
-    """The cells of one k read off ``construct(top, k)``, checked once.
+def _least_shifted(c: Component) -> int:
+    """The least entry of a validated rank-two component that S moves by one."""
+    b = c.bundle
+    v = c.table.rows[-1][1]  # v is nonincreasing down a validated table
+    if isinstance(b, Indecomposable):
+        return min(v, b.marked_v, b.degree - b.marked_u - b.marked_v)
+    return min(v, b.first.q, b.second.q)
+
+
+def _certify(k: int, top: int) -> tuple[tuple[int, str] | None, ...]:
+    """The cells of one k up to ``top``, read off ``construct(top, k)`` checked once.
+
+    From the threshold of k up, the entries a sweep reads, entry g is cell
+    (g, k) as ``_direct`` prices it, or ``None`` where the top series does
+    not show it to pass.  Entry 0 is ``None``.
 
     The first g components and g - 1 nodes of the top series are
     S**(top - g) of ``construct(g, k)``, where S adds 1 to every v,
@@ -210,95 +219,60 @@ class _Certificate:
     ``series_failures`` reads the header, the counts and the degree sum.
     So when the top series passes, the series of genus g passes unless
     S**-(top - g) makes an entry negative or the twist nonpositive, or
-    its degree sum breaks condition (a); ``read`` checks those three.
-    Its ledger is the top ledger's items on nodes 1..g-1 and components
-    1..g plus the stability term 1, and its chains are the top series'
-    chains cut after component g: one survives exactly when a top chain
-    survives or dies at a node past g - 1.
+    its degree sum breaks condition (a); one pass over the components
+    checks those three for every g, keeping the least entry S moves by
+    one (``_least_shifted``) and the degree sum of components 1..g.
+    Cell g's ledger is the top ledger's items on nodes 1..g-1 and
+    components 1..g plus the stability term 1, and its chains are the top
+    series' chains cut after component g: one survives exactly when a top
+    chain survives or dies at a node past g - 1.
 
-    ``passed`` is false when ``count_dimension`` refuses the top series;
-    the other fields are then empty and every cell is priced directly.
-    Lists of prefixes: ``least[i]`` is the least entry that S moves by
-    one (a v, a summand q, a marked v, an indecomposable's degree less
-    its marked pair) on components 1..i+1; ``degrees[i]`` and
-    ``moduli[i]`` sum the degrees and ``moduli - endo`` of components
-    1..i; ``gluing[n]`` sums the gluing parameters of nodes 1..n.
-    """
-
-    top: int
-    passed: bool = False
-    twist: int = 0
-    degree: int = 0
-    least: tuple[int, ...] = ()
-    degrees: tuple[int, ...] = ()
-    moduli: tuple[int, ...] = ()
-    gluing: tuple[int, ...] = ()
-    last_kill: int = 0
-    survivor: bool = False
-
-    def read(self, g: int, k: int) -> tuple[int, str] | None:
-        """Cell (g, k) as ``_direct`` prices it, or ``None`` when not shown to pass."""
-        shift = self.top - g
-        twist = self.twist - shift
-        if not (
-            self.passed
-            and self.least[g - 1] >= shift
-            and twist >= 1
-            and self.degrees[g] - 2 * g * shift - 2 * (g - 1) * twist == self.degree - 2 * shift
-        ):
-            return None
-        total = self.gluing[g - 1] + self.moduli[g] + 1
-        if external_stable_case(g, k):
-            return total, "external"
-        semistable = self.survivor or self.last_kill > g - 1
-        return total, VERDICT_SEMISTABLE if semistable else VERDICT_STABLE
-
-
-def _least_shifted(c: Component) -> int:
-    """The least entry of a validated rank-two component that S moves by one."""
-    b = c.bundle
-    v = c.table.rows[-1][1]  # v is nonincreasing down a validated table
-    if isinstance(b, Indecomposable):
-        return min(v, b.marked_v, b.degree - b.marked_u - b.marked_v)
-    return min(v, b.first.q, b.second.q)
-
-
-def _certify(k: int, top: int) -> _Certificate:
-    """Validate, price and stability-check ``construct(top, k)`` once, and keep the prefixes.
-
-    A ledger refusal refuses the certificate; any other error is a defect
-    and ends the sweep, as on the direct path.
+    A ledger refusal of the top series refuses every cell; any other error
+    is a defect and ends the sweep, as on the direct path.
     """
     s = construct(top, k)
     try:
         ledger = count_dimension(s)
     except LedgerRefusal:
-        return _Certificate(top)
+        return (None,) * (top + 1)
     report = check_stable(s)
-    return _Certificate(
-        top,
-        passed=True,
-        twist=s.twist,
-        degree=s.degree,
-        least=tuple(accumulate(map(_least_shifted, s.components), min)),
-        degrees=(0, *accumulate(c.degree for c in s.components)),
-        moduli=(0, *accumulate(map(sub, ledger.moduli, ledger.endo_dims))),
-        gluing=(0, *accumulate(ledger.gluing_params)),
-        last_kill=max((chain.killed_at for chain in report.killed), default=0),
-        survivor=bool(report.survivors),
-    )
+    last_kill = max((chain.killed_at for chain in report.killed), default=0)
+    cells: list[tuple[int, str] | None] = [None]
+    least = _least_shifted(s.components[0])
+    degrees = priced = 0
+    gluing = (0, *ledger.gluing_params)  # the node into component g, none into the first
+    for g, (c, moduli, endo, glue) in enumerate(
+        zip(s.components, ledger.moduli, ledger.endo_dims, gluing), start=1
+    ):
+        shift = top - g
+        twist = s.twist - shift
+        least = min(least, _least_shifted(c))
+        degrees += c.degree
+        priced += glue + moduli - endo
+        if (
+            least < shift
+            or twist < 1
+            or degrees - 2 * g * shift - 2 * (g - 1) * twist != s.degree - 2 * shift
+        ):
+            cells.append(None)
+        elif external_stable_case(g, k):
+            cells.append((priced + 1, "external"))
+        else:
+            semistable = report.survivors or last_kill > g - 1
+            cells.append((priced + 1, VERDICT_SEMISTABLE if semistable else VERDICT_STABLE))
+    return tuple(cells)
 
 
-# the certificate of each k, by k: made by the first sweep that reaches the
+# the cells of each k, by k: made by the first sweep that reaches the
 # threshold of k, and made again at a larger top when a sweep asks for one
-_CERTIFICATES: dict[int, _Certificate] = {}
+_CERTIFICATES: dict[int, tuple[tuple[int, str] | None, ...]] = {}
 
 
-def _certificate(k: int, top: int) -> _Certificate:
-    cert = _CERTIFICATES.get(k)
-    if cert is None or cert.top < top:
-        cert = _CERTIFICATES[k] = _certify(k, top)
-    return cert
+def _certificate(k: int, top: int) -> tuple[tuple[int, str] | None, ...]:
+    cells = _CERTIFICATES.get(k)
+    if cells is None or len(cells) <= top:
+        cells = _CERTIFICATES[k] = _certify(k, top)
+    return cells
 
 
 def _sweep_cell(g: int, k: int, top: int) -> str:
@@ -310,7 +284,7 @@ def _sweep_cell(g: int, k: int, top: int) -> str:
     excess = lo <= g < hi
     priced = None
     if threshold_ok:
-        priced = _certificate(k, top).read(g, k) or _direct(g, k)
+        priced = _certificate(k, top)[g] or _direct(g, k)
     if priced is None:
         validated, ledger_total, ledger_matches, stability = "false", "", "", ""
     else:

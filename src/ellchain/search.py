@@ -76,7 +76,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import chain as _chain
 
 from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction
 from .series import (
@@ -294,6 +293,16 @@ class _Option:
         return self._block
 
 
+def _live_or_past(us: range, cut: int, live_lo: int, live_hi: int) -> list[int]:
+    """The u of ``us`` in ``live_lo..live_hi`` or past ``cut``, ascending.
+
+    Not a comprehension inside ``_table_options``' walk: there it would
+    make these names cells of the walk, which every call of it pays for
+    under CPython 3.11.
+    """
+    return [u for u in us if u > cut or live_lo <= u <= live_hi]
+
+
 def _table_options(
     space: SearchSpace,
     i: int,
@@ -396,8 +405,8 @@ def _table_options(
                     pruned += 1
                 continue
             us = range(lo, hi + 1)
-            # the live u, then the u > cut, whose child keeps a positive
-            # deficit; with cut < lo that is every u
+            # keep the live u and the u > cut, whose child keeps a positive
+            # deficit, in ascending order; with cut < lo that is every u
             if extra and rank == 2 and (cut := s - min_vsum + vsum - decay[remaining - 1]) >= lo:
                 live_lo, live_hi = box
                 if slots_used:
@@ -405,10 +414,7 @@ def _table_options(
                         if p + q == ds:
                             break
                     live_lo = live_hi = canon[0] - p
-                us = _chain(
-                    range(max(lo, min(live_lo, cut + 1)), min(hi, live_hi) + 1),
-                    range(max(lo, cut + 1, live_hi + 1), hi + 1),
-                )
+                us = _live_or_past(us, cut, live_lo, live_hi)
             for u in us:
                 v = s - u
                 if u == tie_u or v == tie_v:

@@ -17,6 +17,7 @@ from ellchain import (
 )
 from ellchain import cli
 from ellchain.cli import build_parser, main
+from ellchain.stability import DestabilizingChain
 from helpers import mutate_entry
 
 
@@ -464,12 +465,12 @@ class TestSweep:
             cli._CERTIFICATES.clear()
             by_genus = {g: self._rows(capsys, g, g, 12) for g in order}
             assert [row for g in genera for row in by_genus[g]] == full
-        assert {cert.top for cert in cli._CERTIFICATES.values()} == {40}
+        assert {len(cells) - 1 for cells in cli._CERTIFICATES.values()} == {40}
         cli._CERTIFICATES.clear()
         tops, rows = [], set()
         for g_min, g_max in ((3, 9), (10, 20), (3, 15), (21, 40)):
             rows.update(self._rows(capsys, g_min, g_max, 12))
-            tops.append(cli._CERTIFICATES[4].top)
+            tops.append(len(cli._CERTIFICATES[4]) - 1)
         assert tops == [9, 20, 20, 40]
         assert rows == set(full)
 
@@ -489,7 +490,7 @@ class TestSweep:
         assert direct == []
         # a refused certificate sends every cell to the direct path
         cli._CERTIFICATES.clear()
-        monkeypatch.setattr(cli, "_certify", lambda k, top: cli._Certificate(top))
+        monkeypatch.setattr(cli, "_certify", lambda k, top: (None,) * (top + 1))
         _, priced, _ = run_cli(capsys, *argv)
         validated = [row.split(",")[6] for row in certified.splitlines()[1:]].count("true")
         assert len(direct) == validated == 1208
@@ -498,24 +499,65 @@ class TestSweep:
             "0c66854b1d8ef005e1f002bc0cdbbea3c2a2af4f6f94ad45be7d6007ac67735e"
         )
 
-    def test_certificate_reads_only_what_it_shows(self):
-        cert = cli._certify(7, 30)
-        assert cert.passed and cert.top == 30
+    def test_one_certificate_per_k(self, capsys, monkeypatch):
+        # the benchmark grid in one call constructs, prices and
+        # stability-checks one series per k, and prices no cell directly
+        calls = dict.fromkeys(("construct", "count_dimension", "check_stable", "_direct"), 0)
+        for name in calls:
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--g-min", "3", "--g-max", "105", "--k-min", "2", "--k-max", "16"
+        )
+        assert code == 0
+        assert calls == {"construct": 15, "count_dimension": 15, "check_stable": 15, "_direct": 0}
+
+    def test_certificate_reads_only_what_it_shows(self, monkeypatch):
+        cells = cli._certify(7, 30)
+        assert len(cells) == 31 and cells[0] is None
         for g in range(13, 31):
-            assert cert.read(g, 7) == cli._direct(g, 7)
+            assert cells[g] == cli._direct(g, 7)
+        top = construct(30, 7)
+        ledger, report = cli.count_dimension(top), cli.check_stable(top)
+        monkeypatch.setattr(cli, "construct", lambda g, k: top)
         # an entry that S**-(top - g) makes negative, a broken degree sum and
         # a refused top series each leave the cell to the direct path
-        low = replace(cert, least=cert.least[:19] + (8,) * 11)
-        assert [g for g in range(13, 31) if low.read(g, 7) is None] == list(range(20, 22))
-        assert replace(cert, degree=cert.degree + 2).read(20, 7) is None
-        assert cli._Certificate(30).read(20, 7) is None
+        late = {id(c) for c in top.components[19:]}
+        least = cli._least_shifted
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_least_shifted", lambda c: 8 if id(c) in late else least(c))
+            cells = cli._certify(7, 30)
+        assert [g for g in range(13, 31) if cells[g] is None] == [20, 21]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "construct", lambda g, k: replace(top, degree=top.degree + 2))
+            m.setattr(cli, "count_dimension", lambda s: ledger)
+            assert cli._certify(7, 30)[20] is None
+
+        def refuse(s):
+            raise cli.LedgerRefusal("refused")
+
+        with monkeypatch.context() as m:
+            m.setattr(cli, "count_dimension", refuse)
+            assert cli._certify(7, 30) == (None,) * 31
         # a chain of the top series that dies past node g - 1 survives at g
-        late = replace(cert, last_kill=17)
-        assert [late.read(g, 7)[1] for g in (16, 17, 18)] == [
+        killed = DestabilizingChain((), (), 17)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "check_stable", lambda s: replace(report, killed=(*report.killed, killed)))
+            cells = cli._certify(7, 30)
+        assert [cells[g][1] for g in (16, 17, 18)] == [
             "strictly-semistable", "strictly-semistable", "stable"
         ]
-        assert replace(cert, survivor=True).read(30, 7)[1] == "strictly-semistable"
-        assert cli._certify(3, 9).read(3, 3) == cli._direct(3, 3) == (0, "external")
+        survivor = DestabilizingChain((), (), None)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "check_stable", lambda s: replace(report, survivors=(survivor,)))
+            assert cli._certify(7, 30)[30][1] == "strictly-semistable"
+        monkeypatch.undo()
+        assert cli._certify(3, 9)[3] == cli._direct(3, 3) == (0, "external")
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_refused(self, capsys, workers):
