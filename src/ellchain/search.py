@@ -76,6 +76,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction
 from .series import (
@@ -323,10 +324,15 @@ def _table_options(
     can keep (a first slot in the box ``ds - canon[1] <= u <= canon[0]``, a
     second at ``canon[0] - u1``), or whose subtree can still count a prune:
     the deficit never rises along a path, so a row that leaves none can
-    lead to no prune, and skipping it keeps the count exact.  Each node of
-    the walk reads once the one ``u`` and the one ``v`` a row there may not
-    take, as a third equal value (a second ``v`` on rank 1), and the last
-    row emits each table it completes without a call below it.
+    lead to no prune, and skipping it keeps the count exact.  The live range
+    is never empty (``canon`` sums to ``2 * ds``), so when no ``u`` of the
+    row's range is past the cut and the live range misses it, no ``u`` is
+    kept: the branch is left before any candidate list is built, and as its
+    capacity prune is counted before any ``u`` is walked, that changes no
+    option, order or count.  Each node of the walk reads once the one ``u``
+    and the one ``v`` a row there may not take, as a third equal value (a
+    second ``v`` on rank 1), and the last row emits each table it completes
+    without a call below it.
     """
     k, rank = space.k, space.rank
     ds = space.a  # every summand's degree equals the twist in the ansatz
@@ -337,7 +343,7 @@ def _table_options(
         return out, 1
     pruned = 0
     # rows after the current one carry at most v - t//rank at position t
-    decay = [sum(t // rank for t in range(1, rem)) for rem in range(k + 1)]
+    decay = list(accumulate([t // rank for t in range(k)], initial=0))
     step = 1 if rank == 1 else 0  # rank-1 rows have distinct u
     box = (ds - canon[1], canon[0])  # a lone rank-2 slot's u with cp, cq >= 0
 
@@ -414,6 +420,8 @@ def _table_options(
                         if p + q == ds:
                             break
                     live_lo = live_hi = canon[0] - p
+                if hi <= cut and (live_hi < lo or live_lo > hi):
+                    continue  # the filter would keep no u
                 us = _live_or_past(us, cut, live_lo, live_hi)
             for u in us:
                 v = s - u
@@ -467,13 +475,13 @@ class _Transfer:
     The key is exact by construction: ``_expand`` is handed the key and
     nothing else.  The root, the first component's state, is expanded from
     a virtual left side, and the prunes of its walk are not counted (see
-    ``run``).  ``walks`` holds the table options and capacity prunes
-    of each (index, lower bounds): the required v-sum depends on the index
-    alone and slow mode is fixed per search, so states whose previous
-    components share a v column share one walk.  ``options`` interns the
-    table options by ``(index, *rows)`` and ``gluings`` each kept node,
-    with its line, by ``(index, forced pairs)``; all four live and die
-    with the search.  ``head`` is the text every leaf key starts with: the
+    ``run``).  ``walks`` holds the table options and capacity prunes of
+    each (index, lower bounds): the required v-sum depends on the index
+    alone, so ``min_vsums`` holds it once per index, and slow mode is fixed
+    per search, so states whose previous components share a v column share
+    one walk.  ``options`` interns the table options by ``(index, *rows)``
+    and ``gluings`` each kept node, with its line, by ``(index, forced
+    pairs)``; all four live and die with the search.  ``head`` is the text every leaf key starts with: the
     series head, under the ``prefix N`` line in a prefix search.  With
     ``collect`` false no key is built.
 
@@ -495,6 +503,10 @@ class _Transfer:
         self.head = _prefix_line(space.prefix_length) + series_head(
             LimitSeries(self.chain, *self.params, (), ())
         )
+        # each index's required v-sum (none in slow mode); entry 0 is unused
+        self.min_vsums = [
+            0 if slow else _min_vsum_needed(space, i) for i in range(space.length + 1)
+        ]
         self.memo: dict[tuple[int, QSide], _State] = {}
         self.walks: dict[tuple[int, tuple[int, ...]], tuple[list[_Option], int]] = {}
         self.options: dict[tuple, _Option] = {}
@@ -512,11 +524,13 @@ class _Transfer:
         walk, with its forced pairs (derived only when ``left_q`` pins a
         row at Q) and the state below it."""
         space, slow = self.space, self.slow
-        lbs = (0,) * space.k if slow else tuple(max(0, space.a - v) for v, _ in left_q)
+        a = space.a
+        lbs = (0,) * space.k if slow else tuple(max(0, a - v) for v, _ in left_q)
         walk = self.walks.get((idx, lbs))
         if walk is None:
-            min_vsum = 0 if slow else _min_vsum_needed(space, idx)
-            walk = self.walks[idx, lbs] = _table_options(space, idx, lbs, min_vsum, self.options)
+            walk = self.walks[idx, lbs] = _table_options(
+                space, idx, lbs, self.min_vsums[idx], self.options
+            )
         options, pruned = walk
         last = idx == space.length  # every child is a leaf: no state to look up
         count = expanded = conflicts = 0
@@ -528,13 +542,13 @@ class _Transfer:
         forced = ()
         for opt in options:
             comp = opt.comp
-            if slow and any(v + u < space.a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
+            if slow and any(v + u < a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
                 continue
             # a configuration whose pinned directions cannot be matched by
             # any single fiber isomorphism is not realizable; reject it
             if pins:
                 try:
-                    forced = derive_forced_pairs(left_q, comp, self.identity, space.a)
+                    forced = derive_forced_pairs(left_q, comp, self.identity, a)
                 except ValueError:
                     conflicts += 1
                     continue
@@ -560,10 +574,9 @@ class _Transfer:
         below it; no keys when the search does not collect them."""
         space = self.space
         lbs = (0,) * space.k
-        min_vsum = 0 if self.slow else _min_vsum_needed(space, 1)
         # the depth-first counters this search reproduces never counted
         # capacity prunes among first components, so the root's walk has none
-        self.walks[1, lbs] = (_table_options(space, 1, lbs, min_vsum, self.options)[0], 0)
+        self.walks[1, lbs] = (_table_options(space, 1, lbs, self.min_vsums[1], self.options)[0], 0)
         # no node leads into the first component: its edges get no node line
         self.gluings[1, ()] = (None, "")
         # a virtual left side: v = a bounds no row and pins no direction
