@@ -12,14 +12,17 @@ order ``g,k,rho_K,rho_2g2,threshold_ok,corollary_excess,validated,
 ledger_total,ledger_matches,stability``.  Output is byte-stable for fixed
 inputs regardless of the calls made before in the process.
 
-The sweep certifies each k once per process, at the largest genus any
-call has asked for (``_certify``): it validates, prices and
-stability-checks that one series, and by the shift identity of
-:mod:`ellchain.construct` one pass over it prices the cell of every
-genus up to that top.  The certificate holds those cells, so a sweep
-cell is one lookup.  A cell the certificate does not show to pass is
-priced from its own series (``_direct``).  ``construct``, ``verify`` and
-``dim`` still check every line of the series they read or write.
+The sweep certifies each k once per process (``_certify``).  Its base b
+is the least genus from the threshold t up at which ``construct(b, k)``
+ends in a free tail; from there each genus is one step U of the last
+(:mod:`ellchain.construct`), which keeps every check, adds 3 to the
+ledger total, as to rho_K, and keeps a stable verdict.  So the
+certificate prices the cells t..b from their own series (``_direct``),
+and when the base is priced and stable, cell (g, k) for any g > b is
+its total plus 3(g - b), stable: a sweep cell is arithmetic, whatever
+the genus.  Every cell of a k whose base is refused or not stable is
+priced from its own series.  ``construct``, ``verify`` and ``dim``
+still check every line of the series they read or write.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import argparse
 import sys
 from functools import cache
 
-from .chain import Indecomposable, Split, SplitLineBundle
+from .chain import Split, SplitLineBundle
 from .construct import ThresholdError, construct
 from .ledger import (
     LedgerRefusal,
@@ -45,14 +48,13 @@ from .search import (
     enumerate_series,
 )
 from .series import (
-    Component,
     LimitSeries,
     ParseError,
     parse_series,
     serialize_series,
     validate_all,
 )
-from .stability import VERDICT_SEMISTABLE, VERDICT_STABLE, check_stable, external_stable_case
+from .stability import VERDICT_STABLE, check_stable, external_stable_case
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,8 +184,9 @@ def _direct(g: int, k: int) -> tuple[int, str] | None:
     """Cell (g, k) priced from its own series: the ledger total and the stability.
 
     ``None`` when ``count_dimension``, which runs ``validate_all``, refuses
-    the series.  The fallback of every cell a certificate does not show to
-    pass, and the reference the certificates are tested against.
+    the series.  ``_certify`` prices the cells from the threshold to the
+    base with it; it prices every cell of a k whose base is not shown
+    stable, and it is the reference the rule is tested against.
     """
     s = construct(g, k)
     try:
@@ -193,98 +196,52 @@ def _direct(g: int, k: int) -> tuple[int, str] | None:
     return ledger.total, ("external" if external_stable_case(g, k) else check_stable(s).verdict)
 
 
-def _least_shifted(c: Component) -> int:
-    """The least entry of a validated rank-two component that S moves by one."""
-    b = c.bundle
-    v = c.table.rows[-1][1]  # v is nonincreasing down a validated table
-    if isinstance(b, Indecomposable):
-        return min(v, b.marked_v, b.degree - b.marked_u - b.marked_v)
-    return min(v, b.first.q, b.second.q)
+@cache
+def _certify(k: int) -> tuple[tuple[int, str] | None, ...]:
+    """The cells of k from its threshold t to its base b, each by ``_direct``.
 
+    The base b is t when the last component of ``construct(t, k)`` pins
+    nothing (k = 2 and 4), and t + 1 otherwise: the least genus whose last
+    component is a free tail.  From b on, ``construct(g + 1, k)`` is U of
+    ``construct(g, k)``, and U keeps every check of ``validate_all`` (see
+    :mod:`ellchain.construct`): the old components and nodes are S of
+    checked ones, the new component is T of a validated free tail, and the
+    new node holds with equality, since every free-tail row lies on
+    u + v = a - 1.  U adds one unforced node (4 gluing parameters) and one
+    free component (1 modulus, 2 endomorphisms), so the ledger total
+    steps by 3, as rho_K = 3g - 3 - k(k + 1)/2 does.  A chain of
+    ``check_stable`` at genus g, cut to its first b components, is a chain
+    at b, since S keeps every candidate and forced pair; so when none
+    survives at b, none survives at any g >= b.  Hence a sweep prices cell
+    (g, k) for g > b as ``(total(b) + 3(g - b), "stable")`` when the base
+    is priced and stable, and by ``_direct`` otherwise: the argument only
+    covers a stable base.
 
-def _certify(k: int, top: int) -> tuple[tuple[int, str] | None, ...]:
-    """The cells of one k up to ``top``, read off ``construct(top, k)`` checked once.
-
-    From the threshold of k up, the entries a sweep reads, entry g is cell
-    (g, k) as ``_direct`` prices it, or ``None`` where the top series does
-    not show it to pass.  Entry 0 is ``None``.
-
-    The first g components and g - 1 nodes of the top series are
-    S**(top - g) of ``construct(g, k)``, where S adds 1 to every v,
-    summand q and marked v and to the genus and twist, and 2 to every
-    degree (see :mod:`ellchain.construct`).  Every check of
-    ``validate_all`` compares quantities that S moves by the same amount,
-    and every check but the degree sum reads one component or one node:
-    ``component_failures`` and ``node_failures`` decide them, and only
-    ``series_failures`` reads the header, the counts and the degree sum.
-    So when the top series passes, the series of genus g passes unless
-    S**-(top - g) makes an entry negative or the twist nonpositive, or
-    its degree sum breaks condition (a); one pass over the components
-    checks those three for every g, keeping the least entry S moves by
-    one (``_least_shifted``) and the degree sum of components 1..g.
-    Cell g's ledger is the top ledger's items on nodes 1..g-1 and
-    components 1..g plus the stability term 1, and its chains are the top
-    series' chains cut after component g: one survives exactly when a top
-    chain survives or dies at a node past g - 1.
-
-    A ledger refusal of the top series refuses every cell; any other error
-    is a defect and ends the sweep, as on the direct path.
+    Made once per k and process, so a sweep cell makes no library call.
     """
-    s = construct(top, k)
-    try:
-        ledger = count_dimension(s)
-    except LedgerRefusal:
-        return (None,) * (top + 1)
-    report = check_stable(s)
-    last_kill = max((chain.killed_at for chain in report.killed), default=0)
-    cells: list[tuple[int, str] | None] = [None]
-    least = _least_shifted(s.components[0])
-    degrees = priced = 0
-    gluing = (0, *ledger.gluing_params)  # the node into component g, none into the first
-    for g, (c, moduli, endo, glue) in enumerate(
-        zip(s.components, ledger.moduli, ledger.endo_dims, gluing), start=1
-    ):
-        shift = top - g
-        twist = s.twist - shift
-        least = min(least, _least_shifted(c))
-        degrees += c.degree
-        priced += glue + moduli - endo
-        if (
-            least < shift
-            or twist < 1
-            or degrees - 2 * g * shift - 2 * (g - 1) * twist != s.degree - 2 * shift
-        ):
-            cells.append(None)
-        elif external_stable_case(g, k):
-            cells.append((priced + 1, "external"))
-        else:
-            semistable = report.survivors or last_kill > g - 1
-            cells.append((priced + 1, VERDICT_SEMISTABLE if semistable else VERDICT_STABLE))
-    return tuple(cells)
+    t = theorem_threshold(k)
+    b = t if construct(t, k).components[-1].pins_nothing else t + 1
+    return tuple(_direct(g, k) for g in range(t, b + 1))
 
 
-# the cells of each k, by k: made by the first sweep that reaches the
-# threshold of k, and made again at a larger top when a sweep asks for one
-_CERTIFICATES: dict[int, tuple[tuple[int, str] | None, ...]] = {}
-
-
-def _certificate(k: int, top: int) -> tuple[tuple[int, str] | None, ...]:
-    cells = _CERTIFICATES.get(k)
-    if cells is None or len(cells) <= top:
-        cells = _CERTIFICATES[k] = _certify(k, top)
-    return cells
-
-
-def _sweep_cell(g: int, k: int, top: int) -> str:
-    """The CSV row of cell (g, k) in a sweep whose largest genus is ``top``."""
+def _sweep_cell(g: int, k: int) -> str:
+    """The CSV row of cell (g, k)."""
     rho_k = rho_canonical(g, k)
     rho_plain = rho_general(2, 2 * g - 2, g, k)
     lo, hi = corollary_range(k)
-    threshold_ok = g >= theorem_threshold(k)
+    t = theorem_threshold(k)
+    threshold_ok = g >= t
     excess = lo <= g < hi
     priced = None
     if threshold_ok:
-        priced = _certificate(k, top)[g] or _direct(g, k)
+        cells = _certify(k)
+        b, base = t + len(cells) - 1, cells[-1]
+        if g <= b:
+            priced = cells[g - t]
+        elif base and base[1] == VERDICT_STABLE:
+            priced = base[0] + 3 * (g - b), VERDICT_STABLE
+        # a cell the certificate does not show to pass is priced on its own
+        priced = priced or _direct(g, k)
     if priced is None:
         validated, ledger_total, ledger_matches, stability = "false", "", "", ""
     else:
@@ -314,7 +271,7 @@ def cmd_sweep(args) -> int:
     if args.k_min < 2:
         raise ValueError("sweep needs k >= 2")
     rows = [
-        _sweep_cell(g, k, args.g_max)
+        _sweep_cell(g, k)
         for g in range(args.g_min, args.g_max + 1)
         for k in range(args.k_min, args.k_max + 1)
         if rho_canonical(g, k) >= 0

@@ -40,11 +40,34 @@ identity.  On every component, pinning or free, each row is
 and ``c'`` free of ``g``; the indecomposable's marked pair is
 ``(u, g - c)`` too.  Let S add 1 to every row's ``v``, every summand's
 ``q`` and the marked ``v``, 2 to the indecomposable's degree, and 1 to the
-genus and twist.  Then ``construct(g + 1, k)`` is S of ``construct(g, k)``
-followed by one more free tail component and one unforced node, and
-``construct(G, k)`` cut to its first ``g`` components and ``g - 1`` nodes
-is S applied ``G - g`` times to ``construct(g, k)``.  ``sweep`` reads every
-genus of ``k`` off one series by this (see :mod:`ellchain.cli`).
+genus and twist.  Then ``construct(G, k)`` cut to its first ``g``
+components and ``g - 1`` nodes is S applied ``G - g`` times to
+``construct(g, k)``.
+
+From the base b of ``k`` on, the genus steps by a recurrence.  The base
+is the threshold when the last component of the threshold series is a
+free tail (``k`` = 2 and 4), and the threshold plus one otherwise.  Let T
+add 1 to every row's ``u`` and every summand's ``p`` of a free tail: T of
+tail component ``i`` at genus ``g`` is tail component ``i + 1`` at genus
+``g + 1``.  For ``g >= b``, ``construct(g + 1, k)`` is U of
+``construct(g, k)``: S on every component, T of the old last component
+L appended, and one unforced node between them.  U keeps every check of
+``validate_all``:
+
+* the old components and nodes: every check compares quantities that S
+  moves by the same amount, and S moves entries up, so none goes
+  negative;
+* the new component is T of a validated free tail, whose checks move
+  with its index;
+* the new node pairs row ``t`` of S(L) with row ``t`` of T(L), so it reads
+  ``(v_t + 1) + (u_t + 1)`` against the twist ``a + 1``.  Every free-tail
+  row lies on ``u + v = a - 1``, so the node condition holds with
+  equality, as at every node of the construction;
+* the degree sum gains 2 on each side: S adds 2 per old component, T(L)
+  has degree ``2a + 2``, and ``r * (M - 1) * a`` grows by ``2M + 2a``.
+
+``sweep`` prices every genus of ``k`` past its base by this (see
+:mod:`ellchain.cli`).
 """
 
 from __future__ import annotations

@@ -94,6 +94,7 @@ from .series import (
     derive_forced_pairs,
     forced_pairs_failure,
     free_split,
+    header_failures,
     matching_failure,
     node_count_failure,
     node_failures,
@@ -179,12 +180,15 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     values, so every representation of a series has one form.  Free
     components get the standard representative coefficients.  Idempotent.
     Constructed series and search leaves are canonical already.  Raises
-    ``ValueError`` naming both counts when there is not one node between
+    ``ValueError`` naming the first header field that is not an ``int``
+    (``header_failures``), both counts when there is not one node between
     each two components, the component whose table does not have
     ``sections`` rows of integers, or the node whose matching or forced
     pairs ``matching_failure`` or ``forced_pairs_failure`` refuses, as
     ``validate_all`` does.
     """
+    if bad := header_failures(s):
+        raise ValueError(bad[0])
     if why := node_count_failure(s):
         raise ValueError(why)
     k = s.sections

@@ -453,22 +453,22 @@ Failure = tuple[str, str]
 Columns = tuple[tuple, tuple] | None
 
 
+def header_failures(s: LimitSeries) -> list[str]:
+    """A message naming each header field whose type is not ``int``, in header order."""
+    header = (("rank", s.rank), ("sections", s.sections), ("degree", s.degree), ("twist", s.twist))
+    return [f"{name} {value!r} is not an int" for name, value in header if type(value) is not int]
+
+
 def series_failures(s: LimitSeries) -> list[Failure]:
     """The checks' whole-series part, as ``(check, message)`` items.
 
     Structure's header and count lines, and condition (a): the only lines
     that read the whole chain.  A header field whose type is not ``int``
-    is named, and nothing else is read.
+    is named (``header_failures``), and nothing else is read.
     """
-    k, rank, twist, length = s.sections, s.rank, s.twist, s.chain.length
-    header = (("rank", rank), ("sections", k), ("degree", s.degree), ("twist", twist))
-    failures = [
-        ("structure", f"{name} {value!r} is not an int")
-        for name, value in header
-        if type(value) is not int
-    ]
-    if failures:
+    if failures := [("structure", why) for why in header_failures(s)]:
         return failures
+    k, rank, twist, length = s.sections, s.rank, s.twist, s.chain.length
     m = len(s.components)
     if twist < 1:
         failures.append(("structure", f"twist {twist} must be a positive integer"))

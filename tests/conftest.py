@@ -10,6 +10,6 @@ def fresh_sweep_certificates():
     """Each test starts with no sweep certificate, so a monkeypatched
     ``construct``, ``count_dimension`` or ``check_stable`` reaches the
     certificate of every k the test sweeps, whatever ran before it."""
-    cli._CERTIFICATES.clear()
+    cli._certify.cache_clear()
     yield
-    cli._CERTIFICATES.clear()
+    cli._certify.cache_clear()

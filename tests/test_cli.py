@@ -446,51 +446,52 @@ class TestSweep:
         assert (code, stdout, stderr) == (1, "", "error: fault in the validator\n")
 
     @staticmethod
-    def _rows(capsys, g_min, g_max, k_max):
+    def _rows(capsys, g_min, g_max, k_max, k_min=2):
         code, stdout, _ = run_cli(
             capsys,
-            "sweep", "--g-min", str(g_min), "--g-max", str(g_max), "--k-min", "2",
+            "sweep", "--g-min", str(g_min), "--g-max", str(g_max), "--k-min", str(k_min),
             "--k-max", str(k_max),
         )
         assert code == 0
         return stdout.splitlines()[1:]
 
     def test_call_order_does_not_move_rows(self, capsys):
-        # single-genus calls in any order, and bands whose top rises, which
-        # makes each certificate again, print the rows of one full-grid call
+        # single-genus calls in any order, and overlapping bands, print the
+        # rows of one full-grid call
         genera = range(3, 41)
         full = self._rows(capsys, 3, 40, 12)
         shuffled = random.Random(21).sample(genera, len(genera))
         for order in (genera, genera[::-1], shuffled):
-            cli._CERTIFICATES.clear()
+            cli._certify.cache_clear()
             by_genus = {g: self._rows(capsys, g, g, 12) for g in order}
             assert [row for g in genera for row in by_genus[g]] == full
-        assert {len(cells) - 1 for cells in cli._CERTIFICATES.values()} == {40}
-        cli._CERTIFICATES.clear()
-        tops, rows = [], set()
+        cli._certify.cache_clear()
+        rows = set()
         for g_min, g_max in ((3, 9), (10, 20), (3, 15), (21, 40)):
             rows.update(self._rows(capsys, g_min, g_max, 12))
-            tops.append(len(cli._CERTIFICATES[4]) - 1)
-        assert tops == [9, 20, 20, 40]
         assert rows == set(full)
+
+    @staticmethod
+    def _count_direct(monkeypatch):
+        """The (g, k) of every ``_direct`` call from now on, in call order."""
+        calls = []
+        original = cli._direct
+
+        def counted(g, k):
+            calls.append((g, k))
+            return original(g, k)
+
+        monkeypatch.setattr(cli, "_direct", counted)
+        return calls
 
     def test_benchmark_grid_matches_the_direct_path(self, capsys, monkeypatch):
         # every row of the benchmark grid, read off the certificates, equals
         # the row of its cell priced from its own series
         argv = ("sweep", "--g-min", "3", "--g-max", "105", "--k-min", "2", "--k-max", "16")
-        direct = []
-        original = cli._direct
-
-        def counted(g, k):
-            direct.append((g, k))
-            return original(g, k)
-
-        monkeypatch.setattr(cli, "_direct", counted)
         _, certified, _ = run_cli(capsys, *argv)
-        assert direct == []
-        # a refused certificate sends every cell to the direct path
-        cli._CERTIFICATES.clear()
-        monkeypatch.setattr(cli, "_certify", lambda k, top: (None,) * (top + 1))
+        # a refused base at the threshold sends every cell to the direct path
+        direct = self._count_direct(monkeypatch)
+        monkeypatch.setattr(cli, "_certify", lambda k: (None,))
         _, priced, _ = run_cli(capsys, *argv)
         validated = [row.split(",")[6] for row in certified.splitlines()[1:]].count("true")
         assert len(direct) == validated == 1208
@@ -500,9 +501,10 @@ class TestSweep:
         )
 
     def test_one_certificate_per_k(self, capsys, monkeypatch):
-        # the benchmark grid in one call constructs, prices and
-        # stability-checks one series per k, and prices no cell directly
-        calls = dict.fromkeys(("construct", "count_dimension", "check_stable", "_direct"), 0)
+        # the benchmark grid in one call prices the threshold and the base
+        # of each k directly, inside its certificate, and no other cell; a
+        # second call makes no library call at all
+        calls = dict.fromkeys(("construct", "count_dimension", "check_stable"), 0)
         for name in calls:
             original = getattr(cli, name)
 
@@ -511,53 +513,84 @@ class TestSweep:
                 return _original(*args)
 
             monkeypatch.setattr(cli, name, counted)
-        code, _, _ = run_cli(
-            capsys, "sweep", "--g-min", "3", "--g-max", "105", "--k-min", "2", "--k-max", "16"
-        )
-        assert code == 0
-        assert calls == {"construct": 15, "count_dimension": 15, "check_stable": 15, "_direct": 0}
-
-    def test_certificate_reads_only_what_it_shows(self, monkeypatch):
-        cells = cli._certify(7, 30)
-        assert len(cells) == 31 and cells[0] is None
-        for g in range(13, 31):
-            assert cells[g] == cli._direct(g, 7)
-        top = construct(30, 7)
-        ledger, report = cli.count_dimension(top), cli.check_stable(top)
-        monkeypatch.setattr(cli, "construct", lambda g, k: top)
-        # an entry that S**-(top - g) makes negative, a broken degree sum and
-        # a refused top series each leave the cell to the direct path
-        late = {id(c) for c in top.components[19:]}
-        least = cli._least_shifted
-        with monkeypatch.context() as m:
-            m.setattr(cli, "_least_shifted", lambda c: 8 if id(c) in late else least(c))
-            cells = cli._certify(7, 30)
-        assert [g for g in range(13, 31) if cells[g] is None] == [20, 21]
-        with monkeypatch.context() as m:
-            m.setattr(cli, "construct", lambda g, k: replace(top, degree=top.degree + 2))
-            m.setattr(cli, "count_dimension", lambda s: ledger)
-            assert cli._certify(7, 30)[20] is None
-
-        def refuse(s):
-            raise cli.LedgerRefusal("refused")
-
-        with monkeypatch.context() as m:
-            m.setattr(cli, "count_dimension", refuse)
-            assert cli._certify(7, 30) == (None,) * 31
-        # a chain of the top series that dies past node g - 1 survives at g
-        killed = DestabilizingChain((), (), 17)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "check_stable", lambda s: replace(report, killed=(*report.killed, killed)))
-            cells = cli._certify(7, 30)
-        assert [cells[g][1] for g in (16, 17, 18)] == [
-            "strictly-semistable", "strictly-semistable", "stable"
+        direct = self._count_direct(monkeypatch)
+        argv = ("sweep", "--g-min", "3", "--g-max", "105", "--k-min", "2", "--k-max", "16")
+        assert run_cli(capsys, *argv)[0] == 0
+        bases = {k: theorem_threshold(k) + (k not in (2, 4)) for k in range(2, 17)}
+        assert direct == [
+            (g, k) for k, b in bases.items() for g in range(theorem_threshold(k), b + 1)
         ]
-        survivor = DestabilizingChain((), (), None)
-        with monkeypatch.context() as m:
-            m.setattr(cli, "check_stable", lambda s: replace(report, survivors=(survivor,)))
-            assert cli._certify(7, 30)[30][1] == "strictly-semistable"
-        monkeypatch.undo()
-        assert cli._certify(3, 9)[3] == cli._direct(3, 3) == (0, "external")
+        # 28 cells priced directly, plus the threshold series of each of the
+        # 15 k once more, to read its last component; the external cell (3, 3)
+        # has no stability check
+        expected = {"construct": 43, "count_dimension": 28, "check_stable": 27}
+        assert len(direct) == 28 and calls == expected
+        run_cli(capsys, *argv)
+        assert len(direct) == 28 and calls == expected
+
+    def test_certificate_reads_only_what_it_shows(self, capsys, monkeypatch):
+        # the certificate of k is its cells from the threshold to the base
+        assert cli._certify(2) == (cli._direct(3, 2),) == ((3, "stable"),)
+        assert cli._certify(7) == (cli._direct(13, 7), cli._direct(14, 7))
+        assert [len(cli._certify(k)) for k in range(2, 10)] == [1, 2, 1, 2, 2, 2, 2, 2]
+        # the external cell is the threshold cell of k = 3, below its base
+        assert cli._certify(3)[0] == cli._direct(3, 3) == (0, "external")
+        assert self._rows(capsys, 3, 3, 3, 3) == ["3,3,0,0,true,false,true,0,true,external"]
+        expected = self._rows(capsys, 13, 24, 7, 7)
+        count_dimension, check_stable = cli.count_dimension, cli.check_stable
+
+        def refuse_base(s):
+            if s.genus == 14:
+                raise cli.LedgerRefusal("refused")
+            return count_dimension(s)
+
+        def base_survivor(s):
+            report = check_stable(s)
+            if s.genus != 14:
+                return report
+            survivor = DestabilizingChain((), (), None)
+            return replace(report, verdict="strictly-semistable", survivors=(survivor,))
+
+        # a refused base, or one with a surviving chain, sends every cell
+        # past it to the direct path; only the base is patched here, so the
+        # cells past it price as before
+        total = int(expected[1].split(",")[7])
+        for name, patched, base in (
+            ("count_dimension", refuse_base, None),
+            ("check_stable", base_survivor, (total, "strictly-semistable")),
+        ):
+            with monkeypatch.context() as m:
+                m.setattr(cli, name, patched)
+                cli._certify.cache_clear()
+                direct = self._count_direct(m)
+                rows = self._rows(capsys, 13, 24, 7, 7)
+                assert cli._certify(7)[1] == base
+                assert rows[0] == expected[0] and rows[2:] == expected[2:]
+                assert [g for g, _ in direct if g > 14] == list(range(15, 25))
+
+    def test_sweep_far_past_the_base_constructs_only_up_to_it(self, capsys, monkeypatch):
+        # a sweep at genus 2000 builds no series past the base of any k
+        built = []
+        original = cli.construct
+
+        def counted(g, k):
+            built.append((g, k))
+            return original(g, k)
+
+        monkeypatch.setattr(cli, "construct", counted)
+        code, stdout, _ = run_cli(
+            capsys, "sweep", "--g-min", "2000", "--g-max", "2000", "--k-min", "2", "--k-max", "31"
+        )
+        assert code == 0 and len(stdout.splitlines()) == 31
+        assert {k for _, k in built} == set(range(2, 32))
+        assert all(g <= theorem_threshold(k) + (k not in (2, 4)) for g, k in built)
+
+    @pytest.mark.parametrize("g", [500, 1000])
+    def test_far_genus_rows_match_the_direct_path(self, capsys, monkeypatch, g):
+        ks = (2, 3, 4, 9, 16)
+        ruled = [self._rows(capsys, g, g, k, k) for k in ks]
+        monkeypatch.setattr(cli, "_certify", lambda k: (None,))
+        assert ruled == [self._rows(capsys, g, g, k, k) for k in ks]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_is_refused(self, capsys, workers):

@@ -7,10 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellchain import (
+    ChainCurve,
+    Component,
     Indecomposable,
+    NodeGluing,
     Split,
     SplitLineBundle,
     ThresholdError,
+    VanishingTable,
     canonical_limit_series,
     canonical_restriction,
     construct,
@@ -321,9 +325,9 @@ _MUTATED_CELLS = [
 class TestShiftIdentity:
     """``construct(g + 1, k)`` is S of ``construct(g, k)`` plus one tail
     component and one unforced node, where S adds 1 to every v, summand q
-    and marked v and to the genus and twist, and 2 to every degree.  The
-    sweep's certificates read every genus off the top one by this, and by
-    S keeping the failing checks of ``validate_all``."""
+    and marked v and to the genus and twist, and 2 to every degree.  S
+    keeps the failing checks of ``validate_all``, which the recurrence
+    below rests on."""
 
     def _assert_restricts(self, top, s):
         n = top.genus - s.genus
@@ -391,3 +395,44 @@ class TestShiftIdentity:
                             compared += 1
         # every mutant breaks some check, so the reports compared name failures
         assert failed == compared > 900
+
+
+def _step(s):
+    """U: S on every component, T of the last (a free tail) appended, one unforced node.
+
+    T adds 1 to every row's u and every summand's p.
+    """
+    last = s.components[-1]
+    first, second = last.bundle.first, last.bundle.second
+    tail = Component(
+        Split(SplitLineBundle(first.p + 1, first.q), SplitLineBundle(second.p + 1, second.q)),
+        VanishingTable([(u + 1, v) for u, v in last.table.rows]),
+        last.moduli_freedom,
+    )
+    return replace(
+        s,
+        chain=ChainCurve(s.genus + 1),
+        degree=s.degree + 2,
+        twist=s.twist + 1,
+        components=tuple(map(shifted, s.components)) + (tail,),
+        nodes=s.nodes + (NodeGluing(tuple(range(1, s.sections + 1))),),
+    )
+
+
+def test_each_genus_past_the_base_is_one_step_up():
+    # the base b is the threshold when the threshold series ends in a free
+    # tail (k = 2 and 4), and the threshold plus one otherwise; from b on,
+    # construct(g + 1, k) == U(construct(g, k)), which the sweep prices by
+    steps = 0
+    for k in range(2, 32):
+        t = theorem_threshold(k)
+        ends_free = construct(t, k).components[-1].pins_nothing
+        assert ends_free == (k in (2, 4))
+        s = construct(t if ends_free else t + 1, k)
+        assert s.components[-1].pins_nothing
+        for _ in range(10):
+            up = construct(s.genus + 1, k)
+            assert _step(s) == up, (s.genus, k)
+            s = up
+            steps += 1
+    assert steps == 300

@@ -195,6 +195,27 @@ class TestCanonicalForm:
             key(with_forced_pairs(construct(5, 4), 0, pairs))
 
 
+    @pytest.mark.parametrize(
+        "key", [canonical_key, lambda s: prefix_key(s, 2)], ids=["canonical", "prefix"]
+    )
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sections", (1,)),
+            ("sections", 1.0),
+            ("sections", None),
+            ("sections", True),
+            ("rank", None),
+            ("twist", None),
+            ("degree", "1"),
+        ],
+    )
+    def test_non_int_header_refused(self, key, field, value):
+        # the header's type check of validate_all, before any field is read
+        with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(value))} is not an int$"):
+            key(replace(construct(5, 4), **{field: value}))
+
+
 class TestRankOneUniqueness:
     @pytest.mark.parametrize("g", range(2, 11))
     def test_unique_and_equal_to_canonical_series(self, g):
