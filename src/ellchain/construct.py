@@ -73,7 +73,7 @@ L appended, and one unforced node between them.  U keeps every check of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import chain, takewhile
 from math import isqrt
 
 from .chain import ChainCurve, Indecomposable, Split, SplitLineBundle
@@ -82,8 +82,8 @@ from .series import (
     Component,
     LimitSeries,
     NodeGluing,
-    VanishingTable,
-    derive_forced_pairs,
+    _column_table,
+    _forced_pairs,
     free_split,
     q_side,
 )
@@ -145,7 +145,7 @@ def canonical_limit_series(g: int) -> LimitSeries:
     components = tuple(
         Component(
             SplitLineBundle(2 * i - 2, 2 * g - 2 * i),
-            VanishingTable(_rank1_rows(i, g)),
+            _column_table(*zip(*_rank1_rows(i, g))),
         )
         for i in range(1, g + 1)
     )
@@ -188,14 +188,19 @@ def _even_pinned_component(
     for e in range(layer + 2, k1 + 1):
         rows += [(i + e - 2, g - i - e)] * 2
     rows += extra
-    return Component(Split(first, second), VanishingTable(rows))
+    return Component(Split(first, second), _column_table(*zip(*rows)))
+
+
+def _twice(values: range) -> tuple[int, ...]:
+    """Each of ``values`` twice in a row."""
+    return tuple(chain.from_iterable(zip(values, values)))
 
 
 def _free_tail_component(i: int, g: int, k1: int) -> Component:
-    rows: list[tuple[int, int]] = []
-    for e in range(1, k1 + 1):
-        rows += [(i + e - k1 - 2, g - i + k1 - e)] * 2
-    return Component(free_split(i, g), VanishingTable(rows), moduli_freedom=1)
+    # rows (i + e - k1 - 2, g - i + k1 - e), each twice, for e in 1..k1
+    us = _twice(range(i - k1 - 1, i - 1))
+    vs = _twice(range(g - i + k1 - 1, g - i - 1, -1))
+    return Component(free_split(i, g), _column_table(us, vs), moduli_freedom=1)
 
 
 def construct_even(g: int, k: int, force: bool = False) -> LimitSeries:
@@ -232,7 +237,7 @@ def _transition_component(m: int, g: int, k1: int) -> Component:
         rows.append((u_odd, v_odd))
         rows.append((i + e - k1 - 2, g - i - e + k1))
     rows.append(second.pair)
-    return Component(Split(first, second), VanishingTable(rows))
+    return Component(Split(first, second), _column_table(*zip(*rows)))
 
 
 def _indecomposable_component(g: int, k1: int) -> Component:
@@ -243,18 +248,18 @@ def _indecomposable_component(g: int, k1: int) -> Component:
         rows.append((s + e - 1, g - 1 - s - e))
     rows.append((s + k1, g - 1 - s - k1))
     bundle = Indecomposable(2 * g - 2, s + k1, g - 1 - s - k1)
-    return Component(bundle, VanishingTable(rows))
+    return Component(bundle, _column_table(*zip(*rows)))
 
 
 def _odd_tail_component(i: int, g: int, k1: int) -> Component:
     s = k1 * k1
     t = i - (s + k1 + 1)  # offset past the indecomposable component
-    rows: list[tuple[int, int]] = []
-    for e in range(1, k1 + 1):
-        rows.append((s + e - 2 + t, g - s - e - t))
-        rows.append((s + e - 1 + t, g - 1 - s - e - t))
-    rows.append((s + k1 + t - 1, g - 1 - s - k1 - t))
-    return Component(free_split(i, g), VanishingTable(rows), moduli_freedom=1)
+    # rows (b + e - 2, c - e) and (b + e - 1, c - e - 1) for e in 1..k1,
+    # then (b + k1 - 1, c - k1 - 1), with b = s + t and c = g - s - t
+    b, c = s + t, g - s - t
+    us = (b - 1, *_twice(range(b, b + k1)))
+    vs = (c - 1, *_twice(range(c - 2, c - k1 - 2, -1)))
+    return Component(free_split(i, g), _column_table(us, vs), moduli_freedom=1)
 
 
 def construct_odd(g: int, k: int, force: bool = False) -> LimitSeries:
@@ -313,7 +318,7 @@ def _assemble(g, rank, k, d, a, components) -> LimitSeries:
     if rank == 2:
         prefix = tuple(takewhile(lambda c: not c.pins_nothing, components))
         pinned = tuple(
-            NodeGluing(identity, derive_forced_pairs(q_side(left), right, identity, a))
+            NodeGluing(identity, _forced_pairs(q_side(left), right, identity, a))
             for left, right in zip(prefix, prefix[1:])
         )
     nodes = pinned + (NodeGluing(identity),) * (len(components) - 1 - len(pinned))

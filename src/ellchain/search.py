@@ -88,10 +88,11 @@ from .series import (
     NodeGluing,
     VanishingTable,
     QSide,
+    _column_table,
+    _forced_pairs,
     _int_columns,
     component_block,
     component_failures,
-    derive_forced_pairs,
     forced_pairs_failure,
     free_split,
     header_failures,
@@ -196,6 +197,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     flip = {DIR_FIRST: DIR_SECOND, DIR_SECOND: DIR_FIRST}
     comps: list[Component] = []
     names: list[dict[str, str]] = []  # each component's token renaming
+    given: list[tuple] = []  # each component's rows as given, then sorted
+    ordered: list[list] = []
     for i, c in enumerate(s.components, start=1):
         bundle = c.bundle
         swap = isinstance(bundle, Split) and bundle.second.pair < bundle.first.pair
@@ -208,7 +211,9 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
             raise ValueError(f"component {i}: {len(rows)} rows, expected {k}")
         if not all(type(u) is int and type(v) is int for u, v in rows):
             raise ValueError(f"component {i}: vanishing orders must be integers")
+        given.append(rows)
         rows = sorted(rows, key=lambda row: (row[0], -row[1]))
+        ordered.append(rows)
         comps.append(Component(bundle, VanishingTable(rows), c.moduli_freedom))
         names.append(flip if swap else {})
 
@@ -218,8 +223,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
         why = matching_failure(matching, identity) or forced_pairs_failure(node.forced_pairs)
         if why:
             raise ValueError(f"node {n + 1}: {why}")
-        was = [c.table.rows for c in s.components[n : n + 2]]
-        left, right = comps[n].table.rows, comps[n + 1].table.rows
+        was = given[n : n + 2]
+        left, right = ordered[n : n + 2]
         # the greedy choice is least, as any pair still counted can be placed
         pairs = Counter((was[0][t], was[1][t2 - 1]) for t, t2 in enumerate(matching))
         free, matching = list(range(k)), []
@@ -381,7 +386,8 @@ def _table_options(
             else:
                 bundle = free_split(i, space.g)
             moduli = 1
-        found = interned[key] = _Option(i, Component(bundle, VanishingTable(rows), moduli))
+        table = _column_table(*zip(*rows))
+        found = interned[key] = _Option(i, Component(bundle, table, moduli))
         out.append(found)
 
     def rec(j: int, slots_used: int, vsum: int):
@@ -546,13 +552,13 @@ class _Transfer:
         forced = ()
         for opt in options:
             comp = opt.comp
-            if slow and any(v + u < a for (v, _), (u, _) in zip(left_q, comp.table.rows)):
+            if slow and any(v + u < a for (v, _), u in zip(left_q, comp.table.us)):
                 continue
             # a configuration whose pinned directions cannot be matched by
             # any single fiber isomorphism is not realizable; reject it
             if pins:
                 try:
-                    forced = derive_forced_pairs(left_q, comp, self.identity, a)
+                    forced = _forced_pairs(left_q, comp, self.identity, a)
                 except ValueError:
                     conflicts += 1
                     continue
@@ -614,7 +620,7 @@ class _Transfer:
         """
         rank, k, _, twist = self.params
         if opt.failures is None:
-            opt.columns = _int_columns(opt.comp.table.rows)
+            opt.columns = _int_columns(opt.comp.table)
             opt.failures = tuple(
                 component_failures(opt.idx, opt.comp, opt.columns, rank, k, twist, self.space.g)
             )

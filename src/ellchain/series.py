@@ -41,9 +41,13 @@ appear twice.  This module encodes that calculus exactly:
   failure with the numbers they compared: ``component_failures`` reads
   one component, ``node_failures`` one node and its two sides, and
   ``series_failures`` the header, the counts and the degree sum;
-* ``parse_series`` has each component record read the run of row records
-  below it, and each integer field of a record by one ``map(int, ...)``;
-  the per-token checks run only on the way to a ``ParseError``;
+* a vanishing table is stored as its ``u`` and ``v`` columns, which is
+  how its readers take it; its rows are derived on request;
+* ``parse_series`` reads a file on the writer's layout by slices: whole-file
+  ``u`` and ``v`` columns cut into the tables.  Any other file is read
+  record by record, each component record reading the run of row records
+  below it; both read the records with the same code, and the per-token
+  checks run only on the way to a ``ParseError``;
 * ``serialize_series`` is one join of the series head, the component
   blocks and the node lines, rendered by ``series_head``,
   ``component_block`` and ``node_line``; the search oracle keys its
@@ -63,11 +67,12 @@ is pinned).  Generic summands (free Jacobian choices) never pin.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain as _chain
 from itertools import compress, cycle, islice, repeat
-from operator import add, and_, attrgetter, eq, ge, itemgetter, le, mod, ne, sub
+from operator import add, and_, attrgetter, eq, ge, le, mod, ne, sub
 
 from .chain import (
     ChainCurve,
@@ -96,32 +101,45 @@ _INT = frozenset((int,))
 class VanishingTable:
     """Vanishing orders ``(u_j, v_j)`` at ``(P, Q)`` of a basis of sections.
 
-    Rows are listed with ``u`` nondecreasing and ``v`` nonincreasing.  The
-    constructor is permissive: it keeps each row as given, refusing only a
-    row that is not a pair.  Entry types, monotonicity, multiplicity and
-    admissibility are the validators' business, so that corrupted tables
-    remain representable and diagnosable.
+    The table is stored as its two columns, ``us`` and ``vs``, which is
+    how the validator, the pinning rule and the node checks read it;
+    ``rows`` gives back the ``(u, v)`` pairs, derived on each read.  Rows
+    are listed with ``u`` nondecreasing and ``v`` nonincreasing.  The
+    constructor takes the rows and is permissive: it keeps each entry as
+    given, refusing only a row that is not a pair.  Entry types,
+    monotonicity, multiplicity and admissibility are the validators'
+    business, so that corrupted tables remain representable and
+    diagnosable.  Where the package makes tables itself (the parser, the
+    construction and the search), it passes the columns to
+    ``_column_table`` instead.
     """
 
-    rows: tuple[tuple[int, int], ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
         if not {*map(len, rows)} <= {2}:
             j, row = next((j, r) for j, r in enumerate(rows, start=1) if len(r) != 2)
             raise ValueError(f"row {j} {row!r} is not a (u, v) pair")
-        object.__setattr__(self, "rows", rows)
+        us, vs = zip(*rows) if rows else ((), ())
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "vs", vs)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.us)
 
     @property
-    def us(self) -> tuple[int, ...]:
-        return tuple(u for u, _ in self.rows)
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.us, self.vs))
 
-    @property
-    def vs(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.rows)
+
+def _column_table(us: tuple, vs: tuple) -> VanishingTable:
+    """The table whose columns are the tuples ``us`` and ``vs``, of one length."""
+    table = object.__new__(VanishingTable)
+    object.__setattr__(table, "us", us)
+    object.__setattr__(table, "vs", vs)
+    return table
 
 
 @dataclass(frozen=True)
@@ -295,7 +313,7 @@ def admissibility_failures(
     failures: list[str] = []
     if isinstance(bundle, Indecomposable):
         marked_used = False
-        for j, (u, v) in enumerate(table.rows, start=1):
+        for j, (u, v) in enumerate(zip(table.us, table.vs), start=1):
             if 2 * (u + v) <= bundle.degree - 2:
                 continue
             if (u, v) == (bundle.marked_u, bundle.marked_v) and not marked_used:
@@ -311,7 +329,7 @@ def admissibility_failures(
     generic_sums = {p + q - 1 for p, q in summands}
     # the rows that need each summand's distinguished section
     slot_rows: dict[tuple[int, int], list[int]] = {}
-    for j, row in enumerate(table.rows, start=1):
+    for j, row in enumerate(zip(table.us, table.vs), start=1):
         u, v = row
         if u + v in generic_sums:
             continue
@@ -340,11 +358,13 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
     rows are walked.  A summand is alive at a row when it is the row's
     distinguished section, or when the row sits below its degree and is
     not the row one step below it at ``side`` (whose divisor's residual
-    point lies at ``side``: see the module docstring).
+    point lies at ``side``: see the module docstring).  The entries must
+    be ``int``s (``_int_table``).
     """
-    bundle, rows = component.bundle, component.table.rows
+    bundle, table = component.bundle, component.table
     if component.pins_nothing:
-        return (None,) * len(rows)
+        return (None,) * len(table)
+    rows = zip(table.us, table.vs)
     dp, dq = (1, 0) if side == "P" else (0, 1)
     if isinstance(bundle, Indecomposable):
         mu, mv = marked = (bundle.marked_u, bundle.marked_v)
@@ -356,14 +376,37 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
         return tuple(DIR_MARKED if row in pinned else None for row in rows)
     (p1, q1), (p2, q2) = pair1, pair2 = bundle.first.pair, bundle.second.pair
     below1, below2 = (p1 - dp, q1 - dq), (p2 - dp, q2 - dq)
+    d1, d2 = p1 + q1, p2 + q2
     pins: list[str | None] = []
     for row in rows:
         u, v = row
-        alive1 = row == pair1 or (u + v < p1 + q1 and row != below1)
-        alive2 = row == pair2 or (u + v < p2 + q2 and row != below2)
+        alive1 = row == pair1 or (u + v < d1 and row != below1)
+        alive2 = row == pair2 or (u + v < d2 and row != below2)
         # identical summands live or die together and pin nothing
         pins.append(None if alive1 == alive2 else DIR_FIRST if alive1 else DIR_SECOND)
     return tuple(pins)
+
+
+def _non_int_rows(table: VanishingTable):
+    """Each ``(j, u, v)`` of ``table`` with an entry whose type is not ``int``."""
+    return (
+        (j, u, v)
+        for j, (u, v) in enumerate(zip(table.us, table.vs), start=1)
+        if type(u) is not int or type(v) is not int
+    )
+
+
+def _int_table(table: VanishingTable) -> VanishingTable:
+    """``table``, whose entries are all ``int``s; else ``ValueError`` naming
+    its first row with an entry that is not.
+
+    One type check of the two columns (``_int_columns``) decides the
+    common case.
+    """
+    if _int_columns(table) is None:
+        j, u, v = next(_non_int_rows(table))
+        raise ValueError(f"row {j}: non-integer vanishing ({u!r},{v!r})")
+    return table
 
 
 QSide = tuple[tuple[int, str | None], ...]
@@ -373,9 +416,11 @@ def q_side(component: Component) -> QSide:
     """Each row's ``(v, pinned direction at Q)``: all a node reads of its left side.
 
     The pinning rule runs once over the component, not once per row.
+    Raises ``ValueError`` naming the first row with an entry that is not
+    an ``int``.
     """
-    rows = component.table.rows
-    return tuple(zip([v for _, v in rows], _pinned_directions(component, "Q")))
+    vs = _int_table(component.table).vs
+    return tuple(zip(vs, _pinned_directions(component, "Q")))
 
 
 def derive_forced_pairs(
@@ -391,12 +436,31 @@ def derive_forced_pairs(
     the same identification; the result is deduplicated and, when there
     are any pairs, checked by ``forced_pairs_failure``.
     The pairs come out sorted, which is their order in canonical form.
-    The right side is pinned once, when a row first needs it.
+    Raises ``ValueError`` naming the first row of ``right`` with an entry
+    that is not an ``int``, or a matching that ``matching_failure`` refuses
+    as a bijection of the rows of ``right``; ``_forced_pairs`` is the rule
+    itself, for callers whose tables and matchings are well formed.
     """
+    us = _int_table(right.table).us
+    if why := matching_failure(matching, tuple(range(1, len(us) + 1))):
+        raise ValueError(f"{why} of the {len(us)} right rows")
+    return _forced_pairs(left_q, right, matching, twist)
+
+
+def _forced_pairs(
+    left_q: QSide, right: Component, matching: tuple[int, ...], twist: int
+) -> tuple[tuple[str, str], ...]:
+    """``derive_forced_pairs`` with no check of ``right`` or ``matching``:
+    its entries must be ``int``s and the matching a bijection of its rows.
+
+    The search calls it on every edge, on tables it built and the identity
+    matching.  The right side is pinned once, when a row first needs it.
+    """
+    us = right.table.us
     right_p = None
     pairs: list[tuple[str, str]] = []
     for (v, dl), t2 in zip(left_q, matching):
-        if dl is None or v + right.table.rows[t2 - 1][0] != twist:
+        if dl is None or v + us[t2 - 1] != twist:
             continue
         if right_p is None:
             right_p = _pinned_directions(right, "P")
@@ -442,9 +506,9 @@ class ValidationReport:
         return lines
 
 
-def _int_columns(rows) -> tuple[tuple, tuple] | None:
+def _int_columns(table: VanishingTable) -> tuple[tuple, tuple] | None:
     """A table's ``(us, vs)`` columns, or ``None`` when an entry's type is not ``int``."""
-    us, vs = tuple(zip(*rows)) or ((), ())
+    us, vs = table.us, table.vs
     return (us, vs) if _INT.issuperset(map(type, us + vs)) else None
 
 
@@ -495,16 +559,16 @@ def component_failures(
     Structure's per-component part, monotonicity, multiplicity,
     admissibility, determinacy and the canonical determinant read this
     component alone, with the header's ``rank``, ``k`` and ``twist`` and
-    the genus ``g``.  ``columns`` is ``_int_columns`` of its rows; when it
+    the genus ``g``.  ``columns`` is ``_int_columns`` of its table; when it
     is ``None``, each row with an entry whose type is not ``int`` is named,
     and no row's numbers are read.
     """
-    bundle, rows, moduli = c.bundle, c.table.rows, c.moduli_freedom
+    bundle, table, moduli = c.bundle, c.table, c.moduli_freedom
     # each item's message after "component i", which is put on at the end,
     # so a component that passes builds no message text
     failures = []
-    if len(rows) != k:
-        failures.append(("structure", f": {len(rows)} rows, expected {k}"))
+    if len(table) != k:
+        failures.append(("structure", f": {len(table)} rows, expected {k}"))
     if type(moduli) is not int or moduli not in (0, 1):
         failures.append(("structure", f": moduli_freedom {moduli!r}"))
     line = isinstance(bundle, SplitLineBundle)
@@ -517,16 +581,15 @@ def component_failures(
     if columns is None:
         failures.extend(
             ("structure", f" row {j}: non-integer vanishing ({u!r},{v!r})")
-            for j, (u, v) in enumerate(rows, start=1)
-            if type(u) is not int or type(v) is not int
+            for j, u, v in _non_int_rows(table)
         )
     else:
+        us, vs = columns
         failures.extend(
             ("structure", f" row {j}: negative vanishing ({u},{v})")
-            for j, (u, v) in enumerate(rows, start=1)
+            for j, (u, v) in enumerate(zip(us, vs), start=1)
             if u < 0 or v < 0
         )
-        us, vs = columns
         sorted_us, sorted_vs = sorted(us), sorted(vs)
         if sorted_us != list(us):
             failures.append(("monotonicity", f": u not nondecreasing {us}"))
@@ -549,7 +612,7 @@ def component_failures(
             )
         failures.extend(
             ("admissibility", f": {why}")
-            for why in admissibility_failures(bundle, c.table, c.is_generic)
+            for why in admissibility_failures(bundle, table, c.is_generic)
         )
     if why := _determinacy_failure(bundle, twist):
         failures.append(("determinacy", f": {why}"))
@@ -564,7 +627,7 @@ def node_failures(
     """Node ``n``'s failures, as ``(check, message)`` items in report order.
 
     The forced-pair shape (structure) and condition (b).  ``sides`` is
-    ``_int_columns`` of the components on its two sides, those that exist,
+    ``_int_columns`` of the tables on its two sides, those that exist,
     and ``identity`` is ``1..k``; of the left side only the ``v`` column is
     read.  The node condition fails outright when
     ``matching_failure`` refuses the matching, or a side has an entry that
@@ -641,24 +704,25 @@ _PASSED = {
     )
 }
 
-_ROWS = attrgetter("table.rows")
+_US = attrgetter("table.us")
+_VS = attrgetter("table.vs")
 _BUNDLE = attrgetter("bundle")
 _SPLIT_COEFFICIENTS = attrgetter("first.p", "first.q", "second.p", "second.q")
 _LINE_COEFFICIENTS = attrgetter("p", "q")
 _MODULI = attrgetter("moduli_freedom")
 _FORCED = attrgetter("forced_pairs")
 _MATCHING = attrgetter("matching")
-_U = itemgetter(0)
-_V = itemgetter(1)
 
 
 def _columns_pass(s: LimitSeries) -> bool:
     """Whether whole-series column passes show that ``s`` passes every check.
 
     ``False`` says only that the passes did not show it, and sends the
-    series to the units, which decide every check.  The rows are unpacked
-    once into a ``u`` and a ``v`` column and the coefficients into four,
-    and each check is a few C-level passes over them: entry types by one
+    series to the units, which decide every check.  The tables' ``u``
+    columns are interleaved once, row by row, into one whole-series ``u``
+    column (``chain.from_iterable(zip(*us_columns))``), their ``v``
+    columns into one ``v`` column, and the coefficients into four columns;
+    no row pair is built.  Each check is a few C-level passes over them: entry types by one
     ``map(type, ...)``, monotonicity and multiplicity by comparing each
     row with the one ``m`` and ``rank * m`` on, the node condition of
     identity matchings by one ``min``, admissibility by row sums against
@@ -677,7 +741,7 @@ def _columns_pass(s: LimitSeries) -> bool:
         return False
     components, nodes = s.components, s.nodes
     m = len(components)
-    tables = list(map(_ROWS, components))
+    us_columns = list(map(_US, components))
     bundles = list(map(_BUNDLE, components))
     types = list(map(type, bundles))
     kinds = {*types}
@@ -686,7 +750,7 @@ def _columns_pass(s: LimitSeries) -> bool:
         and k >= 1
         and 1 <= m <= g
         and len(nodes) == m - 1
-        and {*map(len, tables)} == {k}
+        and {*map(len, us_columns)} == {k}
         and kinds <= ({SplitLineBundle} if rank == 1 else {Split, Indecomposable})
     ):
         return False
@@ -697,7 +761,9 @@ def _columns_pass(s: LimitSeries) -> bool:
     if Indecomposable in kinds:
         indec = [i for i, t in enumerate(types) if t is Indecomposable]
         if any(
-            component_failures(i + 1, components[i], _int_columns(tables[i]), rank, k, twist, g)
+            component_failures(
+                i + 1, components[i], _int_columns(components[i].table), rank, k, twist, g
+            )
             for i in indec
         ):
             return False
@@ -711,8 +777,8 @@ def _columns_pass(s: LimitSeries) -> bool:
         p1, q1, p2, q2 = zip(*map(_SPLIT_COEFFICIENTS, bundles))
     # every entry row by row: row j of component i is at j*m + i, so row
     # j + 1 of the same component is m on, and row j of the next one is 1 on
-    u_rows = list(map(_U, _chain.from_iterable(zip(*tables))))
-    v_rows = list(map(_V, _chain.from_iterable(zip(*tables))))
+    u_rows = list(_chain.from_iterable(zip(*us_columns)))
+    v_rows = list(_chain.from_iterable(zip(*map(_VS, components))))
     if not _INT.issuperset(map(type, _chain(u_rows, v_rows))):
         return False
 
@@ -821,7 +887,7 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     failures = series_failures(s)
     if _INT.issuperset(map(type, (k, rank, twist, s.degree))):
-        columns = list(map(_int_columns, map(_ROWS, s.components)))
+        columns = [_int_columns(c.table) for c in s.components]
         for i, (c, cols) in enumerate(zip(s.components, columns), start=1):
             failures += component_failures(i, c, cols, rank, k, twist, g)
         identity = tuple(range(1, k + 1))
@@ -871,10 +937,10 @@ def component_block(i: int, c: Component) -> str:
     # one %-format writes all rows (and, below, a whole matching), which
     # keeps the per-component call from slowing the writer; "%s" writes
     # str(x), the text an f-string field gives int, bool, float and str
-    rows = c.table.rows
-    return f"component {i} {kind} moduli {c.moduli_freedom}\n" + _ROW * len(rows) % tuple(
-        _chain.from_iterable(rows)
-    )
+    us, vs = c.table.us, c.table.vs
+    entries = [None] * (2 * len(us))  # row by row: each u, then its v
+    entries[::2], entries[1::2] = us, vs
+    return f"component {i} {kind} moduli {c.moduli_freedom}\n" + _ROW * len(us) % tuple(entries)
 
 
 def node_line(n: int, node: NodeGluing) -> str:
@@ -928,46 +994,142 @@ def _parse_ints(tokens: list[str], line_no: int, what: str) -> list[int]:
         return [_parse_int(t, line_no, what) for t in tokens]
 
 
-def parse_series(text: str) -> LimitSeries:
-    """Read the text of a series file; a malformed line raises ``ParseError``.
+def _component_record(tokens: list[str], line_no: int, index: int) -> tuple[BundleLike, int]:
+    """The bundle and moduli freedom of component record ``tokens``, which
+    must be component ``index``; a malformed record raises ``ParseError``."""
+    if len(tokens) < 3:
+        raise ParseError(line_no, "truncated component record")
+    (i,) = _parse_ints(tokens[1:2], line_no, "component index")
+    if i != index:
+        raise ParseError(line_no, f"component index {i} out of order")
+    bkind = tokens[2]
+    rest = tokens[3:]
+    if len(rest) < 2 or rest[-2] != "moduli":
+        raise ParseError(line_no, "component record must end with 'moduli <n>'")
+    (moduli,) = _parse_ints(rest[-1:], line_no, "moduli freedom")
+    coeffs = _parse_ints(rest[:-2], line_no, "bundle coefficient")
+    make = _BUNDLE_RECORDS.get((bkind, len(coeffs)))
+    if make is None:
+        raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
+    try:
+        return make(*coeffs), moduli
+    except ValueError as e:
+        raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
+
+
+def _node_record(tokens: list[str], line_no: int, index: int, k: int) -> NodeGluing:
+    """The gluing of node record ``tokens``, which must be node ``index`` of
+    a series with ``k`` sections; a malformed record raises ``ParseError``."""
+    if len(tokens) < 4 or tokens[2] != "matching":
+        raise ParseError(line_no, "expected 'node <i> matching ... forced ...'")
+    (i,) = _parse_ints(tokens[1:2], line_no, "node index")
+    if i != index:
+        raise ParseError(line_no, f"node index {i} out of order")
+    try:
+        split_at = tokens.index("forced")
+    except ValueError:
+        raise ParseError(line_no, "node record missing 'forced'") from None
+    matching = tuple(_parse_ints(tokens[3:split_at], line_no, "matching entry"))
+    if len(matching) != k:
+        raise ParseError(line_no, f"matching has {len(matching)} entries, expected {k}")
+    forced_tokens = tokens[split_at + 1 :]
+    if not forced_tokens:
+        raise ParseError(line_no, "empty 'forced' field; '-' writes no pairs")
+    forced: list[tuple[str, str]] = []
+    if forced_tokens != ["-"]:
+        for t in forced_tokens:
+            sides = t.split(":")
+            if len(sides) != 2 or not all(x in (DIR_FIRST, DIR_SECOND, DIR_MARKED) for x in sides):
+                raise ParseError(line_no, f"bad forced pair {t!r}")
+            forced.append((sides[0], sides[1]))
+    return NodeGluing(matching, tuple(forced))
+
+
+# row lines as the writer lays them out, each ended by "\n"; they are matched
+# a chunk at a time, as the matcher holds some state for every line it
+# has matched (about 10 MB for one match over the 30,000 row lines of a
+# g = 1000, k = 30 file)
+_ROW_LINES = re.compile(r"(?:  row -?[0-9]+ -?[0-9]+\n)*")
+_ROW_CHUNK = 1024
+
+
+def _parse_layout(
+    lines: list[str], g: int, k: int
+) -> tuple[list[Component], list[NodeGluing]] | None:
+    """The components and nodes of ``lines``, read by slices of the layout
+    ``serialize_series`` writes; ``None`` for a file off that layout.
+
+    ``lines`` has the writer's count, ``2 + g(k + 1) + (g - 1)``, and
+    ``k >= 1``.  The component records sit at stride ``k + 1``.  Every
+    other line of the blocks must be a row line exactly as the writer
+    writes it, which a ``fullmatch`` over the join of each chunk of them
+    decides line by line (a whole-text token count would take ``row 1``
+    and a ``2`` on the next line); a ``split`` of each chunk then gives
+    whole-file ``u`` and ``v`` columns, sliced per component.  A node
+    line equal to the writer's line for the identity, unforced gluing is
+    that gluing; every other record is read by the line parser's own
+    record code.  So a series read here is the one the line parser reads.
+    A record that is not of its kind, or that the record code refuses,
+    gives ``None``, and the line parser names the error.
+    """
+    stride = k + 1
+    end = 2 + g * stride
+    body = lines[2:end]
+    records = body[::stride]
+    del body[::stride]
+    u_column: list[int] = []
+    v_column: list[int] = []
+    for at in range(0, len(body), _ROW_CHUNK):
+        rows = "\n".join(body[at : at + _ROW_CHUNK]) + "\n"
+        if not _ROW_LINES.fullmatch(rows):
+            return None
+        tokens = rows.split()
+        u_column += map(int, tokens[1::3])
+        v_column += map(int, tokens[2::3])
+    us, vs = tuple(u_column), tuple(v_column)
+    identity = tuple(range(1, k + 1))
+    unforced = NodeGluing(identity)
+    tail = f" matching {' '.join(map(str, identity))} forced -"
+    components: list[Component] = []
+    nodes: list[NodeGluing] = []
+    try:
+        for i, record in enumerate(records):
+            fields = record.split()
+            if fields[:1] != ["component"]:
+                return None
+            bundle, moduli = _component_record(fields, 3 + i * stride, i + 1)
+            at = i * k
+            table = _column_table(us[at : at + k], vs[at : at + k])
+            components.append(Component(bundle, table, moduli))
+        for n, line in enumerate(lines[end:], start=1):
+            if line == f"node {n}{tail}":
+                nodes.append(unforced)
+                continue
+            fields = line.split()
+            if fields[:1] != ["node"]:
+                return None
+            nodes.append(_node_record(fields, end + n, n, k))
+    except ParseError:
+        return None
+    return components, nodes
+
+
+def _parse_lines(
+    lines: list[str], g: int, k: int
+) -> tuple[list[Component], list[NodeGluing]]:
+    """The components and nodes of ``lines``, read record by record; a
+    malformed line raises ``ParseError``.
 
     Records are read in one loop over the lines.  A component record reads
     the run of ``row <u> <v>`` records below it, blank lines skipped, and
-    builds its table from that run: the run's integers by one
-    comprehension, and coefficients, moduli, indices and matchings by one
-    ``map(int, ...)`` per field.  Only a field or run that does not read
-    that way is re-read one token at a time, so the error names the line
-    and token it always named, and the per-token checks run only on the
-    way to it.  A run of the wrong length fails at the record that ends
-    it, or just past the last line; a run ended by an unknown record is
-    left to the loop, which names that record.
+    builds its table from that run's integers, by one comprehension.  Only
+    a field or run that does not read that way is re-read one token at a
+    time, so the error names the line and token it always named, and the
+    per-token checks run only on the way to it.  A run of the wrong length
+    fails at the record that ends it, or just past the last line; a run
+    ended by an unknown record is left to the loop, which names that
+    record.
     """
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError(1, "empty input")
-    # int() also reads '_' separators, a '+' sign and non-ASCII digits, none
-    # of which the format writes; one scan of the text keeps parsing cheap
-    if not text.isascii() or "_" in text or "+" in text:
-        at = next(i for i, ch in enumerate(text) if not ch.isascii() or ch in "_+")
-        raise ParseError(len(text[: at + 1].splitlines()), f"unexpected character {text[at]!r}")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != FORMAT_HEADER:
-        raise ParseError(1, f"expected '{FORMAT_HEADER} <version>' header")
-    if head[1] != FORMAT_VERSION:
-        raise ParseError(1, f"unknown format version {head[1]!r}")
-    if len(lines) < 2:
-        raise ParseError(2, "missing parameter line")
-    params = lines[1].split()
-    expected_keys = ["genus", "rank", "sections", "degree", "twist"]
-    if len(params) != 10 or params[0::2] != expected_keys:
-        raise ParseError(2, f"expected '{' '.join(k + ' <n>' for k in expected_keys)}'")
-    try:
-        g, r, k, d, a = map(int, params[1::2])
-    except ValueError:
-        g, r, k, d, a = (_parse_int(params[i], 2, params[i - 1]) for i in (1, 3, 5, 7, 9))
-    if g < 1:
-        raise ParseError(2, f"genus must be >= 1, got {g}")
-
     components: list[Component] = []
     nodes: list[NodeGluing] = []
     at = 2  # index of the next line to read; its line number is at + 1
@@ -980,24 +1142,7 @@ def parse_series(text: str) -> LimitSeries:
             continue
         kind = tokens[0]
         if kind == "component":
-            if len(tokens) < 3:
-                raise ParseError(line_no, "truncated component record")
-            (index,) = _parse_ints(tokens[1:2], line_no, "component index")
-            if index != len(components) + 1:
-                raise ParseError(line_no, f"component index {index} out of order")
-            bkind = tokens[2]
-            rest = tokens[3:]
-            if len(rest) < 2 or rest[-2] != "moduli":
-                raise ParseError(line_no, "component record must end with 'moduli <n>'")
-            (moduli,) = _parse_ints(rest[-1:], line_no, "moduli freedom")
-            coeffs = _parse_ints(rest[:-2], line_no, "bundle coefficient")
-            make = _BUNDLE_RECORDS.get((bkind, len(coeffs)))
-            if make is None:
-                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
-            try:
-                bundle = make(*coeffs)
-            except ValueError as e:
-                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
+            bundle, moduli = _component_record(tokens, line_no, len(components) + 1)
             # the run of row records below it, blank lines skipped
             run: list[list[str]] = []
             first = at
@@ -1028,37 +1173,57 @@ def parse_series(text: str) -> LimitSeries:
         elif kind == "row":
             raise ParseError(line_no, "row outside a component record")
         elif kind == "node":
-            if len(tokens) < 4 or tokens[2] != "matching":
-                raise ParseError(line_no, "expected 'node <i> matching ... forced ...'")
-            (index,) = _parse_ints(tokens[1:2], line_no, "node index")
-            if index != len(nodes) + 1:
-                raise ParseError(line_no, f"node index {index} out of order")
-            try:
-                split_at = tokens.index("forced")
-            except ValueError:
-                raise ParseError(line_no, "node record missing 'forced'") from None
-            matching = tuple(_parse_ints(tokens[3:split_at], line_no, "matching entry"))
-            if len(matching) != k:
-                raise ParseError(line_no, f"matching has {len(matching)} entries, expected {k}")
-            forced_tokens = tokens[split_at + 1 :]
-            if not forced_tokens:
-                raise ParseError(line_no, "empty 'forced' field; '-' writes no pairs")
-            forced: list[tuple[str, str]] = []
-            if forced_tokens != ["-"]:
-                for t in forced_tokens:
-                    sides = t.split(":")
-                    if len(sides) != 2 or not all(
-                        x in (DIR_FIRST, DIR_SECOND, DIR_MARKED) for x in sides
-                    ):
-                        raise ParseError(line_no, f"bad forced pair {t!r}")
-                    forced.append((sides[0], sides[1]))
-            nodes.append(NodeGluing(matching, tuple(forced)))
+            nodes.append(_node_record(tokens, line_no, len(nodes) + 1, k))
         else:
             raise ParseError(line_no, f"unknown record {kind!r}")
     if len(components) != g:
         raise ParseError(len(lines), f"{len(components)} components, expected genus {g}")
     if len(nodes) != g - 1:
         raise ParseError(len(lines), f"{len(nodes)} nodes, expected {g - 1}")
+    return components, nodes
+
+
+def parse_series(text: str) -> LimitSeries:
+    """Read the text of a series file; a malformed line raises ``ParseError``.
+
+    The head is read first.  A file with as many lines as
+    ``serialize_series`` writes for its genus and sections is then read by
+    slices of that layout (``_parse_layout``): whole-file ``u`` and ``v``
+    columns, cut into each component's table, with no row pair built.
+    Any other file, and any file the slices refuse, is read record by
+    record (``_parse_lines``), which raises every ``ParseError`` past the
+    head.  Both read the records with the same code, so a file gives the
+    same series, or the same error at the same line, either way.
+    """
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError(1, "empty input")
+    # int() also reads '_' separators, a '+' sign and non-ASCII digits, none
+    # of which the format writes; one scan of the text keeps parsing cheap
+    if not text.isascii() or "_" in text or "+" in text:
+        at = next(i for i, ch in enumerate(text) if not ch.isascii() or ch in "_+")
+        raise ParseError(len(text[: at + 1].splitlines()), f"unexpected character {text[at]!r}")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != FORMAT_HEADER:
+        raise ParseError(1, f"expected '{FORMAT_HEADER} <version>' header")
+    if head[1] != FORMAT_VERSION:
+        raise ParseError(1, f"unknown format version {head[1]!r}")
+    if len(lines) < 2:
+        raise ParseError(2, "missing parameter line")
+    params = lines[1].split()
+    expected_keys = ["genus", "rank", "sections", "degree", "twist"]
+    if len(params) != 10 or params[0::2] != expected_keys:
+        raise ParseError(2, f"expected '{' '.join(k + ' <n>' for k in expected_keys)}'")
+    try:
+        g, r, k, d, a = map(int, params[1::2])
+    except ValueError:
+        g, r, k, d, a = (_parse_int(params[i], 2, params[i - 1]) for i in (1, 3, 5, 7, 9))
+    if g < 1:
+        raise ParseError(2, f"genus must be >= 1, got {g}")
+    read = None
+    if k >= 1 and len(lines) == 2 + g * (k + 1) + g - 1:
+        read = _parse_layout(lines, g, k)
+    components, nodes = read or _parse_lines(lines, g, k)
     return LimitSeries(
         chain=ChainCurve(g),
         rank=r,

@@ -281,13 +281,14 @@ class TestNodeShortcut:
     def test_forced_pairs_are_derived_once_per_construction(self, monkeypatch):
         # each rank-two construction derives the pairs of each node between
         # two pinning components once, in chain order, and of no other node
+        # (it applies the rule, _forced_pairs, to the tables it built)
         calls = []
 
         def counted(*args):
             calls.append(args)
             return derive_forced_pairs(*args)
 
-        monkeypatch.setattr(self.module, "derive_forced_pairs", counted)
+        monkeypatch.setattr(self.module, "_forced_pairs", counted)
         for k, between in ((6, 8), (7, 12)):
             for g in range(20, 41):
                 calls.clear()

@@ -1096,15 +1096,16 @@ def test_a_pinless_left_side_forces_no_pair(monkeypatch, space):
 def test_dense_cells_derive_forced_pairs_only_where_the_left_side_pins(monkeypatch):
     # the oracle_dense cells cross 29,156 edges into a table option; on
     # 26,259 of them the left side pins no row at Q, and those derive no
-    # forced pairs, so derive_forced_pairs runs 2,897 times
+    # forced pairs, so the rule derive_forced_pairs applies runs 2,897 times
+    # (the search calls it as _forced_pairs, on tables and matchings it built)
     calls = []
-    shipped = search.derive_forced_pairs
+    shipped = search._forced_pairs
 
     def recording(left_q, *args):
         calls.append(left_q)
         return shipped(left_q, *args)
 
-    monkeypatch.setattr(search, "derive_forced_pairs", recording)
+    monkeypatch.setattr(search, "_forced_pairs", recording)
     for space in _DENSE:
         enumerate_series(space)
     assert len(calls) == 2897

@@ -46,6 +46,7 @@ from ellchain.series import (
     FORMAT_HEADER,
     FORMAT_VERSION,
     CheckResult,
+    _column_table,
     _int_columns,
     _pinned_directions,
     admissibility_failures,
@@ -816,7 +817,7 @@ class TestUnitLocality:
         """Each unit's items on ``s``: the whole-series part, then every
         component's, then every node's."""
         k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
-        columns = [_int_columns(c.table.rows) for c in s.components]
+        columns = [_int_columns(c.table) for c in s.components]
         identity = tuple(range(1, k + 1))
         units = {"series": series_failures(s)}
         for i, (c, cols) in enumerate(zip(s.components, columns), start=1):
@@ -1393,6 +1394,127 @@ def test_per_token_checks_run_only_on_failure(monkeypatch):
     with pytest.raises(ParseError, match="line 12: expected integer u"):
         parse_series(_edited(_set(12, "  row x 1")))
     assert calls  # the failing block is re-read token by token
+
+
+def _lines(first, last, *texts):
+    """Lines ``first`` to ``last`` (1-based, inclusive) replaced by ``texts``."""
+    return lambda lines: lines.__setitem__(slice(first - 1, last), list(texts))
+
+
+def _swap(at, other):
+    def edit(lines):
+        lines[at - 1], lines[other - 1] = lines[other - 1], lines[at - 1]
+
+    return edit
+
+
+# files off the writer's layout, or on its line count with a line the writer
+# would not write: each must read as the line parser reads it (line numbers
+# as in _K4: component 2 at line 8, its rows at 9-12, node 1 at line 28)
+LAYOUT_MUTANTS = {
+    "row-split": _lines(10, 10, "  row 0", "3"),
+    "row-split-same-count": _lines(10, 12, "  row 0", "3", "  row 2 2  row 2 1"),
+    "rows-joined": _lines(11, 12, "  row 2 2  row 2 1"),
+    "rows-joined-same-count": _lines(11, 12, "  row 2 2  row 2 1", ""),
+    "tab-indent": _lines(10, 10, "\trow 0 3"),
+    "tab-separated": _lines(10, 10, "  row\t0\t3"),
+    "record-tab-indent": _lines(8, 8, "\tcomponent 2 split 0 4 2 2 moduli 0"),
+    "extra-indent": _lines(10, 10, "   row 0 3"),
+    "no-indent": _lines(10, 10, "row 0 3"),
+    "double-space": _lines(10, 10, "  row  0 3"),
+    "trailing-space": _lines(10, 10, "  row 0 3 "),
+    "record-trailing-space": _lines(8, 8, "component 2 split 0 4 2 2 moduli 0 "),
+    "blank-line": _lines(10, 10, "  row 0 3", ""),
+    "blank-for-a-row": _lines(10, 10, ""),
+    "blank-for-a-record": _lines(8, 8, ""),
+    "leading-zeros": _lines(10, 10, "  row 00 03"),
+    "minus-zero": _lines(9, 9, "  row -0 4"),
+    "row-too-many": _lines(10, 10, "  row 0 3", "  row 0 3"),
+    "row-too-few": _lines(10, 10),
+    "row-too-many-node-too-few": lambda lines: (
+        _lines(31, 31)(lines), _lines(10, 10, "  row 0 3", "  row 1 3")(lines)
+    ),
+    "row-swapped-with-record": _swap(12, 13),
+    "record-swapped-with-row": _swap(7, 8),
+    "row-swapped-with-node": _swap(27, 28),
+    "forced-double-space": _lines(28, 28, "node 1 matching 1 2 3 4 forced  -"),
+    "forced-on-an-identity-node": _lines(30, 30, "node 3 matching 1 2 3 4 forced 1:2"),
+    "permuted-matching": _lines(30, 30, "node 3 matching 2 1 3 4 forced -"),
+    "matching-leading-zero": _lines(28, 28, "node 1 matching 01 2 3 4 forced -"),
+    "node-tab": _lines(28, 28, "node\t1 matching 1 2 3 4 forced -"),
+    "node-out-of-order": _lines(30, 30, "node 4 matching 1 2 3 4 forced -"),
+    "bad-record-on-layout": _lines(8, 8, "component 2 split 0 4 2 x moduli 0"),
+    "bad-node-on-layout": _lines(29, 29, "node 2 matching 1 2 3 4 forced 1:3"),
+}
+
+
+class TestLayoutDifferential:
+    """The layout-sliced read against the line-at-a-time parser: files off
+    the writer's layout, and every file the writer writes."""
+
+    @pytest.mark.parametrize("edit", LAYOUT_MUTANTS.values(), ids=LAYOUT_MUTANTS.keys())
+    def test_layout_mutants_parse_as_the_line_parser(self, edit):
+        _same_parse(_edited(edit))
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text: text.replace("\n", "\r\n"),
+            lambda text: text.replace("\n", "\r"),
+            lambda text: text + "\n",
+            lambda text: text[:-1],
+            lambda text: re.sub(r"(twist \d+\n)", r"\1\n", text, count=1),
+        ],
+        ids=["crlf", "cr", "trailing-blank-line", "no-final-newline", "blank-after-parameters"],
+    )
+    def test_line_end_mutants_parse_as_the_line_parser(self, rewrite):
+        for s in (construct(5, 4), construct_odd(7, 3), canonical_limit_series(4)):
+            assert _same_parse(rewrite(serialize_series(s))) == s
+
+    def test_every_written_file_is_read_by_layout_slices(self, corpus, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read line by line")
+
+        monkeypatch.setattr(series_module, "_parse_lines", refuse)
+        for s in corpus:
+            assert parse_series(serialize_series(s)) == s
+
+
+class TestColumnTables:
+    """A table is its ``us`` and ``vs`` columns, however it was built."""
+
+    def test_rows_and_columns_build_equal_tables(self, corpus):
+        for s in corpus:
+            for c in s.components:
+                t = c.table
+                rows = tuple(zip(t.us, t.vs))
+                from_rows, from_columns = VanishingTable(rows), _column_table(t.us, t.vs)
+                assert from_rows == from_columns == t
+                assert hash(from_rows) == hash(from_columns) == hash(t)
+                assert from_rows.rows == from_columns.rows == t.rows == rows
+                assert len(from_rows) == len(from_columns) == len(rows)
+
+    @pytest.mark.parametrize("base", [construct(9, 4), construct(7, 3)], ids=["g9k4", "g7k3"])
+    def test_odd_entries_stay_representable(self, base):
+        s = _odd_entries(base)
+        c = s.components[1]
+        assert c.table.rows[:2] == ((0.5, True), ("3", (1, 2)))
+        columns = _with_component(s, 1, replace(c, table=_column_table(c.table.us, c.table.vs)))
+        assert columns == s
+        report = validate_all(s)
+        assert validate_all(columns) == report
+        failing = {c.name: c.diagnostics for c in report.failures()}
+        matching = base.nodes[0].matching[2:]
+        assert failing == {
+            "structure": (
+                "component 2 row 1: non-integer vanishing (0.5,True)",
+                "component 2 row 2: non-integer vanishing ('3',(1, 2))",
+            ),
+            "node-condition": (
+                f"node 1: matching {(2.0, '1', *matching)} is not a bijection",
+                "node 2: components 2 and 3 need integer rows",
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------
