@@ -141,6 +141,7 @@ def _load(path: str) -> LimitSeries:
     except UnicodeDecodeError as e:
         line_no = data.count(b"\n", 0, e.start) + 1
         raise ParseError(line_no, f"not UTF-8 text: {e.reason} at byte {e.start}") from None
+    del data  # the parse need not hold the file's bytes as well as its text
     return parse_series(text)
 
 

@@ -22,7 +22,9 @@ the identity matching (ties between equal vanishing values are broken by
 row index) and the forced direction pairs derived from the pinning
 analysis in :mod:`ellchain.series`.  A node that touches a component that
 pins nothing (``Component.pins_nothing``: a line bundle or a free split)
-has no forced pairs, so it stores one shared unforced gluing.
+has no forced pairs, so it stores one shared unforced gluing.  Every
+free-tail table is a window, at stride 2, of a ``u`` and a ``v`` column
+that list each value twice, both built once per call.
 
 The components that can pin form a prefix of the rank-two chain: the
 even components ``i <= k1**2`` and, for odd ``k``, the transitions and the
@@ -73,7 +75,7 @@ L appended, and one unforced node between them.  U keeps every check of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, takewhile
+from itertools import chain, count, takewhile
 from math import isqrt
 
 from .chain import ChainCurve, Indecomposable, Split, SplitLineBundle
@@ -196,11 +198,15 @@ def _twice(values: range) -> tuple[int, ...]:
     return tuple(chain.from_iterable(zip(values, values)))
 
 
-def _free_tail_component(i: int, g: int, k1: int) -> Component:
-    # rows (i + e - k1 - 2, g - i + k1 - e), each twice, for e in 1..k1
-    us = _twice(range(i - k1 - 1, i - 1))
-    vs = _twice(range(g - i + k1 - 1, g - i - 1, -1))
-    return Component(free_split(i, g), _column_table(us, vs), moduli_freedom=1)
+def _free_tail(
+    first: int, g: int, us: tuple, vs: tuple, width: int, start: int
+) -> list[Component]:
+    """Free components ``first..g``: component ``first + t`` has the rows
+    of the window of ``width`` at ``start + 2t`` of the columns ``us``, ``vs``."""
+    return [
+        Component(free_split(i, g), _column_table(us[w : w + width], vs[w : w + width]), 1)
+        for i, w in zip(range(first, g + 1), count(start, 2))
+    ]
 
 
 def construct_even(g: int, k: int, force: bool = False) -> LimitSeries:
@@ -215,11 +221,13 @@ def construct_even(g: int, k: int, force: bool = False) -> LimitSeries:
         raise ValueError(
             f"g={g} cannot host the {k1 * k1} pinned components (needs g >= {k1 * k1})"
         )
-    components = tuple(
-        _even_pinned_component(i, g, k1) if i <= k1 * k1 else _free_tail_component(i, g, k1)
-        for i in range(1, g + 1)
-    )
-    return _assemble(g, rank=2, k=k, d=2 * g - 2, a=g - 1, components=components)
+    s = k1 * k1
+    components = [_even_pinned_component(i, g, k1) for i in range(1, s + 1)]
+    # tail component i's rows are (i + e - k1 - 2, g - i + k1 - e), each
+    # twice, for e in 1..k1
+    us, vs = _twice(range(s - k1, g - 1)), _twice(range(g - s + k1 - 2, -1, -1))
+    components += _free_tail(s + 1, g, us, vs, 2 * k1, 0)
+    return _assemble(g, rank=2, k=k, d=2 * g - 2, a=g - 1, components=tuple(components))
 
 
 # ---------------------------------------------------------------------------
@@ -251,17 +259,6 @@ def _indecomposable_component(g: int, k1: int) -> Component:
     return Component(bundle, _column_table(*zip(*rows)))
 
 
-def _odd_tail_component(i: int, g: int, k1: int) -> Component:
-    s = k1 * k1
-    t = i - (s + k1 + 1)  # offset past the indecomposable component
-    # rows (b + e - 2, c - e) and (b + e - 1, c - e - 1) for e in 1..k1,
-    # then (b + k1 - 1, c - k1 - 1), with b = s + t and c = g - s - t
-    b, c = s + t, g - s - t
-    us = (b - 1, *_twice(range(b, b + k1)))
-    vs = (c - 1, *_twice(range(c - 2, c - k1 - 2, -1)))
-    return Component(free_split(i, g), _column_table(us, vs), moduli_freedom=1)
-
-
 def construct_odd(g: int, k: int, force: bool = False) -> LimitSeries:
     """Rank-two limit series with canonical determinant, ``k = 2*k1 + 1`` sections.
 
@@ -287,8 +284,12 @@ def construct_odd(g: int, k: int, force: bool = False) -> LimitSeries:
     for m in range(1, k1 + 1):
         components.append(_transition_component(m, g, k1))
     components.append(_indecomposable_component(g, k1))
-    for i in range(k1 * k1 + k1 + 2, g + 1):
-        components.append(_odd_tail_component(i, g, k1))
+    # tail component i = s + k1 + 1 + t has the rows (b + e - 2, c - e) and
+    # (b + e - 1, c - e - 1) for e in 1..k1, then (b + k1 - 1, c - k1 - 1),
+    # with s = k1**2, b = s + t and c = g - s - t
+    s = k1 * k1
+    us, vs = _twice(range(s, g - 1)), _twice(range(g - s - 2, -1, -1))
+    components += _free_tail(s + k1 + 2, g, us, vs, 2 * k1 + 1, 1)
     return _assemble(
         g, rank=2, k=k, d=2 * g - 2, a=g - 1, components=tuple(components)
     )

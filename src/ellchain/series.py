@@ -36,18 +36,19 @@ appear twice.  This module encodes that calculus exactly:
   entry types, monotonicity, multiplicity, admissibility, the degree sum,
   the node condition, determinacy and the canonical determinant.  A few
   passes over whole-series columns (every ``u``, every ``v``, every
-  summand coefficient) decide a passing series.  Any other series is
-  explained by the units, which decide every check again and name each
-  failure with the numbers they compared: ``component_failures`` reads
-  one component, ``node_failures`` one node and its two sides, and
-  ``series_failures`` the header, the counts and the degree sum;
+  summand coefficient) decide a passing series, and flag the components
+  and nodes where a failing one fails.  Those are explained by the units,
+  which decide every check again and name each failure with the numbers
+  they compared: ``component_failures`` reads one component,
+  ``node_failures`` one node and its two sides, and ``series_failures``
+  the header, the counts and the degree sum;
 * a vanishing table is stored as its ``u`` and ``v`` columns, which is
   how its readers take it; its rows are derived on request;
 * ``parse_series`` reads a file on the writer's layout by slices: whole-file
-  ``u`` and ``v`` columns cut into the tables.  Any other file is read
-  record by record, each component record reading the run of row records
-  below it; both read the records with the same code, and the per-token
-  checks run only on the way to a ``ParseError``;
+  ``u`` and ``v`` columns cut into the tables, and each component record
+  read by one pattern match.  Any other file, or record, is read record by
+  record, each component record reading the run of row records below it;
+  the per-token checks run only on the way to a ``ParseError``;
 * ``serialize_series`` is one join of the series head, the component
   blocks and the node lines, rendered by ``series_head``,
   ``component_block`` and ``node_line``; the search oracle keys its
@@ -70,9 +71,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain as _chain
-from itertools import compress, cycle, islice, repeat
-from operator import add, and_, attrgetter, eq, ge, le, mod, ne, sub
+from itertools import compress, count, cycle, islice, repeat
+from operator import add, and_, attrgetter, eq, gt, lt, mod, ne, not_, sub
 
 from .chain import (
     ChainCurve,
@@ -714,31 +716,38 @@ _FORCED = attrgetter("forced_pairs")
 _MATCHING = attrgetter("matching")
 
 
-def _columns_pass(s: LimitSeries) -> bool:
-    """Whether whole-series column passes show that ``s`` passes every check.
+def _rows_at(flags, m):
+    """The component ``p % m`` of each row position ``p`` at which ``flags`` is true."""
+    return map(mod, compress(count(), flags), repeat(m))
 
-    ``False`` says only that the passes did not show it, and sends the
-    series to the units, which decide every check.  The tables' ``u``
-    columns are interleaved once, row by row, into one whole-series ``u``
-    column (``chain.from_iterable(zip(*us_columns))``), their ``v``
-    columns into one ``v`` column, and the coefficients into four columns;
-    no row pair is built.  Each check is a few C-level passes over them: entry types by one
-    ``map(type, ...)``, monotonicity and multiplicity by comparing each
-    row with the one ``m`` and ``rank * m`` on, the node condition of
-    identity matchings by one ``min``, admissibility by row sums against
-    the summand degrees (only a row off both generic sums is looked at
-    by itself), and the degree sum, determinacy and the canonical
-    determinant by coefficient columns against expected ones.  An
-    indecomposable component has no summand columns and is decided by its
-    own unit, ``component_failures``.  The passes read only a series whose
-    header fields are ``int``, whose tables are all ``sections`` rows of
-    ``int`` entries, whose bundles are the rank's kinds (their
-    constructors take only ``int`` fields), and whose nodes and components
-    fit the genus; any other series is sent to the units.
+
+def _columns_pass(s: LimitSeries) -> tuple[list, list] | None:
+    """The components and nodes, 0-based, whose units the column passes
+    do not clear: none for a series that passes every check.
+
+    The tables' ``u`` columns are interleaved once, row by row, into one
+    whole-series ``u`` column (``chain.from_iterable(zip(*us_columns))``),
+    their ``v`` columns into one ``v`` column, and the coefficients into
+    four columns; no row pair is built.  Each check is a few C-level passes
+    over them: entry types by one ``map(type, ...)``, monotonicity and
+    multiplicity by comparing each row with the one ``m`` and ``rank * m``
+    on, the node condition of identity matchings by row sums one on,
+    admissibility by row sums against the summand degrees (only a row off
+    both generic sums is looked at by itself), and determinacy and the
+    canonical determinant by coefficient columns against expected ones.
+    Where a check fails, ``compress`` names the component or node, whose
+    unit decides every check there; an indecomposable component has no
+    summand columns and is decided by its unit, ``component_failures``.
+    ``None`` sends every unit to run: the passes read only a series whose
+    header fields, moduli, entries and identity matchings are ``int``,
+    whose bundles are the rank's kinds (whose constructors take only
+    ``int`` fields), and whose shape fits the genus and ``sections``; and
+    the twist's sign, the chain length and the degree sum, which read the
+    whole series, must hold.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     if not _INT.issuperset(map(type, (k, rank, twist, s.degree))):
-        return False
+        return None
     components, nodes = s.components, s.nodes
     m = len(components)
     us_columns = list(map(_US, components))
@@ -748,26 +757,18 @@ def _columns_pass(s: LimitSeries) -> bool:
     if not (
         rank in (1, 2)
         and k >= 1
-        and 1 <= m <= g
+        and twist >= 1
+        and 1 <= m == s.chain.length <= g
         and len(nodes) == m - 1
         and {*map(len, us_columns)} == {k}
         and kinds <= ({SplitLineBundle} if rank == 1 else {Split, Indecomposable})
     ):
-        return False
-    # an indecomposable bundle has no summand columns: its component is
-    # decided by its own unit, and a free split stands in for it in the
-    # columns
+        return None
+    # an indecomposable bundle has no summand columns: a free split stands
+    # in for it in the columns
     indec = []
     if Indecomposable in kinds:
         indec = [i for i, t in enumerate(types) if t is Indecomposable]
-        if any(
-            component_failures(
-                i + 1, components[i], _int_columns(components[i].table), rank, k, twist, g
-            )
-            for i in indec
-        ):
-            return False
-    held = [bundles[i] for i in indec]
     for i in indec:
         bundles[i] = free_split(i + 1, g)
     if rank == 1:
@@ -779,31 +780,42 @@ def _columns_pass(s: LimitSeries) -> bool:
     # j + 1 of the same component is m on, and row j of the next one is 1 on
     u_rows = list(_chain.from_iterable(zip(*us_columns)))
     v_rows = list(_chain.from_iterable(zip(*map(_VS, components))))
-    if not _INT.issuperset(map(type, _chain(u_rows, v_rows))):
-        return False
-
-    # structure, with every forced-pair value but () put to the rule, then
-    # monotonicity and multiplicity: in a sorted column a value occurs more
-    # than rank times exactly when it equals the value rank rows on
     moduli = list(map(_MODULI, components))
-    forced = list(map(_FORCED, nodes))
-    if not (
-        twist >= 1
-        and m == s.chain.length
-        and min(u_rows) >= 0
-        and min(v_rows) >= 0
-        and _INT.issuperset(map(type, moduli))
-        and moduli.count(0) + moduli.count(1) == m
-        and not any(map(forced_pairs_failure, compress(forced, map(ne, forced, repeat(())))))
-        and all(map(le, u_rows, islice(u_rows, m, None)))
-        and all(map(ge, v_rows, islice(v_rows, m, None)))
-        and not any(map(eq, u_rows, islice(u_rows, rank * m, None)))
-        and not any(map(eq, v_rows, islice(v_rows, rank * m, None)))
-    ):
-        return False
-
+    identity = tuple(range(1, k + 1))
+    matchings = list(map(_MATCHING, nodes))
+    at_identity = list(map(eq, matchings, repeat(identity)))
+    identities = _chain.from_iterable(compress(matchings, at_identity))
+    if not _INT.issuperset(map(type, _chain(u_rows, v_rows, moduli, identities))):
+        return None
     d1 = list(map(add, p1, q1))
     d2 = d1 if rank == 1 else list(map(add, p2, q2))
+    degrees = d1 if rank == 1 else list(map(add, d1, d2))
+    for i in indec:
+        degrees[i] = components[i].degree
+    if sum(degrees) - rank * (m - 1) * twist != s.degree:
+        return None
+
+    bad = {
+        i
+        for i in indec
+        if component_failures(
+            i + 1, components[i], _int_columns(components[i].table), rank, k, twist, g
+        )
+    }
+    # structure, then monotonicity and multiplicity: in a sorted column a
+    # value occurs more than rank times exactly when it equals the value
+    # rank rows on
+    if min(u_rows) < 0 or min(v_rows) < 0:
+        bad.update(_rows_at(map(gt, repeat(0), _chain(u_rows, v_rows)), m))
+    if moduli.count(0) + moduli.count(1) != m:
+        bad.update(compress(count(), map(ne, map((0, 1).count, moduli), repeat(1))))
+    for rows, op, on in (
+        (u_rows, gt, m), (v_rows, lt, m), (u_rows, eq, rank * m), (v_rows, eq, rank * m)
+    ):
+        # any() first: a passing series makes only that pass
+        if any(map(op, rows, islice(rows, on, None))):
+            bad.update(_rows_at(map(op, rows, islice(rows, on, None)), m))
+
     generic1 = list(map(sub, d1, repeat(1, m)))
     generic2 = generic1 if d2 == d1 else list(map(sub, d2, repeat(1, m)))
     off = map(ne, map(add, u_rows, v_rows), cycle(generic1))
@@ -811,7 +823,7 @@ def _columns_pass(s: LimitSeries) -> bool:
         off = map(and_, off, map(ne, map(add, u_rows, v_rows), cycle(generic2)))
     # a row off both generic sums d_s - 1 must be the coefficients of a
     # summand of a component that is not generic, each summand taking at
-    # most one such row; an indecomposable component's unit passed its rows
+    # most one such row; an indecomposable component's unit read its rows
     off_at = list(compress(range(m * k), off))
     uses = Counter(
         zip(
@@ -820,61 +832,58 @@ def _columns_pass(s: LimitSeries) -> bool:
             map(v_rows.__getitem__, off_at),
         )
     )
-    if not all(
-        i in indec
-        or (
-            moduli[i] != 1
-            and n <= ((p1[i], q1[i]) == (u, v)) + (rank == 2 and (p2[i], q2[i]) == (u, v))
-        )
+    bad.update(
+        i
         for (i, u, v), n in uses.items()
-    ):
-        return False
-
-    degrees = d1 if rank == 1 else list(map(add, d1, d2))
-    for i, b in zip(indec, held):
-        degrees[i] = b.degree
-    if sum(degrees) - rank * (m - 1) * twist != s.degree:
-        return False
-
-    identity = tuple(range(1, k + 1))
-    matchings = list(map(_MATCHING, nodes))
-    # an identity matching pairs row j of each component with row j of the
-    # next, one on, leaving out the last component's pairs with the first
-    # one's next row; any other matching is left to the units
-    paired = cycle((True,) * (m - 1) + (False,))
-    if not (
-        matchings.count(identity) == m - 1
-        and _INT.issuperset(map(type, _chain.from_iterable(matchings)))
-        and min(compress(map(add, v_rows, islice(u_rows, 1, None)), paired), default=twist)
-        >= twist
-    ):
-        return False
-
-    # determinacy, then the canonical determinant: component i's canonical
-    # restriction is (2i - 2, 2g - 2i)
-    det_p, det_q = (p1, q1) if rank == 1 else (list(map(add, p1, p2)), map(add, q1, q2))
-    return (
-        max(d1) <= twist
-        and max(d2) <= twist
-        and all(map(eq, det_p, range(0, 2 * m, 2)))
-        and all(map(eq, map(sub, repeat(2 * g - 2), det_p), det_q))
+        if i not in indec
+        and (
+            moduli[i] == 1
+            or n > ((p1[i], q1[i]) == (u, v)) + (rank == 2 and (p2[i], q2[i]) == (u, v))
+        )
     )
+    # determinacy, then the canonical determinant: component i's canonical
+    # restriction is (2i - 2, 2g - 2i), so its p is 2i - 2 and its degree
+    # 2g - 2 (an indecomposable component's unit decided its degree)
+    det_p = p1 if rank == 1 else map(add, p1, p2)
+    bad.update(
+        _rows_at(map(gt, _chain(d1, d2), repeat(twist)), m),
+        compress(count(), map(ne, det_p, range(0, 2 * m, 2))),
+        compress(count(), map(ne, degrees, repeat(2 * g - 2))),
+    )
+
+    # every forced-pair value but () is put to the rule.  An identity
+    # matching pairs row j of each component with row j of the next, one
+    # on, leaving out the last component's pairs with the first one's next
+    # row; any other matching is left to its node's unit
+    forced = list(map(_FORCED, nodes))
+    bad_nodes = {
+        n for n in compress(count(), map(ne, forced, repeat(()))) if forced_pairs_failure(forced[n])
+    }
+    if False in at_identity:
+        bad_nodes.update(compress(count(), map(not_, at_identity)))
+    paired = cycle((True,) * (m - 1) + (False,))
+    if min(compress(map(add, v_rows, islice(u_rows, 1, None)), paired), default=twist) < twist:
+        short = map(gt, repeat(twist), map(add, v_rows, islice(u_rows, 1, None)))
+        bad_nodes.update(_rows_at(short, m))
+        bad_nodes.discard(m - 1)  # the last component's rows meet no node
+    return sorted(bad), sorted(bad_nodes)
 
 
 def validate_all(s: LimitSeries) -> ValidationReport:
     """Decide every check on ``s`` and collect a per-check report.
 
     This is the one validator.  ``_columns_pass`` decides a passing series
-    by passes over whole-series columns.  Any other series is explained in
-    one walk over the units, which decide every check and name each
-    failure with the numbers they compared: ``series_failures``, then
-    ``component_failures`` of each component and ``node_failures`` of each
-    node, their items grouped by check.  The column passes only shortcut
-    the units, so the report is the same either way.  A component with an
-    entry whose type is not ``int`` is a structure failure, and its numbers
-    are not read.  So is a ``rank``, ``sections``, ``degree`` or ``twist``
-    whose type is not ``int``; then nothing but the header is read, and
-    every other check passes.
+    by passes over whole-series columns.  Any other series is explained by
+    the units, which decide every check and name each failure with the
+    numbers they compared: ``series_failures``, then ``component_failures``
+    of each component and ``node_failures`` of each node that the column
+    passes flag (of every one, when they flag the whole series), in index
+    order, their items grouped by check.  A unit the passes clear has no
+    items, so the report is the same as a walk over every unit.  A
+    component with an entry whose type is not ``int`` is a structure
+    failure, and its numbers are not read.  So is a ``rank``, ``sections``,
+    ``degree`` or ``twist`` whose type is not ``int``; then nothing but the
+    header is read, and every other check passes.
     """
     flags = tuple(
         f"component {i}: indecomposable; determinant checked on degree only, "
@@ -882,17 +891,21 @@ def validate_all(s: LimitSeries) -> ValidationReport:
         for i, c in enumerate(s.components, start=1)
         if isinstance(c.bundle, Indecomposable)
     )
-    if _columns_pass(s):
+    flagged = _columns_pass(s)
+    if flagged == ([], []):
         return ValidationReport(tuple(_PASSED.values()), flags)
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     failures = series_failures(s)
     if _INT.issuperset(map(type, (k, rank, twist, s.degree))):
-        columns = [_int_columns(c.table) for c in s.components]
-        for i, (c, cols) in enumerate(zip(s.components, columns), start=1):
-            failures += component_failures(i, c, cols, rank, k, twist, g)
+        components = s.components
+        at_components, at_nodes = flagged or (range(len(components)), range(len(s.nodes)))
+        for i in at_components:
+            c = components[i]
+            failures += component_failures(i + 1, c, _int_columns(c.table), rank, k, twist, g)
         identity = tuple(range(1, k + 1))
-        for n, node in enumerate(s.nodes, start=1):
-            failures += node_failures(n, node, columns[n - 1 : n + 1], k, twist, identity)
+        for n in at_nodes:
+            sides = [_int_columns(c.table) for c in components[n : n + 2]]
+            failures += node_failures(n + 1, s.nodes[n], sides, k, twist, identity)
     found: dict[str, list[str]] = {name: [] for name in _PASSED}
     for check, message in failures:
         found[check].append(message)
@@ -956,8 +969,13 @@ def serialize_series(s: LimitSeries) -> str:
     """Canonical textual form; parse/serialize round-trips byte-identically.
 
     The head, then every component block, then every node line: the same
-    renderers the search oracle keys its leaves with.
+    renderers the search oracle keys its leaves with.  Forced pairs other
+    than ``()`` that ``forced_pairs_failure`` refuses raise ``ValueError``
+    naming the node.
     """
+    for n, node in enumerate(s.nodes, start=1):
+        if node.forced_pairs != () and (why := forced_pairs_failure(node.forced_pairs)):
+            raise ValueError(f"node {n}: {why}")
     return "".join(
         [
             series_head(s),
@@ -1051,6 +1069,11 @@ def _node_record(tokens: list[str], line_no: int, index: int, k: int) -> NodeGlu
 # g = 1000, k = 30 file)
 _ROW_LINES = re.compile(r"(?:  row -?[0-9]+ -?[0-9]+\n)*")
 _ROW_CHUNK = 1024
+# a component record as the writer writes it, matched one record at a time
+_RECORD = re.compile(
+    r"component ([0-9]+) (?:split ([0-9]+ [0-9]+) ([0-9]+ [0-9]+)|line ([0-9]+ [0-9]+)"
+    r"|indec ([0-9]+ [0-9]+ [0-9]+)) moduli ([01])"
+)
 
 
 def _parse_layout(
@@ -1065,12 +1088,15 @@ def _parse_layout(
     writes it, which a ``fullmatch`` over the join of each chunk of them
     decides line by line (a whole-text token count would take ``row 1``
     and a ``2`` on the next line); a ``split`` of each chunk then gives
-    whole-file ``u`` and ``v`` columns, sliced per component.  A node
-    line equal to the writer's line for the identity, unforced gluing is
-    that gluing; every other record is read by the line parser's own
-    record code.  So a series read here is the one the line parser reads.
-    A record that is not of its kind, or that the record code refuses,
-    gives ``None``, and the line parser names the error.
+    whole-file ``u`` and ``v`` columns, sliced per component.  A component
+    record that ``_RECORD`` matches, with its own index, is read from the
+    match, one bundle per distinct ``p q`` text (a free split's two
+    summands are one).  A node line equal to the writer's line for the
+    identity, unforced gluing is that gluing.  Every other record is read
+    by the line parser's own record code, so a series read here is the
+    one the line parser reads.  A record that is not of its kind, or that
+    the record code or a bundle refuses, gives ``None``, and the line
+    parser names the error.
     """
     stride = k + 1
     end = 2 + g * stride
@@ -1092,12 +1118,23 @@ def _parse_layout(
     tail = f" matching {' '.join(map(str, identity))} forced -"
     components: list[Component] = []
     nodes: list[NodeGluing] = []
+    summand = cache(lambda pq: SplitLineBundle(*map(int, pq.split())))  # one per "p q" text
     try:
         for i, record in enumerate(records):
-            fields = record.split()
-            if fields[:1] != ["component"]:
-                return None
-            bundle, moduli = _component_record(fields, 3 + i * stride, i + 1)
+            match = _RECORD.fullmatch(record)
+            if not match or int(match[1]) != i + 1:
+                fields = record.split()
+                if fields[:1] != ["component"]:
+                    return None
+                bundle, moduli = _component_record(fields, 3 + i * stride, i + 1)
+            else:
+                _, pq1, pq2, pq, indec, moduli = match.groups()
+                bundle = (
+                    Split(summand(pq1), summand(pq2)) if pq1
+                    else summand(pq) if pq
+                    else Indecomposable(*map(int, indec.split()))
+                )
+                moduli = int(moduli)
             at = i * k
             table = _column_table(us[at : at + k], vs[at : at + k])
             components.append(Component(bundle, table, moduli))
@@ -1109,7 +1146,7 @@ def _parse_layout(
             if fields[:1] != ["node"]:
                 return None
             nodes.append(_node_record(fields, end + n, n, k))
-    except ParseError:
+    except ValueError:  # a ParseError, or an indecomposable bundle's own refusal
         return None
     return components, nodes
 

@@ -398,6 +398,37 @@ class TestShiftIdentity:
         assert failed == compared > 900
 
 
+def _reference_tail(g, k):
+    """The free tail of ``construct(g, k)``, one component at a time from
+    its rows: the components past ``k1**2`` for even ``k``, past the
+    indecomposable one for odd ``k``."""
+    k1 = k // 2
+    s = k1 * k1
+    tail = []
+    for i in range(s + 1 + (k % 2) * (k1 + 1), g + 1):
+        if k % 2 == 0:
+            rows = [(i + e - k1 - 2, g - i + k1 - e) for e in range(1, k1 + 1) for _ in (1, 2)]
+        else:
+            t = i - (s + k1 + 1)
+            b, c = s + t, g - s - t
+            rows = [r for e in range(1, k1 + 1) for r in ((b + e - 2, c - e), (b + e - 1, c - e - 1))]
+            rows.append((b + k1 - 1, c - k1 - 1))
+        rep = SplitLineBundle(i - 1, g - i)
+        tail.append(Component(Split(rep, rep), VanishingTable(rows), 1))
+    return tail
+
+
+@pytest.mark.parametrize("k", range(2, 32))
+def test_free_tails_are_the_per_tail_rows(k):
+    # every tail table is a window of two doubled columns built once per
+    # call; each must be the rows the tail's formula gives one by one
+    t = theorem_threshold(k)
+    for g in [*range(t, t + 41), 1000]:
+        tail = _reference_tail(g, k)
+        assert construct(g, k).components[g - len(tail) :] == tuple(tail), (g, k)
+    assert len(tail) > 700
+
+
 def _step(s):
     """U: S on every component, T of the last (a free tail) appended, one unforced node.
 

@@ -58,6 +58,9 @@ FORCED = st.one_of(
     st.lists(st.tuples(st.sampled_from(("1", "2", "m"))), max_size=2).map(tuple),
     st.lists(st.tuples(st.sampled_from(("1", "2")), st.sampled_from(("1", "2"))), max_size=3),
     st.sampled_from([pairs for pairs, _ in BAD_FORCED_PAIRS.values()]),
+    # values that are not a tuple, and tuples whose entries are not pairs
+    ANY,
+    st.lists(ANY, min_size=1, max_size=2).map(tuple),
 )
 BUNDLES = st.sampled_from(
     (

@@ -212,7 +212,7 @@ class TestValidateAll:
         ]
         assert len(cells) == 750
         for g, k in cells:
-            assert series_module._columns_pass(construct(g, k)), (g, k)
+            assert series_module._columns_pass(construct(g, k)) == ([], []), (g, k)
 
     def test_indecomposable_flagged(self):
         report = validate_all(construct_odd(7, 3))
@@ -643,6 +643,9 @@ def _reference_validate_all(s):
     return ValidationReport(tuple(checks), flags)
 
 
+_CHECK_NAMES = [c.name for c in validate_all(construct(5, 4)).checks]
+
+
 def _with_component(s, i, component):
     comps = list(s.components)
     comps[i] = component
@@ -689,6 +692,28 @@ def _mutant(s, rng):
             continue
         s = _with_component(s, i, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
     return s
+
+
+def _balanced_bundle_mutant(s, rng):
+    """``s`` with one summand's ``q`` up by one and another's down by one,
+    on one component or two, or with one summand's ``p`` moved to its
+    ``q``: the degree sum still holds."""
+    summands = [
+        (i, t)
+        for i, c in enumerate(s.components)
+        if not isinstance(c.bundle, Indecomposable)
+        for t in range(2 if isinstance(c.bundle, Split) else 1)
+    ]
+    comps = list(s.components)
+    # (p, q) steps: a q moved between two summands, or a p moved to its q
+    edits = ((0, 1), (0, -1)) if rng.randrange(3) else ((-1, 1),)
+    for (i, t), (dp, dq) in zip(rng.sample(summands, len(edits)), edits):
+        c = comps[i]
+        lines = [c.bundle.first, c.bundle.second] if isinstance(c.bundle, Split) else [c.bundle]
+        lines[t] = SplitLineBundle(max(lines[t].p + dp, 0), max(lines[t].q + dq, 0))
+        bundle = Split(*lines) if isinstance(c.bundle, Split) else lines[0]
+        comps[i] = Component(bundle, c.table, c.moduli_freedom)
+    return replace(s, components=tuple(comps))
 
 
 def _oracle_leaves(g, r, k):
@@ -853,6 +878,49 @@ class TestUnitLocality:
         }
 
 
+    @classmethod
+    def _full_walk(cls, s):
+        """The checks of the report of a walk over every unit."""
+        found = {name: [] for name in _CHECK_NAMES}
+        for check, message in (item for items in cls._units(s).values() for item in items):
+            found[check].append(message)
+        return tuple(CheckResult(name, not d, tuple(d)) for name, d in found.items())
+
+    def test_flagged_units_explain_as_the_full_walk(self, corpus):
+        """``validate_all`` runs only the units at the positions the column
+        passes flag; on the entry mutants above and the seeded mutants of
+        the differential, its report is the full walk's, and every failing
+        unit is flagged."""
+        rng = random.Random(11)
+        mutants = []
+        for _ in range(3000):
+            s = rng.choice(corpus)
+            i = rng.randrange(len(s.components))
+            row = rng.randrange(len(s.components[i].table))
+            mutants.append(mutate_entry(s, i, row, rng.choice("uv"), rng.choice((-1, 1))))
+        rng = random.Random(9)
+        mutants += [_mutant(rng.choice(corpus), rng) for _ in range(5000)]
+        rng = random.Random(12)
+        mutants += [_balanced_bundle_mutant(rng.choice(corpus), rng) for _ in range(2000)]
+        flagged_only = 0
+        failing_checks = set()
+        for s in mutants:
+            report = validate_all(s)
+            assert report.checks == self._full_walk(s)
+            flagged = series_module._columns_pass(s)
+            if flagged is not None:
+                flagged_only += flagged != ([], [])
+                failing_checks.update(c.name for c in report.failures())
+                at_components, at_nodes = flagged
+                failing = {unit for unit, items in self._units(s).items() if items}
+                assert failing - {"series"} <= {
+                    *(("component", i + 1) for i in at_components),
+                    *(("node", n + 1) for n in at_nodes),
+                }
+        assert flagged_only > 5000
+        assert failing_checks == set(_CHECK_NAMES) - {"degree-condition"}
+
+
 class TestTableLength:
     """A table with fewer or more rows than ``sections`` is reported, never raised on."""
 
@@ -942,6 +1010,22 @@ class TestSerialization:
         again = serialize_series(parse_series(text))
         assert text == again
         assert parse_series(text) == series
+
+    @pytest.mark.parametrize(
+        "pairs, why",
+        [
+            ((1,), "forced pair 1 is not two direction tokens from 1, 2, m"),
+            (5, "forced pairs 5 are not a tuple"),
+            (None, "forced pairs None are not a tuple"),
+            ([("1", "2")], "forced pairs [('1', '2')] are not a tuple"),
+            *BAD_FORCED_PAIRS.values(),
+        ],
+    )
+    def test_serialize_refuses_what_the_forced_pair_rule_refuses(self, pairs, why):
+        s = with_forced_pairs(construct(5, 4), 2, pairs)
+        with pytest.raises(ValueError) as refused:
+            serialize_series(s)
+        assert str(refused.value) == f"node 3: {why}"
 
     def test_parse_rejects_unknown_version(self):
         text = serialize_series(construct_even(3, 2)).replace("v1", "v9", 1)
@@ -1444,6 +1528,20 @@ LAYOUT_MUTANTS = {
     "node-tab": _lines(28, 28, "node\t1 matching 1 2 3 4 forced -"),
     "node-out-of-order": _lines(30, 30, "node 4 matching 1 2 3 4 forced -"),
     "bad-record-on-layout": _lines(8, 8, "component 2 split 0 4 2 x moduli 0"),
+    "record-index-leading-zero": _lines(8, 8, "component 02 split 0 4 2 2 moduli 0"),
+    "record-index-out-of-order": _lines(8, 8, "component 3 split 0 4 2 2 moduli 0"),
+    "coefficient-leading-zero": _lines(8, 8, "component 2 split 0 4 2 02 moduli 0"),
+    "coefficient-double-zero": _lines(8, 8, "component 2 split 00 4 2 2 moduli 0"),
+    "coefficient-minus-zero": _lines(8, 8, "component 2 split -0 4 2 2 moduli 0"),
+    "coefficient-negative": _lines(8, 8, "component 2 split -1 5 2 2 moduli 0"),
+    "free-split-shares-text": _lines(8, 8, "component 2 split 1 3 1 3 moduli 1"),
+    "moduli-double-zero": _lines(8, 8, "component 2 split 0 4 2 2 moduli 00"),
+    "moduli-two": _lines(8, 8, "component 2 split 0 4 2 2 moduli 2"),
+    "indec-on-layout": _lines(8, 8, "component 2 indec 8 2 1 moduli 0"),
+    "indec-marked-beyond-degree": _lines(8, 8, "component 2 indec 4 3 3 moduli 0"),
+    "indec-coefficient-count": _lines(8, 8, "component 2 indec 8 2 moduli 0"),
+    "line-in-rank-2": _lines(8, 8, "component 2 line 2 2 moduli 0"),
+    "record-kind-unknown": _lines(8, 8, "component 2 sum 0 4 2 2 moduli 0"),
     "bad-node-on-layout": _lines(29, 29, "node 2 matching 1 2 3 4 forced 1:3"),
 }
 
