@@ -90,12 +90,10 @@ from .series import (
     QSide,
     _column_table,
     _forced_pairs,
-    _int_columns,
     component_block,
     component_failures,
     forced_pairs_failure,
     free_split,
-    header_failures,
     matching_failure,
     node_count_failure,
     node_failures,
@@ -181,15 +179,13 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     values, so every representation of a series has one form.  Free
     components get the standard representative coefficients.  Idempotent.
     Constructed series and search leaves are canonical already.  Raises
-    ``ValueError`` naming the first header field that is not an ``int``
-    (``header_failures``), both counts when there is not one node between
+    ``ValueError`` naming both counts when there is not one node between
     each two components, the component whose table does not have
-    ``sections`` rows of integers, or the node whose matching or forced
-    pairs ``matching_failure`` or ``forced_pairs_failure`` refuses, as
-    ``validate_all`` does.
+    ``sections`` rows, or the node whose matching or forced pairs
+    ``matching_failure`` or ``forced_pairs_failure`` refuses, as
+    ``validate_all`` does.  Header fields and table entries need no check:
+    their constructors take only ``int``s.
     """
-    if bad := header_failures(s):
-        raise ValueError(bad[0])
     if why := node_count_failure(s):
         raise ValueError(why)
     k = s.sections
@@ -209,8 +205,6 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
         rows = c.table.rows
         if len(rows) != k:
             raise ValueError(f"component {i}: {len(rows)} rows, expected {k}")
-        if not all(type(u) is int and type(v) is int for u, v in rows):
-            raise ValueError(f"component {i}: vanishing orders must be integers")
         given.append(rows)
         rows = sorted(rows, key=lambda row: (row[0], -row[1]))
         ordered.append(rows)
@@ -279,16 +273,15 @@ class _Option:
     the search derives from it, each at most once.
 
     ``q`` (its ``q_side``) and ``block`` (its ``component_block``) are
-    derived on first use; ``failures`` and ``columns`` (its
-    ``component_failures`` items and ``_int_columns``) are set by the
-    first edge guard that reads them.
+    derived on first use; ``failures`` (its ``component_failures`` items)
+    is set by the first edge guard that reads it.
     """
 
-    __slots__ = ("idx", "comp", "_q", "_block", "failures", "columns")
+    __slots__ = ("idx", "comp", "_q", "_block", "failures")
 
     def __init__(self, idx: int, comp: Component):
         self.idx, self.comp = idx, comp
-        self._q = self._block = self.failures = self.columns = None
+        self._q = self._block = self.failures = None
 
     @property
     def q(self) -> QSide:
@@ -620,14 +613,14 @@ class _Transfer:
         """
         rank, k, _, twist = self.params
         if opt.failures is None:
-            opt.columns = _int_columns(opt.comp.table)
             opt.failures = tuple(
-                component_failures(opt.idx, opt.comp, opt.columns, rank, k, twist, self.space.g)
+                component_failures(opt.idx, opt.comp, rank, k, twist, self.space.g)
             )
         if node is None:
             return list(opt.failures)
         # the left side's v column is all of it a node unit reads
-        sides = [(None, tuple(v for v, _ in left_q)), opt.columns]
+        table = opt.comp.table
+        sides = [(None, tuple(v for v, _ in left_q)), (table.us, table.vs)]
         return [*opt.failures, *node_failures(opt.idx - 1, node, sides, k, twist, self.identity)]
 
     def _guard(self, failures: list[Failure]) -> None:

@@ -32,8 +32,11 @@ appear twice.  This module encodes that calculus exactly:
   direction tokens, no direction is forced twice on either side, and a
   node has at most two pairs.  ``derive_forced_pairs``, ``validate_all``,
   ``canonical_form`` and ``check_stable`` all apply it;
-* ``validate_all`` is the one validator, of eight checks: structure and
-  entry types, monotonicity, multiplicity, admissibility, the degree sum,
+* the exact data are ``int``s by construction: ``VanishingTable`` refuses
+  a table entry, and ``LimitSeries`` a ``rank``, ``sections``, ``degree``
+  or ``twist``, of any other type, so no reader checks those types again;
+* ``validate_all`` is the one validator, of eight checks: structure,
+  monotonicity, multiplicity, admissibility, the degree sum,
   the node condition, determinacy and the canonical determinant.  A few
   passes over whole-series columns (every ``u``, every ``v``, every
   summand coefficient) decide a passing series, and flag the components
@@ -46,8 +49,9 @@ appear twice.  This module encodes that calculus exactly:
   how its readers take it; its rows are derived on request;
 * ``parse_series`` reads a file on the writer's layout by slices: whole-file
   ``u`` and ``v`` columns cut into the tables, and each component record
-  read by one pattern match.  Any other file, or record, is read record by
-  record, each component record reading the run of row records below it;
+  read by one pattern match.  Any other file, or a record off that layout,
+  is read record by record, each component record reading the run of row
+  records below it;
   the per-token checks run only on the way to a ``ParseError``;
 * ``serialize_series`` is one join of the series head, the component
   blocks and the node lines, rendered by ``series_head``,
@@ -107,13 +111,13 @@ class VanishingTable:
     how the validator, the pinning rule and the node checks read it;
     ``rows`` gives back the ``(u, v)`` pairs, derived on each read.  Rows
     are listed with ``u`` nondecreasing and ``v`` nonincreasing.  The
-    constructor takes the rows and is permissive: it keeps each entry as
-    given, refusing only a row that is not a pair.  Entry types,
-    monotonicity, multiplicity and admissibility are the validators'
-    business, so that corrupted tables remain representable and
-    diagnosable.  Where the package makes tables itself (the parser, the
-    construction and the search), it passes the columns to
-    ``_column_table`` instead.
+    constructor takes the rows and refuses, with ``ValueError``, a row
+    that is not a pair or an entry whose type is not ``int``, so every
+    reader of a table reads ``int``s.  Monotonicity, multiplicity and
+    admissibility are the validator's business, so that corrupted tables
+    remain representable and diagnosable.  Where the package makes tables
+    itself from its own ``int`` columns (the parser, the construction and
+    the search), it passes them to ``_column_table``, which checks nothing.
     """
 
     us: tuple[int, ...]
@@ -125,6 +129,9 @@ class VanishingTable:
             j, row = next((j, r) for j, r in enumerate(rows, start=1) if len(r) != 2)
             raise ValueError(f"row {j} {row!r} is not a (u, v) pair")
         us, vs = zip(*rows) if rows else ((), ())
+        if not _INT.issuperset(map(type, us + vs)):
+            j, (u, v) = next((j, r) for j, r in enumerate(rows, 1) if {*map(type, r)} != _INT)
+            raise ValueError(f"row {j}: non-integer vanishing ({u!r},{v!r})")
         object.__setattr__(self, "us", us)
         object.__setattr__(self, "vs", vs)
 
@@ -253,7 +260,12 @@ class Component:
 
 @dataclass(frozen=True)
 class LimitSeries:
-    """A limit linear series on an elliptic chain."""
+    """A limit linear series on an elliptic chain.
+
+    The constructor, which ``dataclasses.replace`` also runs, refuses with
+    ``ValueError`` a ``rank``, ``sections``, ``degree`` or ``twist`` whose
+    type is not ``int``, naming the first in that order.
+    """
 
     chain: ChainCurve
     rank: int
@@ -262,6 +274,11 @@ class LimitSeries:
     twist: int
     components: tuple[Component, ...]
     nodes: tuple[NodeGluing, ...]
+
+    def __post_init__(self):
+        for name in ("rank", "sections", "degree", "twist"):
+            if type(value := getattr(self, name)) is not int:
+                raise ValueError(f"{name} {value!r} is not an int")
 
     @property
     def genus(self) -> int:
@@ -360,8 +377,7 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
     rows are walked.  A summand is alive at a row when it is the row's
     distinguished section, or when the row sits below its degree and is
     not the row one step below it at ``side`` (whose divisor's residual
-    point lies at ``side``: see the module docstring).  The entries must
-    be ``int``s (``_int_table``).
+    point lies at ``side``: see the module docstring).
     """
     bundle, table = component.bundle, component.table
     if component.pins_nothing:
@@ -389,28 +405,6 @@ def _pinned_directions(component: Component, side: str) -> tuple[str | None, ...
     return tuple(pins)
 
 
-def _non_int_rows(table: VanishingTable):
-    """Each ``(j, u, v)`` of ``table`` with an entry whose type is not ``int``."""
-    return (
-        (j, u, v)
-        for j, (u, v) in enumerate(zip(table.us, table.vs), start=1)
-        if type(u) is not int or type(v) is not int
-    )
-
-
-def _int_table(table: VanishingTable) -> VanishingTable:
-    """``table``, whose entries are all ``int``s; else ``ValueError`` naming
-    its first row with an entry that is not.
-
-    One type check of the two columns (``_int_columns``) decides the
-    common case.
-    """
-    if _int_columns(table) is None:
-        j, u, v = next(_non_int_rows(table))
-        raise ValueError(f"row {j}: non-integer vanishing ({u!r},{v!r})")
-    return table
-
-
 QSide = tuple[tuple[int, str | None], ...]
 
 
@@ -418,11 +412,8 @@ def q_side(component: Component) -> QSide:
     """Each row's ``(v, pinned direction at Q)``: all a node reads of its left side.
 
     The pinning rule runs once over the component, not once per row.
-    Raises ``ValueError`` naming the first row with an entry that is not
-    an ``int``.
     """
-    vs = _int_table(component.table).vs
-    return tuple(zip(vs, _pinned_directions(component, "Q")))
+    return tuple(zip(component.table.vs, _pinned_directions(component, "Q")))
 
 
 def derive_forced_pairs(
@@ -438,22 +429,21 @@ def derive_forced_pairs(
     the same identification; the result is deduplicated and, when there
     are any pairs, checked by ``forced_pairs_failure``.
     The pairs come out sorted, which is their order in canonical form.
-    Raises ``ValueError`` naming the first row of ``right`` with an entry
-    that is not an ``int``, or a matching that ``matching_failure`` refuses
-    as a bijection of the rows of ``right``; ``_forced_pairs`` is the rule
-    itself, for callers whose tables and matchings are well formed.
+    Raises ``ValueError`` naming a matching that ``matching_failure``
+    refuses as a bijection of the rows of ``right``; ``_forced_pairs`` is
+    the rule itself, for callers whose matchings are well formed.
     """
-    us = _int_table(right.table).us
-    if why := matching_failure(matching, tuple(range(1, len(us) + 1))):
-        raise ValueError(f"{why} of the {len(us)} right rows")
+    n = len(right.table)
+    if why := matching_failure(matching, tuple(range(1, n + 1))):
+        raise ValueError(f"{why} of the {n} right rows")
     return _forced_pairs(left_q, right, matching, twist)
 
 
 def _forced_pairs(
     left_q: QSide, right: Component, matching: tuple[int, ...], twist: int
 ) -> tuple[tuple[str, str], ...]:
-    """``derive_forced_pairs`` with no check of ``right`` or ``matching``:
-    its entries must be ``int``s and the matching a bijection of its rows.
+    """``derive_forced_pairs`` with no check of ``matching``, which must be
+    a bijection of the rows of ``right``.
 
     The search calls it on every edge, on tables it built and the identity
     matching.  The right side is pinned once, when a row first needs it.
@@ -508,32 +498,17 @@ class ValidationReport:
         return lines
 
 
-def _int_columns(table: VanishingTable) -> tuple[tuple, tuple] | None:
-    """A table's ``(us, vs)`` columns, or ``None`` when an entry's type is not ``int``."""
-    us, vs = table.us, table.vs
-    return (us, vs) if _INT.issuperset(map(type, us + vs)) else None
-
-
-# a unit's item, (check, message), and a table's columns from _int_columns
+# a unit's item: (check, message)
 Failure = tuple[str, str]
-Columns = tuple[tuple, tuple] | None
-
-
-def header_failures(s: LimitSeries) -> list[str]:
-    """A message naming each header field whose type is not ``int``, in header order."""
-    header = (("rank", s.rank), ("sections", s.sections), ("degree", s.degree), ("twist", s.twist))
-    return [f"{name} {value!r} is not an int" for name, value in header if type(value) is not int]
 
 
 def series_failures(s: LimitSeries) -> list[Failure]:
     """The checks' whole-series part, as ``(check, message)`` items.
 
     Structure's header and count lines, and condition (a): the only lines
-    that read the whole chain.  A header field whose type is not ``int``
-    is named (``header_failures``), and nothing else is read.
+    that read the whole chain.
     """
-    if failures := [("structure", why) for why in header_failures(s)]:
-        return failures
+    failures = []
     k, rank, twist, length = s.sections, s.rank, s.twist, s.chain.length
     m = len(s.components)
     if twist < 1:
@@ -554,18 +529,17 @@ def series_failures(s: LimitSeries) -> list[Failure]:
 
 
 def component_failures(
-    i: int, c: Component, columns: Columns, rank: int, k: int, twist: int, g: int
+    i: int, c: Component, rank: int, k: int, twist: int, g: int
 ) -> list[Failure]:
     """Component ``i``'s failures, as ``(check, message)`` items in report order.
 
     Structure's per-component part, monotonicity, multiplicity,
     admissibility, determinacy and the canonical determinant read this
     component alone, with the header's ``rank``, ``k`` and ``twist`` and
-    the genus ``g``.  ``columns`` is ``_int_columns`` of its table; when it
-    is ``None``, each row with an entry whose type is not ``int`` is named,
-    and no row's numbers are read.
+    the genus ``g``.
     """
     bundle, table, moduli = c.bundle, c.table, c.moduli_freedom
+    us, vs = table.us, table.vs
     # each item's message after "component i", which is put on at the end,
     # so a component that passes builds no message text
     failures = []
@@ -580,42 +554,33 @@ def component_failures(
         failures.append(("structure", ": rank-2 series needs rank-two bundles"))
     if isinstance(bundle, Indecomposable) and moduli:
         failures.append(("structure", ": indecomposable bundles are never generic"))
-    if columns is None:
+    failures.extend(
+        ("structure", f" row {j}: negative vanishing ({u},{v})")
+        for j, (u, v) in enumerate(zip(us, vs), start=1)
+        if u < 0 or v < 0
+    )
+    sorted_us, sorted_vs = sorted(us), sorted(vs)
+    if sorted_us != list(us):
+        failures.append(("monotonicity", f": u not nondecreasing {us}"))
+    if sorted_vs[::-1] != list(vs):
+        failures.append(("monotonicity", f": v not nonincreasing {vs}"))
+    # in a sorted column a value occurs more than rank times exactly when it
+    # equals the value rank places on; the counts are taken only then
+    if (
+        rank < 1
+        or any(map(eq, sorted_us, sorted_us[rank:]))
+        or any(map(eq, sorted_vs, sorted_vs[rank:]))
+    ):
+        allows = f"(rank {rank} allows {rank})"
         failures.extend(
-            ("structure", f" row {j}: non-integer vanishing ({u!r},{v!r})")
-            for j, u, v in _non_int_rows(table)
+            ("multiplicity", f": {label}-value {value} occurs {n} times {allows}")
+            for label, values in zip("uv", (us, vs))
+            for value, n in sorted(Counter(values).items())
+            if n > rank
         )
-    else:
-        us, vs = columns
-        failures.extend(
-            ("structure", f" row {j}: negative vanishing ({u},{v})")
-            for j, (u, v) in enumerate(zip(us, vs), start=1)
-            if u < 0 or v < 0
-        )
-        sorted_us, sorted_vs = sorted(us), sorted(vs)
-        if sorted_us != list(us):
-            failures.append(("monotonicity", f": u not nondecreasing {us}"))
-        if sorted_vs[::-1] != list(vs):
-            failures.append(("monotonicity", f": v not nonincreasing {vs}"))
-        # in a sorted column a value occurs more than rank times exactly
-        # when it equals the value rank places on; the counts are taken
-        # only then
-        if (
-            rank < 1
-            or any(map(eq, sorted_us, sorted_us[rank:]))
-            or any(map(eq, sorted_vs, sorted_vs[rank:]))
-        ):
-            allows = f"(rank {rank} allows {rank})"
-            failures.extend(
-                ("multiplicity", f": {label}-value {value} occurs {n} times {allows}")
-                for label, values in zip("uv", columns)
-                for value, n in sorted(Counter(values).items())
-                if n > rank
-            )
-        failures.extend(
-            ("admissibility", f": {why}")
-            for why in admissibility_failures(bundle, table, c.is_generic)
-        )
+    failures.extend(
+        ("admissibility", f": {why}") for why in admissibility_failures(bundle, table, c.is_generic)
+    )
     if why := _determinacy_failure(bundle, twist):
         failures.append(("determinacy", f": {why}"))
     if why := _canonical_failure(bundle, i, g):
@@ -624,17 +589,16 @@ def component_failures(
 
 
 def node_failures(
-    n: int, node: NodeGluing, sides: list[Columns], k: int, twist: int, identity: tuple[int, ...]
+    n: int, node: NodeGluing, sides: list[tuple], k: int, twist: int, identity: tuple[int, ...]
 ) -> list[Failure]:
     """Node ``n``'s failures, as ``(check, message)`` items in report order.
 
-    The forced-pair shape (structure) and condition (b).  ``sides`` is
-    ``_int_columns`` of the tables on its two sides, those that exist,
+    The forced-pair shape (structure) and condition (b).  ``sides`` is the
+    ``(us, vs)`` columns of the tables on its two sides, those that exist,
     and ``identity`` is ``1..k``; of the left side only the ``v`` column is
-    read.  The node condition fails outright when
-    ``matching_failure`` refuses the matching, or a side has an entry that
-    is not an ``int`` or a short or missing table; else each matched row
-    pair below the twist is named.
+    read.  The node condition fails outright when ``matching_failure``
+    refuses the matching, or a side has a short or missing table; else
+    each matched row pair below the twist is named.
     """
     at = f"node {n}:"
     failures = []
@@ -643,8 +607,6 @@ def node_failures(
     matching = node.matching
     if why := matching_failure(matching, identity):
         failures.append(("node-condition", f"{at} {why}"))
-    elif None in sides:
-        failures.append(("node-condition", f"{at} components {n} and {n + 1} need integer rows"))
     elif len(sides) < 2 or min(len(sides[0][1]), len(sides[1][0])) < k:
         why = f"matching needs {k} rows on components {n} and {n + 1}"
         failures.append(("node-condition", f"{at} {why}"))
@@ -729,25 +691,23 @@ def _columns_pass(s: LimitSeries) -> tuple[list, list] | None:
     whole-series ``u`` column (``chain.from_iterable(zip(*us_columns))``),
     their ``v`` columns into one ``v`` column, and the coefficients into
     four columns; no row pair is built.  Each check is a few C-level passes
-    over them: entry types by one ``map(type, ...)``, monotonicity and
-    multiplicity by comparing each row with the one ``m`` and ``rank * m``
-    on, the node condition of identity matchings by row sums one on,
-    admissibility by row sums against the summand degrees (only a row off
-    both generic sums is looked at by itself), and determinacy and the
-    canonical determinant by coefficient columns against expected ones.
+    over them: monotonicity and multiplicity by comparing each row with the
+    one ``m`` and ``rank * m`` on, the node condition of identity matchings
+    by row sums one on, admissibility by row sums against the summand
+    degrees (only a row off both generic sums is looked at by itself), and
+    determinacy and the canonical determinant by coefficient columns
+    against expected ones.
     Where a check fails, ``compress`` names the component or node, whose
     unit decides every check there; an indecomposable component has no
     summand columns and is decided by its unit, ``component_failures``.
     ``None`` sends every unit to run: the passes read only a series whose
-    header fields, moduli, entries and identity matchings are ``int``,
-    whose bundles are the rank's kinds (whose constructors take only
-    ``int`` fields), and whose shape fits the genus and ``sections``; and
-    the twist's sign, the chain length and the degree sum, which read the
-    whole series, must hold.
+    moduli and identity matchings are ``int`` (its header fields and table
+    entries are, by construction), whose bundles are the rank's kinds
+    (whose constructors take only ``int`` fields), and whose shape fits
+    the genus and ``sections``; and the twist's sign, the chain length and
+    the degree sum, which read the whole series, must hold.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
-    if not _INT.issuperset(map(type, (k, rank, twist, s.degree))):
-        return None
     components, nodes = s.components, s.nodes
     m = len(components)
     us_columns = list(map(_US, components))
@@ -785,7 +745,7 @@ def _columns_pass(s: LimitSeries) -> tuple[list, list] | None:
     matchings = list(map(_MATCHING, nodes))
     at_identity = list(map(eq, matchings, repeat(identity)))
     identities = _chain.from_iterable(compress(matchings, at_identity))
-    if not _INT.issuperset(map(type, _chain(u_rows, v_rows, moduli, identities))):
+    if not _INT.issuperset(map(type, _chain(moduli, identities))):
         return None
     d1 = list(map(add, p1, q1))
     d2 = d1 if rank == 1 else list(map(add, p2, q2))
@@ -795,13 +755,7 @@ def _columns_pass(s: LimitSeries) -> tuple[list, list] | None:
     if sum(degrees) - rank * (m - 1) * twist != s.degree:
         return None
 
-    bad = {
-        i
-        for i in indec
-        if component_failures(
-            i + 1, components[i], _int_columns(components[i].table), rank, k, twist, g
-        )
-    }
+    bad = {i for i in indec if component_failures(i + 1, components[i], rank, k, twist, g)}
     # structure, then monotonicity and multiplicity: in a sorted column a
     # value occurs more than rank times exactly when it equals the value
     # rank rows on
@@ -879,11 +833,10 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     of each component and ``node_failures`` of each node that the column
     passes flag (of every one, when they flag the whole series), in index
     order, their items grouped by check.  A unit the passes clear has no
-    items, so the report is the same as a walk over every unit.  A
-    component with an entry whose type is not ``int`` is a structure
-    failure, and its numbers are not read.  So is a ``rank``, ``sections``,
-    ``degree`` or ``twist`` whose type is not ``int``; then nothing but the
-    header is read, and every other check passes.
+    items, so the report is the same as a walk over every unit.  Header
+    fields and table entries are ``int``s, as their constructors refuse
+    any other type, so no check reads a type but the moduli's and the
+    matchings'.
     """
     flags = tuple(
         f"component {i}: indecomposable; determinant checked on degree only, "
@@ -896,16 +849,14 @@ def validate_all(s: LimitSeries) -> ValidationReport:
         return ValidationReport(tuple(_PASSED.values()), flags)
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     failures = series_failures(s)
-    if _INT.issuperset(map(type, (k, rank, twist, s.degree))):
-        components = s.components
-        at_components, at_nodes = flagged or (range(len(components)), range(len(s.nodes)))
-        for i in at_components:
-            c = components[i]
-            failures += component_failures(i + 1, c, _int_columns(c.table), rank, k, twist, g)
-        identity = tuple(range(1, k + 1))
-        for n in at_nodes:
-            sides = [_int_columns(c.table) for c in components[n : n + 2]]
-            failures += node_failures(n + 1, s.nodes[n], sides, k, twist, identity)
+    components = s.components
+    at_components, at_nodes = flagged or (range(len(components)), range(len(s.nodes)))
+    for i in at_components:
+        failures += component_failures(i + 1, components[i], rank, k, twist, g)
+    identity = tuple(range(1, k + 1))
+    for n in at_nodes:
+        sides = [(c.table.us, c.table.vs) for c in components[n : n + 2]]
+        failures += node_failures(n + 1, s.nodes[n], sides, k, twist, identity)
     found: dict[str, list[str]] = {name: [] for name in _PASSED}
     for check, message in failures:
         found[check].append(message)
@@ -949,7 +900,8 @@ def component_block(i: int, c: Component) -> str:
         kind = f"indec {b.degree} {b.marked_u} {b.marked_v}"
     # one %-format writes all rows (and, below, a whole matching), which
     # keeps the per-component call from slowing the writer; "%s" writes
-    # str(x), the text an f-string field gives int, bool, float and str
+    # str(x), the text an f-string field gives an int table entry and any
+    # matching entry
     us, vs = c.table.us, c.table.vs
     entries = [None] * (2 * len(us))  # row by row: each u, then its v
     entries[::2], entries[1::2] = us, vs
@@ -1088,15 +1040,16 @@ def _parse_layout(
     writes it, which a ``fullmatch`` over the join of each chunk of them
     decides line by line (a whole-text token count would take ``row 1``
     and a ``2`` on the next line); a ``split`` of each chunk then gives
-    whole-file ``u`` and ``v`` columns, sliced per component.  A component
-    record that ``_RECORD`` matches, with its own index, is read from the
-    match, one bundle per distinct ``p q`` text (a free split's two
-    summands are one).  A node line equal to the writer's line for the
-    identity, unforced gluing is that gluing.  Every other record is read
-    by the line parser's own record code, so a series read here is the
-    one the line parser reads.  A record that is not of its kind, or that
-    the record code or a bundle refuses, gives ``None``, and the line
-    parser names the error.
+    whole-file ``u`` and ``v`` columns, sliced per component.  Each
+    component record must be one that ``_RECORD`` matches, with its own
+    index, and is read from the match, one bundle per distinct ``p q``
+    text (a free split's two summands are one).  A node line equal to the
+    writer's line for the identity, unforced gluing is that gluing; any
+    other node line is read by the line parser's own record code.  Any
+    other component record, a node line that code refuses, or a bundle
+    that refuses its fields gives ``None``, and the line parser reads the
+    file and names the error; so a series read here is the one the line
+    parser reads.
     """
     stride = k + 1
     end = 2 + g * stride
@@ -1123,21 +1076,16 @@ def _parse_layout(
         for i, record in enumerate(records):
             match = _RECORD.fullmatch(record)
             if not match or int(match[1]) != i + 1:
-                fields = record.split()
-                if fields[:1] != ["component"]:
-                    return None
-                bundle, moduli = _component_record(fields, 3 + i * stride, i + 1)
-            else:
-                _, pq1, pq2, pq, indec, moduli = match.groups()
-                bundle = (
-                    Split(summand(pq1), summand(pq2)) if pq1
-                    else summand(pq) if pq
-                    else Indecomposable(*map(int, indec.split()))
-                )
-                moduli = int(moduli)
+                return None
+            _, pq1, pq2, pq, indec, moduli = match.groups()
+            bundle = (
+                Split(summand(pq1), summand(pq2)) if pq1
+                else summand(pq) if pq
+                else Indecomposable(*map(int, indec.split()))
+            )
             at = i * k
             table = _column_table(us[at : at + k], vs[at : at + k])
-            components.append(Component(bundle, table, moduli))
+            components.append(Component(bundle, table, int(moduli)))
         for n, line in enumerate(lines[end:], start=1):
             if line == f"node {n}{tail}":
                 nodes.append(unforced)
@@ -1229,8 +1177,10 @@ def parse_series(text: str) -> LimitSeries:
     columns, cut into each component's table, with no row pair built.
     Any other file, and any file the slices refuse, is read record by
     record (``_parse_lines``), which raises every ``ParseError`` past the
-    head.  Both read the records with the same code, so a file gives the
-    same series, or the same error at the same line, either way.
+    head.  The slices read a node record off the writer's identity line
+    with the line parser's own code, and refuse a component record off the
+    writer's layout, so a file gives the same series, or the same error at
+    the same line, either way.
     """
     lines = text.splitlines()
     if not lines:

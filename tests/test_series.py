@@ -1,3 +1,4 @@
+import importlib
 import random
 import re
 from collections import Counter
@@ -47,7 +48,6 @@ from ellchain.series import (
     FORMAT_VERSION,
     CheckResult,
     _column_table,
-    _int_columns,
     _pinned_directions,
     admissibility_failures,
     component_failures,
@@ -842,11 +842,11 @@ class TestUnitLocality:
         """Each unit's items on ``s``: the whole-series part, then every
         component's, then every node's."""
         k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
-        columns = [_int_columns(c.table) for c in s.components]
+        columns = [(c.table.us, c.table.vs) for c in s.components]
         identity = tuple(range(1, k + 1))
         units = {"series": series_failures(s)}
-        for i, (c, cols) in enumerate(zip(s.components, columns), start=1):
-            units["component", i] = component_failures(i, c, cols, rank, k, twist, g)
+        for i, c in enumerate(s.components, start=1):
+            units["component", i] = component_failures(i, c, rank, k, twist, g)
         for n, node in enumerate(s.nodes, start=1):
             units["node", n] = node_failures(n, node, columns[n - 1 : n + 1], k, twist, identity)
         return units
@@ -1071,14 +1071,11 @@ def _reference_serialize_series(s):
 
 
 def _odd_entries(s):
-    """``s`` with float, bool, str and tuple table entries and list matchings."""
-    comps = list(s.components)
-    c = comps[1]
-    rows = [(0.5, True), ("3", (1, 2))] + list(c.table.rows[2:])
-    comps[1] = Component(c.bundle, VanishingTable(rows), c.moduli_freedom)
+    """``s`` with list matchings, and float and str entries in its first
+    matching; table entries can only be ints, which their constructor checks."""
     nodes = [NodeGluing(list(n.matching), n.forced_pairs) for n in s.nodes]
     nodes[0] = NodeGluing((2.0, "1", *s.nodes[0].matching[2:]), (("1", "m"),))
-    return replace(s, components=tuple(comps), nodes=tuple(nodes))
+    return replace(s, nodes=tuple(nodes))
 
 
 @pytest.mark.parametrize(
@@ -1593,37 +1590,68 @@ class TestColumnTables:
                 assert len(from_rows) == len(from_columns) == len(rows)
 
     @pytest.mark.parametrize("base", [construct(9, 4), construct(7, 3)], ids=["g9k4", "g7k3"])
-    def test_odd_entries_stay_representable(self, base):
-        s = _odd_entries(base)
-        c = s.components[1]
-        assert c.table.rows[:2] == ((0.5, True), ("3", (1, 2)))
-        columns = _with_component(s, 1, replace(c, table=_column_table(c.table.us, c.table.vs)))
-        assert columns == s
-        report = validate_all(s)
-        assert validate_all(columns) == report
-        failing = {c.name: c.diagnostics for c in report.failures()}
+    def test_odd_entries_refused(self, base):
+        # float, bool, str and tuple table entries are refused when the
+        # table is built, naming the first row that has one; odd matchings
+        # stay representable, and the validator names them
+        rows = base.components[1].table.rows
+        for odd, message in (
+            (((0.5, True), ("3", (1, 2))), "row 1: non-integer vanishing (0.5,True)"),
+            ((rows[0], ("3", (1, 2))), "row 2: non-integer vanishing ('3',(1, 2))"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                VanishingTable(odd + rows[2:])
+        failing = {c.name: c.diagnostics for c in validate_all(_odd_entries(base)).failures()}
         matching = base.nodes[0].matching[2:]
         assert failing == {
-            "structure": (
-                "component 2 row 1: non-integer vanishing (0.5,True)",
-                "component 2 row 2: non-integer vanishing ('3',(1, 2))",
-            ),
-            "node-condition": (
-                f"node 1: matching {(2.0, '1', *matching)} is not a bijection",
-                "node 2: components 2 and 3 need integer rows",
-            ),
+            "node-condition": (f"node 1: matching {(2.0, '1', *matching)} is not a bijection",)
         }
+
+    def test_package_built_tables_hold_only_ints(self, corpus, monkeypatch):
+        # _column_table checks nothing and validate_all reads no entry type,
+        # so every table the package builds from its own columns must hold
+        # ints: the construction's, the layout reader's and the search's
+        built = []
+
+        def recorded(us, vs):
+            built.append(us + vs)
+            return _column_table(us, vs)
+
+        for name in ("series", "construct", "search"):
+            module = importlib.import_module(f"ellchain.{name}")
+            monkeypatch.setattr(module, "_column_table", recorded)
+        runs = {
+            "construct": lambda: [
+                construct(g, k)
+                for k in range(2, 32)
+                for g in range(theorem_threshold(k), theorem_threshold(k) + 3)
+            ],
+            "canonical": lambda: [canonical_limit_series(g) for g in range(2, 21)],
+            "layout": lambda: [
+                series_module._parse_layout(serialize_series(s).splitlines(), s.genus, s.sections)
+                for s in corpus
+            ],
+            "search": lambda: [
+                enumerate_series(SearchSpace(g, r, k))
+                for g, r, k in ((4, 2, 2), (5, 2, 4), (6, 1, 6), (7, 2, 3))
+            ],
+        }
+        for source, run in runs.items():
+            built.clear()
+            assert None not in run(), source
+            assert built, source
+            assert all(type(x) is int for entries in built for x in entries), source
 
 
 # ---------------------------------------------------------------------------
-# tables keep their rows as given; validate_all reports what is not an int
+# a table refuses an entry, and a series a header field, that is not an int;
+# validate_all reports a moduli freedom or matching entry that is not
 
 
 class TestEntryTypes:
     def test_rows_kept_as_given(self):
-        assert VanishingTable([(0.9, 7)]).rows == ((0.9, 7),)
-        assert VanishingTable([("3", True)]).rows == (("3", True),)
         assert VanishingTable([[1, 2], (3, 4)]).rows == ((1, 2), (3, 4))
+        assert VanishingTable([]).rows == ()
 
     @pytest.mark.parametrize("row", [(1, 2, 3), (1,), ()])
     def test_row_that_is_not_a_pair_refused(self, row):
@@ -1633,33 +1661,21 @@ class TestEntryTypes:
     @pytest.mark.parametrize("column", [0, 1], ids=["u", "v"])
     @pytest.mark.parametrize("entry", [0.9, "2", 2.0, True], ids=["float", "str", "2.0", "bool"])
     def test_non_int_entry_is_a_structure_failure(self, entry, column):
-        s = construct(5, 4)
-        c = s.components[2]  # row 3 is (2, 1)
-        rows = list(c.table.rows)
+        # the table's constructor refuses the entry, naming its row
+        rows = list(construct(5, 4).components[2].table.rows)  # row 3 is (2, 1)
         rows[2] = (entry, 1) if column == 0 else (2, entry)
-        bad = _with_component(s, 2, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
-        report = validate_all(bad)
-        failing = {c.name: c.diagnostics for c in report.failures()}
         u, v = rows[2]
-        assert failing == {
-            "structure": (f"component 3 row 3: non-integer vanishing ({u!r},{v!r})",),
-            "node-condition": (
-                "node 2: components 2 and 3 need integer rows",
-                "node 3: components 3 and 4 need integer rows",
-            ),
-        }
+        message = f"row 3: non-integer vanishing ({u!r},{v!r})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VanishingTable(rows)
 
     def test_float_equal_to_an_int_is_still_refused(self):
-        # 2.0 == 2, so the series equals the constructed one, which every
+        # 2.0 == 2, so the table would equal the constructed one, which every
         # check passes; only the entry type tells them apart
-        s = construct(5, 4)
-        c = s.components[2]
         rows = ((0, 3), (1, 3), (2.0, 1), (3, 1))
-        bad = _with_component(s, 2, Component(c.bundle, VanishingTable(rows), c.moduli_freedom))
-        assert bad == s and validate_all(s).all_passed
-        assert not validate_all(bad).all_passed
-        with pytest.raises(ValueError, match="refusing unvalidated series"):
-            count_dimension(bad)
+        assert rows == construct(5, 4).components[2].table.rows
+        with pytest.raises(ValueError, match=re.escape("row 3: non-integer vanishing (2.0,1)")):
+            VanishingTable(rows)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -1676,27 +1692,11 @@ class TestEntryTypes:
     )
     def test_non_int_header_field_is_a_structure_failure(self, field, value):
         # a header field equal to an int (2.0, True) must not pass, and one
-        # that does not count or compare ("4") must not crash
-        bad = replace(construct(5, 4), **{field: value})
-        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
-        assert failing == {"structure": (f"{field} {value!r} is not an int",)}
-        with pytest.raises(ValueError):
-            count_dimension(bad)
-
-    def test_every_header_field_that_is_not_an_int_is_named(self):
-        bad = replace(construct(5, 4), rank=2.0, sections=4.0, degree=8.0, twist=4.0)
-        assert validate_all(bad).failures() == [
-            CheckResult(
-                "structure",
-                False,
-                (
-                    "rank 2.0 is not an int",
-                    "sections 4.0 is not an int",
-                    "degree 8.0 is not an int",
-                    "twist 4.0 is not an int",
-                ),
-            )
-        ]
+        # that does not count or compare ("4") must not crash: the series'
+        # constructor, which dataclasses.replace runs, refuses both
+        message = f"{field} {value!r} is not an int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            replace(construct(5, 4), **{field: value})
 
     @pytest.mark.parametrize("moduli", [True, 1.0, "1"])
     def test_moduli_freedom_that_is_not_an_int_is_a_structure_failure(self, moduli):
