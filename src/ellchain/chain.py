@@ -16,6 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+def require_ints(**fields) -> None:
+    """Refuse the first of ``fields`` whose type is not ``int`` (``bool``
+    included) with ``ValueError`` naming it."""
+    for name, value in fields.items():
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} is not an int")
+
+
 @dataclass(frozen=True)
 class ChainCurve:
     """A chain of ``genus`` elliptic curves glued at generic points.

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from itertools import chain, count, takewhile
 from math import isqrt
 
-from .chain import ChainCurve, Indecomposable, Split, SplitLineBundle
+from .chain import ChainCurve, Indecomposable, Split, SplitLineBundle, require_ints
 from .ledger import theorem_threshold
 from .series import (
     Component,
@@ -141,7 +141,11 @@ def _rank1_rows(i: int, g: int) -> list[tuple[int, int]]:
 
 
 def canonical_limit_series(g: int) -> LimitSeries:
-    """The limit of the canonical series: rank 1, dimension g, degree 2g-2."""
+    """The limit of the canonical series: rank 1, dimension g, degree 2g-2.
+
+    A ``g`` whose type is not ``int`` is refused with ``ValueError``.
+    """
+    require_ints(g=g)
     if g < 2:
         raise ValueError(f"canonical limit series needs g >= 2, got {g}")
     components = tuple(
@@ -299,7 +303,12 @@ def construct_odd(g: int, k: int, force: bool = False) -> LimitSeries:
 
 
 def construct(g: int, k: int, force: bool = False) -> LimitSeries:
-    """Parity-dispatching generator for the rank-two series."""
+    """Parity-dispatching generator for the rank-two series.
+
+    A ``g`` or ``k`` whose type is not ``int`` is refused with ``ValueError``
+    naming it, before any work.
+    """
+    require_ints(g=g, k=k)
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     return construct_even(g, k, force) if k % 2 == 0 else construct_odd(g, k, force)

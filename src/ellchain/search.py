@@ -78,7 +78,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
-from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction
+from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction, require_ints
 from .series import (
     DIR_FIRST,
     DIR_SECOND,
@@ -114,7 +114,11 @@ class SearchCapError(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """The balanced-split ansatz at one (g, rank, k), optionally a prefix."""
+    """The balanced-split ansatz at one (g, rank, k), optionally a prefix.
+
+    A ``g``, ``rank``, ``k`` or (given) ``prefix_length`` whose type is not
+    ``int`` is refused with ``ValueError`` naming it, before any range check.
+    """
 
     g: int
     rank: int
@@ -122,6 +126,9 @@ class SearchSpace:
     prefix_length: int | None = None
 
     def __post_init__(self):
+        require_ints(g=self.g, rank=self.rank, k=self.k)
+        if self.prefix_length is not None:
+            require_ints(prefix_length=self.prefix_length)
         if self.rank not in (1, 2):
             raise ValueError(f"rank must be 1 or 2, got {self.rank}")
         if self.g < 2 or self.k < 1:

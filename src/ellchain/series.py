@@ -48,10 +48,11 @@ appear twice.  This module encodes that calculus exactly:
 * a vanishing table is stored as its ``u`` and ``v`` columns, which is
   how its readers take it; its rows are derived on request;
 * ``parse_series`` reads a file on the writer's layout by slices: whole-file
-  ``u`` and ``v`` columns cut into the tables, and each component record
-  read by one pattern match.  Any other file, or a record off that layout,
-  is read record by record, each component record reading the run of row
-  records below it;
+  ``u`` and ``v`` columns, decoded as JSON a chunk of rows at a time and
+  cut into the tables, and each component record read by one pattern
+  match.  Any other file, or a record or row off that layout, is read
+  record by record, each component record reading the run of row records
+  below it;
   the per-token checks run only on the way to a ``ParseError``;
 * ``serialize_series`` is one join of the series head, the component
   blocks and the node lines, rendered by ``series_head``,
@@ -72,10 +73,10 @@ is pinned).  Generic summands (free Jacobian choices) never pin.
 
 from __future__ import annotations
 
+import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain as _chain
 from itertools import compress, count, cycle, islice, repeat
 from operator import add, and_, attrgetter, eq, gt, lt, mod, ne, not_, sub
@@ -87,6 +88,7 @@ from .chain import (
     SplitLineBundle,
     canonical_restriction,
     determinant,
+    require_ints,
 )
 
 BundleLike = Split | Indecomposable | SplitLineBundle
@@ -276,9 +278,7 @@ class LimitSeries:
     nodes: tuple[NodeGluing, ...]
 
     def __post_init__(self):
-        for name in ("rank", "sections", "degree", "twist"):
-            if type(value := getattr(self, name)) is not int:
-                raise ValueError(f"{name} {value!r} is not an int")
+        require_ints(rank=self.rank, sections=self.sections, degree=self.degree, twist=self.twist)
 
     @property
     def genus(self) -> int:
@@ -1039,13 +1039,17 @@ def _parse_layout(
     other line of the blocks must be a row line exactly as the writer
     writes it, which a ``fullmatch`` over the join of each chunk of them
     decides line by line (a whole-text token count would take ``row 1``
-    and a ``2`` on the next line); a ``split`` of each chunk then gives
-    whole-file ``u`` and ``v`` columns, sliced per component.  Each
-    component record must be one that ``_RECORD`` matches, with its own
-    index, and is read from the match, one bundle per distinct ``p q``
-    text (a free split's two summands are one).  A node line equal to the
-    writer's line for the identity, unforced gluing is that gluing; any
-    other node line is read by the line parser's own record code.  Any
+    and a ``2`` on the next line).  The same chunk, its ``row`` words
+    turned into commas, is then one JSON array, decoded by one
+    ``json.loads``; its even and odd entries extend whole-file ``u`` and
+    ``v`` columns, sliced per component.  JSON reads ``-0`` as ``0``, as
+    ``int`` does, and refuses a leading zero; CPython refuses an entry
+    past its int-string digit limit.  Each component record must be one
+    that ``_RECORD`` matches, with its own index, and its bundle is built
+    from the match's groups (a free split's two equal texts give one
+    summand).  A node line equal to the writer's line for the identity,
+    unforced gluing is that gluing; any other node line is read by the
+    line parser's own record code.  A row chunk that JSON refuses, any
     other component record, a node line that code refuses, or a bundle
     that refuses its fields gives ``None``, and the line parser reads the
     file and names the error; so a series read here is the one the line
@@ -1058,31 +1062,32 @@ def _parse_layout(
     del body[::stride]
     u_column: list[int] = []
     v_column: list[int] = []
-    for at in range(0, len(body), _ROW_CHUNK):
-        rows = "\n".join(body[at : at + _ROW_CHUNK]) + "\n"
-        if not _ROW_LINES.fullmatch(rows):
-            return None
-        tokens = rows.split()
-        u_column += map(int, tokens[1::3])
-        v_column += map(int, tokens[2::3])
-    us, vs = tuple(u_column), tuple(v_column)
     identity = tuple(range(1, k + 1))
     unforced = NodeGluing(identity)
     tail = f" matching {' '.join(map(str, identity))} forced -"
     components: list[Component] = []
     nodes: list[NodeGluing] = []
-    summand = cache(lambda pq: SplitLineBundle(*map(int, pq.split())))  # one per "p q" text
     try:
+        for at in range(0, len(body), _ROW_CHUNK):
+            rows = "\n".join(body[at : at + _ROW_CHUNK]) + "\n"
+            if not _ROW_LINES.fullmatch(rows):
+                return None
+            entries = json.loads("[" + rows[6:-1].replace("\n  row ", ",").replace(" ", ",") + "]")
+            u_column += islice(entries, 0, None, 2)
+            v_column += islice(entries, 1, None, 2)
+        us, vs = tuple(u_column), tuple(v_column)
         for i, record in enumerate(records):
             match = _RECORD.fullmatch(record)
             if not match or int(match[1]) != i + 1:
                 return None
             _, pq1, pq2, pq, indec, moduli = match.groups()
-            bundle = (
-                Split(summand(pq1), summand(pq2)) if pq1
-                else summand(pq) if pq
-                else Indecomposable(*map(int, indec.split()))
-            )
+            if indec:
+                bundle = Indecomposable(*map(int, indec.split()))
+            else:
+                bundle = first = SplitLineBundle(*map(int, (pq1 or pq).split()))
+                if pq1:
+                    second = first if pq2 == pq1 else SplitLineBundle(*map(int, pq2.split()))
+                    bundle = Split(first, second)
             at = i * k
             table = _column_table(us[at : at + k], vs[at : at + k])
             components.append(Component(bundle, table, int(moduli)))
@@ -1094,7 +1099,7 @@ def _parse_layout(
             if fields[:1] != ["node"]:
                 return None
             nodes.append(_node_record(fields, end + n, n, k))
-    except ValueError:  # a ParseError, or an indecomposable bundle's own refusal
+    except ValueError:  # a row JSON refuses, a ParseError, or a bundle's own refusal
         return None
     return components, nodes
 
@@ -1174,13 +1179,16 @@ def parse_series(text: str) -> LimitSeries:
     The head is read first.  A file with as many lines as
     ``serialize_series`` writes for its genus and sections is then read by
     slices of that layout (``_parse_layout``): whole-file ``u`` and ``v``
-    columns, cut into each component's table, with no row pair built.
-    Any other file, and any file the slices refuse, is read record by
-    record (``_parse_lines``), which raises every ``ParseError`` past the
-    head.  The slices read a node record off the writer's identity line
-    with the line parser's own code, and refuse a component record off the
-    writer's layout, so a file gives the same series, or the same error at
-    the same line, either way.
+    columns, decoded by one ``json.loads`` per chunk of row lines and cut
+    into each component's table, with no row pair built.  Any other file,
+    and any file the slices refuse, is read record by record
+    (``_parse_lines``), which raises every ``ParseError`` past the head.
+    A decode refusal is one of those: a leading zero, which the line
+    parser reads, or an entry past CPython's int-string digit limit, which
+    it names.  The slices read a node record off the writer's identity
+    line with the line parser's own code, and refuse a component record
+    off the writer's layout, so a file gives the same series, or the same
+    error at the same line, either way.
     """
     lines = text.splitlines()
     if not lines:

@@ -144,6 +144,19 @@ class TestVerifyAndDim:
         assert stdout == ""
         assert stderr.startswith("parse error: line 3: bad bundle record")
 
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="no int-string digit limit below 5,000 digits",
+    )
+    @pytest.mark.parametrize("command", ["verify", "dim"])
+    def test_entry_past_the_digit_limit_exit_4_with_line(self, capsys, series_file, command):
+        # int() refuses a string of more digits than the limit
+        text = series_file.read_text().replace("  row 0 4", "  row " + "1" * 5000 + " 4", 1)
+        series_file.write_text(text)
+        code, stdout, stderr = run_cli(capsys, command, str(series_file))
+        assert (code, stdout) == (4, "")
+        assert stderr.startswith("parse error: line 4: expected integer u, got '111")
+
     @pytest.mark.parametrize(
         "row, char", [("row 0_0 4", "_"), ("row +0 4", "+"), ("row \u0660 4", "\u0660")],
         ids=["underscore", "plus-sign", "arabic-indic-zero"],

@@ -13,8 +13,10 @@ refusal, and such a mutant reaches no reader.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +25,7 @@ from ellchain import (
     Component,
     Indecomposable,
     NodeGluing,
+    SearchSpace,
     Split,
     SplitLineBundle,
     VanishingTable,
@@ -181,3 +184,26 @@ def test_every_public_reader_returns_or_refuses(s):
     for left_q, right, node in zip(sides, s.components[1:], s.nodes):
         if left_q is not None:
             _returns_or_refuses(derive_forced_pairs, left_q, right, node.matching, s.twist)
+
+
+@pytest.mark.parametrize(
+    "build, args, field, value",
+    [
+        (construct, (40.0, 4), "g", 40.0),
+        (construct, (True, 4), "g", True),
+        (construct, (40, 4.0), "k", 4.0),
+        (construct, (40, "4"), "k", "4"),
+        (canonical_limit_series, (6.0,), "g", 6.0),
+        (canonical_limit_series, (None,), "g", None),
+        (SearchSpace, (5.0, 2, 4), "g", 5.0),
+        (SearchSpace, (5, True, 4), "rank", True),
+        (SearchSpace, (5, 2, 4.0), "k", 4.0),
+        (SearchSpace, (5, 2, 4, 2.0), "prefix_length", 2.0),
+        (SearchSpace, (5, 2, 4, False), "prefix_length", False),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_non_int_argument_refused(build, args, field, value):
+    # refused by type before any range check or any work, bool included
+    with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(value))} is not an int$"):
+        build(*args)

@@ -1,6 +1,7 @@
 import importlib
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -1489,9 +1490,42 @@ def _swap(at, other):
     return edit
 
 
+_K16 = serialize_series(construct(150, 16)).splitlines()  # 2,400 body rows, 3 row chunks
+
+
+def _body_row(j, k=16):
+    """The 1-based line number of body row ``j`` (1-based) of a k-section file."""
+    return 2 + (j - 1) // k * (k + 1) + (j - 1) % k + 2
+
+
+def _on_k16(edit):
+    """``edit`` applied to the g = 150, k = 16 file in place of _K4."""
+
+    def on_k16(lines):
+        lines[:] = _K16
+        edit(lines)
+
+    return on_k16
+
+
+def _entry(line_no, at, text):
+    """Entry ``at`` (1 for u, 2 for v) of row line ``line_no`` set to ``text``."""
+
+    def edit(lines):
+        fields = lines[line_no - 1].split()
+        fields[at] = text
+        lines[line_no - 1] = "  " + " ".join(fields)
+
+    return edit
+
+
+_HUGE = "1" * 5000  # past CPython's default int-string limit of 4,300 digits
+
 # files off the writer's layout, or on its line count with a line the writer
 # would not write: each must read as the line parser reads it (line numbers
-# as in _K4: component 2 at line 8, its rows at 9-12, node 1 at line 28)
+# as in _K4: component 2 at line 8, its rows at 9-12, node 1 at line 28).
+# Body rows 1,024 and 1,025 of _K16 are the last row of the first chunk of
+# rows the layout read decodes at once and the first row of the second.
 LAYOUT_MUTANTS = {
     "row-split": _lines(10, 10, "  row 0", "3"),
     "row-split-same-count": _lines(10, 12, "  row 0", "3", "  row 2 2  row 2 1"),
@@ -1540,6 +1574,12 @@ LAYOUT_MUTANTS = {
     "line-in-rank-2": _lines(8, 8, "component 2 line 2 2 moduli 0"),
     "record-kind-unknown": _lines(8, 8, "component 2 sum 0 4 2 2 moduli 0"),
     "bad-node-on-layout": _lines(29, 29, "node 2 matching 1 2 3 4 forced 1:3"),
+    "digit-limit-u": _entry(4, 1, _HUGE),
+    "digit-limit-v": _entry(12, 2, _HUGE),
+    "leading-zero-end-of-chunk": _on_k16(_entry(_body_row(1024), 1, "063")),
+    "leading-zero-start-of-chunk": _on_k16(_entry(_body_row(1025), 2, "092")),
+    "minus-zero-start-of-chunk": _on_k16(_entry(_body_row(1025), 1, "-0")),
+    "digit-limit-start-of-chunk": _on_k16(_entry(_body_row(1025), 1, _HUGE)),
 }
 
 
@@ -1565,6 +1605,39 @@ class TestLayoutDifferential:
     def test_line_end_mutants_parse_as_the_line_parser(self, rewrite):
         for s in (construct(5, 4), construct_odd(7, 3), canonical_limit_series(4)):
             assert _same_parse(rewrite(serialize_series(s))) == s
+
+    @pytest.mark.parametrize(
+        "name", ["leading-zero-end-of-chunk", "leading-zero-start-of-chunk", "minus-zero-start-of-chunk"]
+    )
+    def test_chunk_boundary_entries(self, name):
+        # JSON refuses a leading zero, so the layout read hands the file to
+        # the line parser, which reads the written value; -0 is read as 0
+        # by both, and by the layout read itself
+        text = _edited(LAYOUT_MUTANTS[name])
+        want = _same_parse(text)
+        layout = series_module._parse_layout(text.splitlines(), 150, 16)
+        if name.startswith("leading-zero"):
+            assert want == construct(150, 16)
+            assert layout is None
+        else:
+            assert want.components[64].table.us[0] == 0
+            assert layout == (list(want.components), list(want.nodes))
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(_HUGE),
+        reason="no int-string digit limit below the entry's length",
+    )
+    @pytest.mark.parametrize(
+        "name, line_no, what",
+        [("digit-limit-u", 4, "u"), ("digit-limit-v", 12, "v"), ("digit-limit-start-of-chunk", 1092, "u")],
+    )
+    def test_entry_past_the_digit_limit_is_a_parse_error(self, name, line_no, what):
+        # CPython refuses the entry in the layout read's JSON decode; the
+        # line parser names its line
+        err = _same_parse(_edited(LAYOUT_MUTANTS[name]))
+        assert isinstance(err, ParseError)
+        assert err.line_no == line_no
+        assert str(err).startswith(f"line {line_no}: expected integer {what}, got '111")
 
     def test_every_written_file_is_read_by_layout_slices(self, corpus, monkeypatch):
         def refuse(*args):
