@@ -25,6 +25,7 @@ from .construct import (
     construct_odd,
     decompose_index,
 )
+from .fileformat import ParseError, parse_series, serialize_series
 from .ledger import (
     DimensionLedger,
     LedgerRefusal,
@@ -47,13 +48,10 @@ from .series import (
     Component,
     LimitSeries,
     NodeGluing,
-    ParseError,
     ValidationReport,
     VanishingTable,
     derive_forced_pairs,
-    parse_series,
     q_side,
-    serialize_series,
     validate_all,
 )
 from .stability import (

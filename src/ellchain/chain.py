@@ -38,9 +38,8 @@ class ChainCurve:
 
     def __init__(self, genus: int, length: int | None = None):
         length = genus if length is None else length
+        require_ints(genus=genus, length=length)
         for name, value in (("genus", genus), ("length", length)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         object.__setattr__(self, "genus", genus)
@@ -63,8 +62,9 @@ class SplitLineBundle:
     q: int
 
     def __post_init__(self):
+        # two type tests on the hot path; require_ints words the refusal
         if type(self.p) is not int or type(self.q) is not int:
-            raise TypeError(f"coefficients must be ints, got ({self.p!r}, {self.q!r})")
+            require_ints(p=self.p, q=self.q)
         if self.p < 0 or self.q < 0:
             raise ValueError(f"coefficients must be >= 0, got ({self.p}, {self.q})")
 
@@ -110,11 +110,7 @@ class Indecomposable:
     marked_v: int
 
     def __post_init__(self):
-        if {type(self.degree), type(self.marked_u), type(self.marked_v)} != {int}:
-            raise TypeError(
-                f"degree and marked vanishing must be ints, got "
-                f"{self.degree!r}, {self.marked_u!r}, {self.marked_v!r}"
-            )
+        require_ints(degree=self.degree, marked_u=self.marked_u, marked_v=self.marked_v)
         if self.marked_u < 0 or self.marked_v < 0:
             raise ValueError("marked vanishing orders must be >= 0")
         if self.marked_u + self.marked_v > self.degree:

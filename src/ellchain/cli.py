@@ -33,6 +33,7 @@ from functools import cache
 
 from .chain import Split, SplitLineBundle
 from .construct import ThresholdError, construct
+from .fileformat import ParseError, load_series, serialize_series
 from .ledger import (
     LedgerRefusal,
     corollary_range,
@@ -47,13 +48,7 @@ from .search import (
     SearchSpace,
     enumerate_series,
 )
-from .series import (
-    LimitSeries,
-    ParseError,
-    parse_series,
-    serialize_series,
-    validate_all,
-)
+from .series import LimitSeries, validate_all
 from .stability import VERDICT_STABLE, check_stable, external_stable_case
 
 EXIT_OK = 0
@@ -133,20 +128,8 @@ def cmd_construct(args) -> int:
     return EXIT_VALIDATION
 
 
-def _load(path: str) -> LimitSeries:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line_no = data.count(b"\n", 0, e.start) + 1
-        raise ParseError(line_no, f"not UTF-8 text: {e.reason} at byte {e.start}") from None
-    del data  # the parse need not hold the file's bytes as well as its text
-    return parse_series(text)
-
-
 def cmd_verify(args) -> int:
-    s = _load(args.file)
+    s = load_series(args.file)
     report = validate_all(s)
     for line in report.summary_lines():
         print(line)
@@ -154,7 +137,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dim(args) -> int:
-    s = _load(args.file)
+    s = load_series(args.file)
     ledger = count_dimension(s)
     for line in ledger.summary_lines():
         print(line)

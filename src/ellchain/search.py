@@ -79,6 +79,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .chain import ChainCurve, Split, SplitLineBundle, canonical_restriction, require_ints
+from .fileformat import component_block, node_line, serialize_series, series_head
 from .series import (
     DIR_FIRST,
     DIR_SECOND,
@@ -90,18 +91,14 @@ from .series import (
     QSide,
     _column_table,
     _forced_pairs,
-    component_block,
     component_failures,
     forced_pairs_failure,
     free_split,
     matching_failure,
     node_count_failure,
     node_failures,
-    node_line,
     q_side,
-    serialize_series,
     series_failures,
-    series_head,
 )
 
 DEFAULT_CAP_RANK2 = 8

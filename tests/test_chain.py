@@ -89,5 +89,6 @@ _BUILD_WITH = {
 def test_field_that_is_not_an_int_is_refused(field, value):
     # a float or bool equal to an int would pass every check of a series
     # and then be written to a file the parser refuses
-    with pytest.raises(TypeError, match=re.escape(repr(value))):
+    message = f"{field} {value!r} is not an int"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _BUILD_WITH[field](value)

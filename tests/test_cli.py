@@ -156,6 +156,9 @@ class TestVerifyAndDim:
         code, stdout, stderr = run_cli(capsys, command, str(series_file))
         assert (code, stdout) == (4, "")
         assert stderr.startswith("parse error: line 4: expected integer u, got '111")
+        # the message quotes the token's first 40 digits, so it stays one
+        # short line
+        assert stderr.endswith("'... (5000 characters)\n") and len(stderr) < 200
 
     @pytest.mark.parametrize(
         "row, char", [("row 0_0 4", "_"), ("row +0 4", "+"), ("row \u0660 4", "\u0660")],

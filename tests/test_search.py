@@ -30,7 +30,8 @@ from ellchain import (
     serialize_series,
     validate_all,
 )
-from ellchain.series import component_block, free_split, node_line, series_failures, series_head
+from ellchain.fileformat import component_block, node_line, series_head
+from ellchain.series import free_split, series_failures
 from helpers import BAD_FORCED_PAIRS, with_forced_pairs
 
 

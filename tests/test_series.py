@@ -39,14 +39,14 @@ from ellchain import (
     theorem_threshold,
     validate_all,
 )
+from ellchain import fileformat as fileformat_module
 from ellchain import series as series_module
+from ellchain.fileformat import FORMAT_HEADER, FORMAT_VERSION
 from ellchain.search import _table_options
 from ellchain.series import (
     DIR_FIRST,
     DIR_MARKED,
     DIR_SECOND,
-    FORMAT_HEADER,
-    FORMAT_VERSION,
     CheckResult,
     _column_table,
     _pinned_directions,
@@ -1153,11 +1153,16 @@ _REFERENCE_BUNDLE_RECORDS = {
 }
 
 
+def _reference_shown(token):
+    """A refused token as a parse error quotes it: cut past 40 characters."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+
+
 def _reference_parse_int(token, line_no, what):
     try:
         return int(token)
     except ValueError:
-        raise ParseError(line_no, f"expected integer {what}, got {token!r}") from None
+        raise ParseError(line_no, f"expected integer {what}, got {_reference_shown(token)}") from None
 
 
 def _reference_parse_series(text):
@@ -1174,7 +1179,7 @@ def _reference_parse_series(text):
     if len(head) != 2 or head[0] != FORMAT_HEADER:
         raise ParseError(1, f"expected '{FORMAT_HEADER} <version>' header")
     if head[1] != FORMAT_VERSION:
-        raise ParseError(1, f"unknown format version {head[1]!r}")
+        raise ParseError(1, f"unknown format version {_reference_shown(head[1])}")
     if len(lines) < 2:
         raise ParseError(2, "missing parameter line")
     params = lines[1].split()
@@ -1225,11 +1230,13 @@ def _reference_parse_series(text):
             coeffs = [_reference_parse_int(t, line_no, "bundle coefficient") for t in rest[:-2]]
             make = _REFERENCE_BUNDLE_RECORDS.get((bkind, len(coeffs)))
             if make is None:
-                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}")
+                raise ParseError(line_no, f"bad bundle record {_reference_shown(bkind)} {coeffs}")
             try:
                 pending_bundle = make(*coeffs)
             except ValueError as e:
-                raise ParseError(line_no, f"bad bundle record {bkind!r} {coeffs}: {e}") from None
+                raise ParseError(
+                    line_no, f"bad bundle record {_reference_shown(bkind)} {coeffs}: {e}"
+                ) from None
             pending_moduli = moduli
         elif kind == "row":
             if pending_bundle is None:
@@ -1268,11 +1275,11 @@ def _reference_parse_series(text):
                     if len(sides) != 2 or not all(
                         x in (DIR_FIRST, DIR_SECOND, DIR_MARKED) for x in sides
                     ):
-                        raise ParseError(line_no, f"bad forced pair {t!r}")
+                        raise ParseError(line_no, f"bad forced pair {_reference_shown(t)}")
                     forced.append((sides[0], sides[1]))
             nodes.append(NodeGluing(matching, tuple(forced)))
         else:
-            raise ParseError(line_no, f"unknown record {kind!r}")
+            raise ParseError(line_no, f"unknown record {_reference_shown(kind)}")
     close_component(len(lines) + 1)
 
     if len(components) != g:
@@ -1424,6 +1431,21 @@ class TestParserHandCases:
             (_set(2, "genus -1 rank 2 sections 4 degree 8 twist 4"), 2, "genus must be >= 1, got -1"),
             # an empty forced field would be read as no pairs and written back as '-'
             (_set(28, "node 1 matching 1 2 3 4 forced"), 28, "empty 'forced' field; '-' writes no pairs"),
+            # a quoted token is cut past 40 characters to those and its length
+            (_set(12, "  row " + "x" * 40 + " 1"), 12, f"expected integer u, got {'x' * 40!r}"),
+            (_set(12, "  row " + "x" * 41 + " 1"), 12, f"expected integer u, got {'x' * 40!r}... (41 characters)"),
+            (_set(10, "  " + "r" * 50 + " 0 3"), 10, f"unknown record {'r' * 40!r}... (50 characters)"),
+            (
+                _set(29, "node 2 matching 1 2 3 4 forced 1:2 " + "2" * 45),
+                29,
+                f"bad forced pair {'2' * 40!r}... (45 characters)",
+            ),
+            (
+                _set(8, "component 2 " + "s" * 41 + " 0 4 2 2 moduli 0"),
+                8,
+                f"bad bundle record {'s' * 40!r}... (41 characters) [0, 4, 2, 2]",
+            ),
+            (_set(1, "ellchain-series v" + "9" * 60), 1, f"unknown format version {'v' + '9' * 39!r}... (61 characters)"),
         ],
     )
     def test_errors(self, edit, line_no, message):
@@ -1459,13 +1481,13 @@ class TestParserHandCases:
 
 def test_per_token_checks_run_only_on_failure(monkeypatch):
     calls = []
-    shipped = series_module._parse_int
+    shipped = fileformat_module._parse_int
 
     def counting(*args):
         calls.append(args)
         return shipped(*args)
 
-    monkeypatch.setattr(series_module, "_parse_int", counting)
+    monkeypatch.setattr(fileformat_module, "_parse_int", counting)
     counts = []
     for g, k in ((40, 3), (1000, 30)):
         calls.clear()
@@ -1615,7 +1637,7 @@ class TestLayoutDifferential:
         # by both, and by the layout read itself
         text = _edited(LAYOUT_MUTANTS[name])
         want = _same_parse(text)
-        layout = series_module._parse_layout(text.splitlines(), 150, 16)
+        layout = fileformat_module._parse_layout(text.splitlines(), 150, 16)
         if name.startswith("leading-zero"):
             assert want == construct(150, 16)
             assert layout is None
@@ -1643,7 +1665,7 @@ class TestLayoutDifferential:
         def refuse(*args):
             raise AssertionError("read line by line")
 
-        monkeypatch.setattr(series_module, "_parse_lines", refuse)
+        monkeypatch.setattr(fileformat_module, "_parse_lines", refuse)
         for s in corpus:
             assert parse_series(serialize_series(s)) == s
 
@@ -1690,7 +1712,7 @@ class TestColumnTables:
             built.append(us + vs)
             return _column_table(us, vs)
 
-        for name in ("series", "construct", "search"):
+        for name in ("series", "fileformat", "construct", "search"):
             module = importlib.import_module(f"ellchain.{name}")
             monkeypatch.setattr(module, "_column_table", recorded)
         runs = {
@@ -1701,11 +1723,11 @@ class TestColumnTables:
             ],
             "canonical": lambda: [canonical_limit_series(g) for g in range(2, 21)],
             "layout": lambda: [
-                series_module._parse_layout(serialize_series(s).splitlines(), s.genus, s.sections)
+                fileformat_module._parse_layout(serialize_series(s).splitlines(), s.genus, s.sections)
                 for s in corpus
             ],
             "search": lambda: [
-                enumerate_series(SearchSpace(g, r, k))
+                enumerate_series(SearchSpace(g, r, k), count_only=True)
                 for g, r, k in ((4, 2, 2), (5, 2, 4), (6, 1, 6), (7, 2, 3))
             ],
         }
@@ -1714,6 +1736,14 @@ class TestColumnTables:
             assert None not in run(), source
             assert built, source
             assert all(type(x) is int for entries in built for x in entries), source
+        # a count builds the tables a listing builds, so it stands in for one
+        # above
+        tables = []
+        for count_only in (False, True):
+            built.clear()
+            enumerate_series(SearchSpace(5, 2, 4), count_only=count_only)
+            tables.append(list(built))
+        assert tables[0] == tables[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The package stays dependency-free: it imports the standard library only,
-and each of its modules stays under CPython 3.11's token-array doubling."""
+its modules import each other in one direction, and each of them stays
+under CPython 3.11's token-array doubling."""
 
 import ast
+import graphlib
 import os
 import subprocess
 import sys
@@ -38,6 +40,29 @@ def test_imports_are_stdlib_or_relative(path):
         if name is not None and name not in sys.stdlib_module_names
     ]
     assert not outside
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports by a relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.partition(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_package_imports_form_no_cycle():
+    # each module is built on the ones it imports: series on chain, the
+    # file format on series, and none of them on a module built on it
+    graph = {path.stem: _package_imports(path) for path in SOURCES}
+    assert {"chain", "series"} <= graph["fileformat"]
+    try:
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as e:
+        pytest.fail(f"import cycle: {' -> '.join(e.args[1])}")
 
 
 def test_cli_starts_without_process_pools():
