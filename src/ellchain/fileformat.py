@@ -12,7 +12,7 @@
   ``component_block`` and ``node_line``; the search oracle keys its
   leaves with the same renderers;
 * ``load_series`` reads a file's bytes as UTF-8 text; a ``ParseError`` names
-  the line, and quotes at most 40 characters of a token it refuses.
+  the line, and quotes at most 40 characters of a token or list it refuses.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _shown(token: str) -> str:
-    """``repr(token)``; past 40 characters, that of its first 40 and its
+def _shown(token: str, show=repr) -> str:
+    """``show(token)``; past 40 characters, that of its first 40 and its
     length, so a message stays one short line whatever the file holds."""
-    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+    return show(token) if len(token) <= 40 else f"{show(token[:40])}... ({len(token)} characters)"
 
 
 _ROW = "  row %s %s\n"
@@ -84,7 +84,7 @@ def component_block(i: int, c: Component) -> str:
 
 def node_line(n: int, node: NodeGluing) -> str:
     """Node ``n``'s record, newline-terminated; no forced pairs is ``-``."""
-    matching = tuple(node.matching)
+    matching = node.matching
     entries = " ".join(["%s"] * len(matching)) % matching
     pairs = node.forced_pairs
     forced = " ".join([f"{a}:{b}" for a, b in pairs]) if pairs else "-"
@@ -153,12 +153,13 @@ def _component_record(tokens: list[str], line_no: int, index: int) -> tuple[Bund
     (moduli,) = _parse_ints(rest[-1:], line_no, "moduli freedom")
     coeffs = _parse_ints(rest[:-2], line_no, "bundle coefficient")
     make = _BUNDLE_RECORDS.get((bkind, len(coeffs)))
-    if make is None:
-        raise ParseError(line_no, f"bad bundle record {_shown(bkind)} {coeffs}")
-    try:
-        return make(*coeffs), moduli
-    except ValueError as e:
-        raise ParseError(line_no, f"bad bundle record {_shown(bkind)} {coeffs}: {e}") from None
+    why = ""
+    if make is not None:
+        try:
+            return make(*coeffs), moduli
+        except ValueError as e:
+            why = f": {e}"
+    raise ParseError(line_no, f"bad bundle record {_shown(bkind)} {_shown(str(coeffs), str)}{why}")
 
 
 def _node_record(tokens: list[str], line_no: int, index: int, k: int) -> NodeGluing:

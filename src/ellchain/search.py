@@ -187,8 +187,8 @@ def canonical_form(s: LimitSeries) -> LimitSeries:
     each two components, the component whose table does not have
     ``sections`` rows, or the node whose matching or forced pairs
     ``matching_failure`` or ``forced_pairs_failure`` refuses, as
-    ``validate_all`` does.  Header fields and table entries need no check:
-    their constructors take only ``int``s.
+    ``validate_all`` does.  No field needs a type check: the constructors
+    take only fields of their kinds, and ``int``s.
     """
     if why := node_count_failure(s):
         raise ValueError(why)

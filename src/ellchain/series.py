@@ -32,9 +32,9 @@ appear twice.  This module encodes that calculus exactly:
   direction tokens, no direction is forced twice on either side, and a
   node has at most two pairs.  ``derive_forced_pairs``, ``validate_all``,
   ``canonical_form`` and ``check_stable`` all apply it;
-* the exact data are ``int``s by construction: ``VanishingTable`` refuses
-  a table entry, and ``LimitSeries`` a ``rank``, ``sections``, ``degree``
-  or ``twist``, of any other type, so no reader checks those types again;
+* every field of the graph is of its kind, and the exact data are
+  ``int``s, by construction: each constructor refuses anything else with
+  ``ValueError``, so no reader checks a type again;
 * ``validate_all`` is the one validator, of eight checks: structure,
   monotonicity, multiplicity, admissibility, the degree sum,
   the node condition, determinacy and the canonical determinant.  A few
@@ -92,6 +92,12 @@ DIR_MARKED = "m"
 _DIRECTIONS = (DIR_FIRST, DIR_SECOND, DIR_MARKED)
 
 _INT = frozenset((int,))
+
+
+def _require_kind(name: str, value, kind, wanted: str) -> None:
+    """Refuse field ``name`` with ``ValueError`` unless its ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} is a {type(value).__name__}, not a {wanted}")
 
 
 @dataclass(frozen=True)
@@ -155,6 +161,10 @@ class NodeGluing:
     matching: tuple[int, ...]
     forced_pairs: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        if not isinstance(self.matching, tuple) or not _INT.issuperset(map(type, self.matching)):
+            raise ValueError(f"matching {self.matching!r} is not a tuple of ints")
+
     @property
     def free_parameter_count(self) -> int:
         return 4 - len(self.forced_pairs)
@@ -213,12 +223,18 @@ class Component:
     ``moduli_freedom`` is 1 when the bundle involves a free line-bundle
     choice on the Jacobian (the stored coefficients are then only a
     serialization representative and the summands are treated as generic);
-    otherwise 0.
+    otherwise 0.  A field of another kind or type is refused with ``ValueError``.
     """
 
     bundle: BundleLike
     table: VanishingTable
     moduli_freedom: int = 0
+
+    def __post_init__(self):
+        _require_kind("bundle", self.bundle, BundleLike, "Split, Indecomposable or SplitLineBundle")
+        _require_kind("table", self.table, VanishingTable, "VanishingTable")
+        if type(self.moduli_freedom) is not int:  # one type test on the hot path
+            require_ints(moduli_freedom=self.moduli_freedom)
 
     @property
     def is_generic(self) -> bool:
@@ -254,8 +270,8 @@ class LimitSeries:
     """A limit linear series on an elliptic chain.
 
     The constructor, which ``dataclasses.replace`` also runs, refuses with
-    ``ValueError`` a ``rank``, ``sections``, ``degree`` or ``twist`` whose
-    type is not ``int``, naming the first in that order.
+    ``ValueError`` the first field not of its kind: a non-``int`` header
+    field, then a ``chain``, ``components`` or ``nodes`` of another kind.
     """
 
     chain: ChainCurve
@@ -268,6 +284,12 @@ class LimitSeries:
 
     def __post_init__(self):
         require_ints(rank=self.rank, sections=self.sections, degree=self.degree, twist=self.twist)
+        _require_kind("chain", self.chain, ChainCurve, "ChainCurve")
+        for name, kind in (("component", Component), ("node", NodeGluing)):
+            items = getattr(self, f"{name}s")
+            _require_kind(f"{name}s", items, tuple, "tuple")
+            for i in compress(count(1), map(not_, map(isinstance, items, repeat(kind)))):
+                _require_kind(f"{name} {i}", items[i - 1], kind, kind.__name__)
 
     @property
     def genus(self) -> int:
@@ -534,7 +556,7 @@ def component_failures(
     failures = []
     if len(table) != k:
         failures.append(("structure", f": {len(table)} rows, expected {k}"))
-    if type(moduli) is not int or moduli not in (0, 1):
+    if moduli not in (0, 1):
         failures.append(("structure", f": moduli_freedom {moduli!r}"))
     line = isinstance(bundle, SplitLineBundle)
     if rank == 1 and not line:
@@ -690,11 +712,9 @@ def _columns_pass(s: LimitSeries) -> tuple[list, list] | None:
     unit decides every check there; an indecomposable component has no
     summand columns and is decided by its unit, ``component_failures``.
     ``None`` sends every unit to run: the passes read only a series whose
-    moduli and identity matchings are ``int`` (its header fields and table
-    entries are, by construction), whose bundles are the rank's kinds
-    (whose constructors take only ``int`` fields), and whose shape fits
-    the genus and ``sections``; and the twist's sign, the chain length and
-    the degree sum, which read the whole series, must hold.
+    bundles are the rank's kinds and whose shape fits the genus and
+    ``sections``; and the twist's sign, the chain length and the degree
+    sum, which read the whole series, must hold.
     """
     k, rank, twist, g = s.sections, s.rank, s.twist, s.genus
     components, nodes = s.components, s.nodes
@@ -733,9 +753,6 @@ def _columns_pass(s: LimitSeries) -> tuple[list, list] | None:
     identity = tuple(range(1, k + 1))
     matchings = list(map(_MATCHING, nodes))
     at_identity = list(map(eq, matchings, repeat(identity)))
-    identities = _chain.from_iterable(compress(matchings, at_identity))
-    if not _INT.issuperset(map(type, _chain(moduli, identities))):
-        return None
     d1 = list(map(add, p1, q1))
     d2 = d1 if rank == 1 else list(map(add, p2, q2))
     degrees = d1 if rank == 1 else list(map(add, d1, d2))
@@ -822,10 +839,7 @@ def validate_all(s: LimitSeries) -> ValidationReport:
     of each component and ``node_failures`` of each node that the column
     passes flag (of every one, when they flag the whole series), in index
     order, their items grouped by check.  A unit the passes clear has no
-    items, so the report is the same as a walk over every unit.  Header
-    fields and table entries are ``int``s, as their constructors refuse
-    any other type, so no check reads a type but the moduli's and the
-    matchings'.
+    items, so the report is the same as a walk over every unit.
     """
     flags = tuple(
         f"component {i}: indecomposable; determinant checked on degree only, "

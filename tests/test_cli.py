@@ -144,6 +144,19 @@ class TestVerifyAndDim:
         assert stdout == ""
         assert stderr.startswith("parse error: line 3: bad bundle record")
 
+    @pytest.mark.parametrize("command", ["verify", "dim"])
+    def test_wide_bundle_record_exit_4_with_one_short_line(self, capsys, series_file, command):
+        # no bundle takes 3,000 coefficients; the message cuts their list
+        # past its first 40 characters, so it stays one short line
+        record = "component 1 split " + "1 " * 3000 + "moduli 0"
+        text = series_file.read_text().replace("component 1 split 0 4 0 4 moduli 0", record, 1)
+        series_file.write_text(text)
+        code, stdout, stderr = run_cli(capsys, command, str(series_file))
+        assert (code, stdout) == (4, "")
+        assert stderr.startswith("parse error: line 3: bad bundle record 'split' [1, 1, 1")
+        assert stderr.endswith("... (9000 characters)\n") and len(stderr) < 200
+        assert stderr.count("\n") == 1
+
     @pytest.mark.skipif(
         not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
         reason="no int-string digit limit below 5,000 digits",

@@ -5,10 +5,12 @@ refuses with ``ValueError``, on structured mutants of four series.
 a header field (to a value of any type) or the chain, a table entry (to a
 value of any type) or a table's row count, a matching or a node's forced
 pairs, a moduli freedom or a bundle, or which components and nodes are
-present.  Any other exception is a crash of the reader that raised it.
-Header and entry mutants are built through the constructors, which refuse
-a value whose type is not ``int`` with ``ValueError``: that is the
-refusal, and such a mutant reaches no reader.
+present, or puts a field of the wrong kind into the object graph (a
+bundle, table, matching, chain, component or node that is not one).  Any
+other exception is a crash of the reader that raised it.  Mutants are
+built through the constructors, which refuse with ``ValueError`` a value
+whose type is not ``int`` and a field that is not of its kind: that is
+the refusal, and such a mutant reaches no reader.
 """
 
 from __future__ import annotations
@@ -86,6 +88,47 @@ def _table(c: Component, rows) -> Component:
     return Component(c.bundle, VanishingTable(rows), c.moduli_freedom)
 
 
+def _wrong_kinds(s) -> dict:
+    """``name: (build, message)`` for each field of ``s``'s object graph
+    put in of the wrong kind: ``build()`` is ``s`` with that field, which
+    its constructor refuses with ``message``."""
+    comps, nodes = s.components, s.nodes
+    c, node, m = comps[-1], nodes[-1], len(comps)
+
+    def component(**field):
+        return replace(s, components=_with(comps, m - 1, replace(c, **field)))
+
+    def gluing(**field):
+        return replace(s, nodes=_with(nodes, m - 2, replace(node, **field)))
+
+    bundles = "Split, Indecomposable or SplitLineBundle"
+    return {
+        "bundle-none": (lambda: component(bundle=None), f"bundle is a NoneType, not a {bundles}"),
+        "bundle-str": (lambda: component(bundle="split"), f"bundle is a str, not a {bundles}"),
+        "table-none": (lambda: component(table=None), "table is a NoneType, not a VanishingTable"),
+        "table-rows": (
+            lambda: component(table=c.table.rows), "table is a tuple, not a VanishingTable"
+        ),
+        "matching-none": (lambda: gluing(matching=None), "matching None is not a tuple of ints"),
+        "matching-list": (
+            lambda: gluing(matching=list(node.matching)),
+            f"matching {list(node.matching)!r} is not a tuple of ints",
+        ),
+        "chain-none": (lambda: replace(s, chain=None), "chain is a NoneType, not a ChainCurve"),
+        "component-none": (
+            lambda: replace(s, components=_with(comps, m - 1, None)),
+            f"component {m} is a NoneType, not a Component",
+        ),
+        "node-none": (
+            lambda: replace(s, nodes=_with(nodes, m - 2, None)),
+            f"node {m - 1} is a NoneType, not a NodeGluing",
+        ),
+        "component-list": (
+            lambda: replace(s, components=list(comps)), "components is a list, not a tuple"
+        ),
+    }
+
+
 @st.composite
 def mutants(draw):
     """One of ``BASES`` with one or two structured edits."""
@@ -95,7 +138,7 @@ def mutants(draw):
         kind = draw(
             st.sampled_from(
                 ("header", "chain", "entry", "rows", "matching", "forced", "moduli", "bundle",
-                 "presence")
+                 "presence", "kind")
             )
         )
         if kind == "header":
@@ -124,7 +167,9 @@ def mutants(draw):
                     rows.insert(j, rows[j - 1] if rows else (0, 0))
                 c = _table(c, rows)
             elif kind == "moduli":
-                c = replace(c, moduli_freedom=draw(ANY))
+                c = _returns_or_refuses(replace, c, moduli_freedom=draw(ANY))
+                if c is None:
+                    return None
             else:
                 c = replace(c, bundle=draw(BUNDLES))
             s = replace(s, components=_with(comps, i, c))
@@ -144,7 +189,9 @@ def mutants(draw):
                     matching.pop(draw(st.integers(0, len(matching) - 1)))
                 else:
                     matching.append(draw(ANY))
-                node = replace(node, matching=tuple(matching))
+                node = _returns_or_refuses(replace, node, matching=tuple(matching))
+                if node is None:
+                    return None
             s = replace(s, nodes=_with(nodes, n, node))
         elif kind == "presence" and comps:
             edit = draw(st.sampled_from(("component", "node", "both", "append")))
@@ -158,6 +205,12 @@ def mutants(draw):
                 comps += (comps[i],)
                 nodes += (NodeGluing(tuple(range(1, len(comps[i].table) + 1))),)
             s = replace(s, components=comps, nodes=nodes)
+        elif kind == "kind" and len(comps) >= 2 and nodes:
+            kinds = _wrong_kinds(s)
+            build, _ = kinds[draw(st.sampled_from(sorted(kinds)))]
+            s = _returns_or_refuses(build)
+            if s is None:
+                return None
     return s
 
 
@@ -207,3 +260,13 @@ def test_non_int_argument_refused(build, args, field, value):
     # refused by type before any range check or any work, bool included
     with pytest.raises(ValueError, match=f"^{field} {re.escape(repr(value))} is not an int$"):
         build(*args)
+
+
+@pytest.mark.parametrize("base", BASES, ids=["g5k4", "g7k3", "g9k6", "rank1g6"])
+@pytest.mark.parametrize("name", sorted(_wrong_kinds(BASES[0])))
+def test_wrong_kind_refused_when_built(name, base):
+    # built, such a field escapes the readers as an AttributeError or a
+    # TypeError; the constructors refuse it first, dataclasses.replace too
+    build, message = _wrong_kinds(base)[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

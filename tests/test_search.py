@@ -142,9 +142,15 @@ class TestCanonicalForm:
         [(1, 2, 3, 9), (1, 1, 2, 3), (1, 2, 3.0, 4), (2, 1, 3.0, 4), (1, "2", 3, 4), (True, 2, 3, 4)],
     )
     def test_non_permutation_matching_refused(self, key, matching):
+        # a tuple of ints is refused by the key; any other entry is refused
+        # when the node is built, before any key is asked for
         s = construct(5, 4)
-        nodes = (replace(s.nodes[0], matching=matching),) + s.nodes[1:]
-        with pytest.raises(ValueError, match=r"node 1: matching .* not a bijection"):
+        if {*map(type, matching)} == {int}:
+            message = f"node 1: matching {matching} is not a bijection"
+        else:
+            message = f"matching {matching!r} is not a tuple of ints"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nodes = (replace(s.nodes[0], matching=matching),) + s.nodes[1:]
             key(replace(s, nodes=nodes))
 
     @pytest.mark.parametrize(

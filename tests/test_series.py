@@ -310,7 +310,7 @@ class TestForcedPairsRule:
 def _reference_pinned_direction(component, row_index, side):
     """The pinning rule decided row by row: the reference for ``_pinned_directions``."""
     bundle = component.bundle
-    u, v = component.table.rows[row_index - 1]
+    u, v = component.table.us[row_index - 1], component.table.vs[row_index - 1]
     if isinstance(bundle, SplitLineBundle):
         return None
     if isinstance(bundle, Indecomposable):
@@ -509,7 +509,7 @@ def _reference_structure_failures(s):
     for i, c in enumerate(s.components, start=1):
         if len(c.table) != s.sections:
             failures.append(f"component {i}: {len(c.table)} rows, expected {s.sections}")
-        if type(c.moduli_freedom) is not int or c.moduli_freedom not in (0, 1):
+        if c.moduli_freedom not in (0, 1):
             failures.append(f"component {i}: moduli_freedom {c.moduli_freedom!r}")
         if s.rank == 1 and not isinstance(c.bundle, SplitLineBundle):
             failures.append(f"component {i}: rank-1 series needs line bundles")
@@ -1072,10 +1072,11 @@ def _reference_serialize_series(s):
 
 
 def _odd_entries(s):
-    """``s`` with list matchings, and float and str entries in its first
-    matching; table entries can only be ints, which their constructor checks."""
-    nodes = [NodeGluing(list(n.matching), n.forced_pairs) for n in s.nodes]
-    nodes[0] = NodeGluing((2.0, "1", *s.nodes[0].matching[2:]), (("1", "m"),))
+    """``s`` with a negative and a zero entry in its first matching, which
+    the validator refuses; every entry can only be an int, which the
+    constructors check."""
+    nodes = list(s.nodes)
+    nodes[0] = NodeGluing((-2, 0, *s.nodes[0].matching[2:]), (("1", "m"),))
     return replace(s, nodes=tuple(nodes))
 
 
@@ -1153,9 +1154,9 @@ _REFERENCE_BUNDLE_RECORDS = {
 }
 
 
-def _reference_shown(token):
+def _reference_shown(token, show=repr):
     """A refused token as a parse error quotes it: cut past 40 characters."""
-    return repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+    return show(token) if len(token) <= 40 else f"{show(token[:40])}... ({len(token)} characters)"
 
 
 def _reference_parse_int(token, line_no, what):
@@ -1230,12 +1231,17 @@ def _reference_parse_series(text):
             coeffs = [_reference_parse_int(t, line_no, "bundle coefficient") for t in rest[:-2]]
             make = _REFERENCE_BUNDLE_RECORDS.get((bkind, len(coeffs)))
             if make is None:
-                raise ParseError(line_no, f"bad bundle record {_reference_shown(bkind)} {coeffs}")
+                raise ParseError(
+                    line_no,
+                    f"bad bundle record {_reference_shown(bkind)} {_reference_shown(str(coeffs), str)}",
+                )
             try:
                 pending_bundle = make(*coeffs)
             except ValueError as e:
                 raise ParseError(
-                    line_no, f"bad bundle record {_reference_shown(bkind)} {coeffs}: {e}"
+                    line_no,
+                    f"bad bundle record {_reference_shown(bkind)} "
+                    f"{_reference_shown(str(coeffs), str)}: {e}",
                 ) from None
             pending_moduli = moduli
         elif kind == "row":
@@ -1446,6 +1452,17 @@ class TestParserHandCases:
                 f"bad bundle record {'s' * 40!r}... (41 characters) [0, 4, 2, 2]",
             ),
             (_set(1, "ellchain-series v" + "9" * 60), 1, f"unknown format version {'v' + '9' * 39!r}... (61 characters)"),
+            # a bundle record's coefficient list is cut as a token is
+            (
+                _set(8, "component 2 split 10 " + "0 " * 12 + "moduli 0"),
+                8,
+                f"bad bundle record 'split' {[10] + [0] * 12}",
+            ),
+            (
+                _set(8, "component 2 split 10 10 " + "0 " * 11 + "moduli 0"),
+                8,
+                f"bad bundle record 'split' {str([10, 10] + [0] * 11)[:40]}... (41 characters)",
+            ),
         ],
     )
     def test_errors(self, edit, line_no, message):
@@ -1687,8 +1704,10 @@ class TestColumnTables:
     @pytest.mark.parametrize("base", [construct(9, 4), construct(7, 3)], ids=["g9k4", "g7k3"])
     def test_odd_entries_refused(self, base):
         # float, bool, str and tuple table entries are refused when the
-        # table is built, naming the first row that has one; odd matchings
-        # stay representable, and the validator names them
+        # table is built, naming the first row that has one, and so are
+        # float and str matching entries and a list matching when the node
+        # is built; int entries out of range stay representable, and the
+        # validator names them
         rows = base.components[1].table.rows
         for odd, message in (
             (((0.5, True), ("3", (1, 2))), "row 1: non-integer vanishing (0.5,True)"),
@@ -1696,10 +1715,14 @@ class TestColumnTables:
         ):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 VanishingTable(odd + rows[2:])
-        failing = {c.name: c.diagnostics for c in validate_all(_odd_entries(base)).failures()}
         matching = base.nodes[0].matching[2:]
+        for odd in ((2.0, "1", *matching), list(base.nodes[0].matching)):
+            message = f"matching {odd!r} is not a tuple of ints"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                NodeGluing(odd, (("1", "m"),))
+        failing = {c.name: c.diagnostics for c in validate_all(_odd_entries(base)).failures()}
         assert failing == {
-            "node-condition": (f"node 1: matching {(2.0, '1', *matching)} is not a bijection",)
+            "node-condition": (f"node 1: matching {(-2, 0, *matching)} is not a bijection",)
         }
 
     def test_package_built_tables_hold_only_ints(self, corpus, monkeypatch):
@@ -1747,8 +1770,8 @@ class TestColumnTables:
 
 
 # ---------------------------------------------------------------------------
-# a table refuses an entry, and a series a header field, that is not an int;
-# validate_all reports a moduli freedom or matching entry that is not
+# a table refuses an entry, a component a moduli freedom, a node a matching
+# entry and a series a header field, that is not an int
 
 
 class TestEntryTypes:
@@ -1804,26 +1827,31 @@ class TestEntryTypes:
     @pytest.mark.parametrize("moduli", [True, 1.0, "1"])
     def test_moduli_freedom_that_is_not_an_int_is_a_structure_failure(self, moduli):
         # component 6 of construct(9, 4) is generic (moduli 1), so a value
-        # equal to 1 passes every other check; the file writer would write
-        # "moduli True", which the parser refuses
-        s = construct(9, 4)
-        c = s.components[5]
+        # equal to 1 would pass every other check, and the file writer would
+        # write "moduli True": the component's constructor, which
+        # dataclasses.replace runs, refuses it
+        c = construct(9, 4).components[5]
         assert c.moduli_freedom == 1
-        bad = _with_component(s, 5, Component(c.bundle, c.table, moduli))
-        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
-        assert failing == {"structure": (f"component 6: moduli_freedom {moduli!r}",)}
-        with pytest.raises(ValueError, match="refusing unvalidated series"):
-            count_dimension(bad)
+        message = f"moduli_freedom {moduli!r} is not an int"
+        for build in (
+            lambda: Component(c.bundle, c.table, moduli),
+            lambda: replace(c, moduli_freedom=moduli),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
 
     @pytest.mark.parametrize(
         "matching", [(1, 2, 3.0, 4), (2, 1, 3.0, 4), (1, "2", 3, 4), (True, 2, 3, 4)]
     )
     def test_non_int_matching_entry_is_a_node_condition_failure(self, matching):
         # entries equal to an int (3.0, True) must not pass, and entries that
-        # do not sort or index (a str, a float out of place) must not crash
-        s = construct(5, 4)
-        bad = replace(s, nodes=(replace(s.nodes[0], matching=matching),) + s.nodes[1:])
-        failing = {c.name: c.diagnostics for c in validate_all(bad).failures()}
-        assert failing == {"node-condition": (f"node 1: matching {matching} is not a bijection",)}
-        with pytest.raises(ValueError, match="refusing unvalidated series"):
-            count_dimension(bad)
+        # do not sort or index (a str, a float out of place) must not crash:
+        # the node's constructor, which dataclasses.replace runs, refuses both
+        node = construct(5, 4).nodes[0]
+        message = f"matching {matching!r} is not a tuple of ints"
+        for build in (
+            lambda: NodeGluing(matching, node.forced_pairs),
+            lambda: replace(node, matching=matching),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
